@@ -75,7 +75,7 @@ def compute_coverage_grid(
     lat_step_deg: float = 15.0,
     lon_step_deg: float = 15.0,
     min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG,
-    chunk_size: int = 2048,
+    chunk_size: Optional[int] = None,
 ) -> CoverageGrid:
     """Evaluate a constellation's coverage over a global grid.
 

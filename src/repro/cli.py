@@ -282,10 +282,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-size", type=_positive_int, default=None, metavar="SAMPLES",
-        help="time samples per streaming visibility slab (default: 2048 "
-        "for the grid engine's pool build, otherwise sized to the "
-        "population, 64-2048); peak build memory scales with it, results "
-        "do not — streaming is chunk-invariant bit for bit",
+        help="time samples per streaming visibility slab (default: sized "
+        "to the population, 64-2048; 64 for the full pool); peak build "
+        "memory scales with it, results do not — streaming is "
+        "chunk-invariant bit for bit",
     )
     parser.add_argument(
         "--engine", default="grid", choices=("grid", "intervals"),

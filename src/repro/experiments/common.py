@@ -119,13 +119,12 @@ class ExperimentContext:
 
     Args:
         chunk_size: Streaming chunk (time samples per slab) for the builds
-            owned by this context.  None packs the grid-engine pool tensor
-            in :data:`repro.sim.visibility.DEFAULT_CHUNK_SIZE` (2048)
-            slabs and lets interval scans and fleet-scoped subset builds
-            pick :func:`repro.sim.kernels.default_chunk_size`.  An
-            execution knob: results are chunk-invariant, only peak memory
-            changes (the CLI's ``--chunk-size`` sets it on the default
-            context).
+            owned by this context.  None lets every build — the grid
+            engine's pool tensor, interval scans and fleet-scoped subset
+            builds — pick :func:`repro.sim.kernels.default_chunk_size`
+            (64 samples for the full pool).  An execution knob: results
+            are chunk-invariant, only peak memory changes (the CLI's
+            ``--chunk-size`` sets it on the default context).
         engine: Which contact representation scenario kernels reduce
             over: ``"grid"`` (the packed dense tensor, default) or
             ``"intervals"`` (analytic rise/set windows).  A context-level

@@ -243,20 +243,27 @@ class BatchPropagator:
         sin_u = sin_w * cos_v + cos_w * sin_v
         return radius, cos_u, sin_u, raan
 
-    def _assemble_eci(self, radius, cos_u, sin_u, raan) -> np.ndarray:
-        """Rotate argument-of-latitude coordinates into ECI: (N, T, 3)."""
+    def _assemble_eci(self, cos_u, sin_u, raan, radius=None) -> np.ndarray:
+        """Rotate argument-of-latitude coordinates into ECI: (N, T, 3).
+
+        Unit vectors when ``radius`` is None.  Scaling the unit vector in
+        place afterwards is bit-identical to scaling each component as it
+        is formed (one product either way).
+        """
         cos_o = np.cos(raan)
         sin_o = np.sin(raan)
         cos_i = self._cos_i[:, None]
         sin_i = self._sin_i[:, None]
 
-        out = np.empty(radius.shape + (3,))
-        # x = r (cos O cos u - sin O sin u cos i); reuse temporaries in-place
-        # to keep peak memory at ~4 (N, T) arrays.
+        out = np.empty(cos_u.shape + (3,))
+        # x = cos O cos u - sin O sin u cos i; reuse temporaries to keep
+        # peak memory at ~4 (N, T) arrays.
         sin_u_cos_i = sin_u * cos_i
-        out[..., 0] = radius * (cos_o * cos_u - sin_o * sin_u_cos_i)
-        out[..., 1] = radius * (sin_o * cos_u + cos_o * sin_u_cos_i)
-        out[..., 2] = radius * (sin_u * sin_i)
+        out[..., 0] = cos_o * cos_u - sin_o * sin_u_cos_i
+        out[..., 1] = sin_o * cos_u + cos_o * sin_u_cos_i
+        out[..., 2] = sin_u * sin_i
+        if radius is not None:
+            out *= radius[..., None]
         return out
 
     def positions_eci(self, times_s: np.ndarray) -> np.ndarray:
@@ -270,7 +277,7 @@ class BatchPropagator:
         """
         with span("propagation.batch"):
             radius, cos_u, sin_u, raan = self._latitude_args(times_s)
-            out = self._assemble_eci(radius, cos_u, sin_u, raan)
+            out = self._assemble_eci(cos_u, sin_u, raan, radius)
         _STATE_EVALS.inc(out.shape[0] * out.shape[1])
         return out
 
@@ -279,8 +286,8 @@ class BatchPropagator:
 
         Coverage tests only need directions; returning unit vectors lets the
         visibility engine compare dot products against a cosine threshold
-        without re-normalizing.  Unit vectors are assembled directly (radius
-        set to 1) rather than normalizing after the fact.
+        without re-normalizing.  Unit vectors are assembled directly (no
+        radius factor) rather than normalizing after the fact.
         """
         with span("propagation.batch"):
             out = self.unit_positions_eci_unspanned(times_s)
@@ -294,8 +301,8 @@ class BatchPropagator:
         flood the tracer's record ring (the kernels' own ``visibility.*``
         span wraps the whole loop instead).  State evaluations still count.
         """
-        radius, cos_u, sin_u, raan = self._latitude_args(times_s)
-        out = self._assemble_eci(np.ones_like(radius), cos_u, sin_u, raan)
+        _, cos_u, sin_u, raan = self._latitude_args(times_s)
+        out = self._assemble_eci(cos_u, sin_u, raan)
         _STATE_EVALS.inc(out.shape[0] * out.shape[1])
         return out
 

@@ -130,7 +130,7 @@ class BentPipeSimulator:
         stations: Sequence[GroundStation],
         grid: TimeGrid,
         demand: Optional[Sequence[DemandModel]] = None,
-        chunk_size: int = 2048,
+        chunk_size: Optional[int] = None,
         link: Optional[BentPipeLink] = None,
     ) -> None:
         """Args:

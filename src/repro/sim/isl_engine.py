@@ -51,7 +51,7 @@ class IslBentPipeSimulator(BentPipeSimulator):
         stations: Sequence[GroundStation],
         grid: TimeGrid,
         demand: Optional[Sequence[DemandModel]] = None,
-        chunk_size: int = 2048,
+        chunk_size: Optional[int] = None,
         max_isl_range_m: float = DEFAULT_MAX_RANGE_M,
         max_hops: Optional[int] = None,
         grazing_altitude_m: float = DEFAULT_GRAZING_ALTITUDE_M,

@@ -49,8 +49,6 @@ from repro.sim.kernels import (  # re-exported: the historical home of these
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "POPCOUNT_TABLE",
     "ConstellationLike",
     "PackedVisibility",
     "SiteGeometry",
@@ -62,13 +60,6 @@ __all__ = [
 ]
 
 _LOG = get_logger(__name__)
-
-#: Default number of time samples per chunk for the *materialized* path
-#: and the packed pool build (the full tensor / packed cache dominates the
-#: footprint anyway).  The streaming reductions default to the adaptive
-#: :func:`repro.sim.kernels.default_chunk_size` — for them the chunk IS
-#: the footprint.
-DEFAULT_CHUNK_SIZE = 2048
 
 ConstellationLike = Union[Constellation, Sequence[OrbitalElements], BatchPropagator]
 
@@ -104,13 +95,10 @@ class VisibilityEngine:
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.grid = grid
-        #: Chunk of the materialized :meth:`visibility` path.
-        self.chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
-        #: Chunk of the streaming reductions; an explicit ``chunk_size``
-        #: governs both paths.  ``None`` defers to the adaptive default
-        #: (:func:`repro.sim.kernels.default_chunk_size`), which sizes the
-        #: slab per population at plan time.
-        self.stream_chunk_size = chunk_size
+        #: Time samples per slab on every path.  ``None`` defers to the
+        #: adaptive default (:func:`repro.sim.kernels.default_chunk_size`),
+        #: which sizes the slab per population at plan time.
+        self.chunk_size = chunk_size
 
     def _site_units_eci(
         self, sites: Sequence[GroundSite], times_s: np.ndarray
@@ -184,7 +172,7 @@ class VisibilityEngine:
     ) -> np.ndarray:
         """Per-site coverage mask: (S, T) — true when any satellite is visible."""
         return kernels.stream_site_coverage(
-            self._plan(constellation, sites, geometry, self.stream_chunk_size, cull)
+            self._plan(constellation, sites, geometry, self.chunk_size, cull)
         )
 
     def satellite_activity(
@@ -200,7 +188,7 @@ class VisibilityEngine:
         user terminal"; idle time is the complement.
         """
         return kernels.stream_satellite_activity(
-            self._plan(constellation, sites, geometry, self.stream_chunk_size, cull)
+            self._plan(constellation, sites, geometry, self.chunk_size, cull)
         )
 
     def visible_counts(
@@ -216,7 +204,7 @@ class VisibilityEngine:
         satellites), which is exact — the count axis is bounded by N.
         """
         return kernels.stream_visible_counts(
-            self._plan(constellation, sites, geometry, self.stream_chunk_size, cull)
+            self._plan(constellation, sites, geometry, self.chunk_size, cull)
         )
 
 
@@ -224,7 +212,7 @@ def visibility_matrix(
     constellation: ConstellationLike,
     sites: Sequence[GroundSite],
     grid: TimeGrid,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Convenience wrapper: one-shot visibility tensor (S, N, T)."""
     return VisibilityEngine(grid, chunk_size=chunk_size).visibility(
@@ -232,23 +220,17 @@ def visibility_matrix(
     )
 
 
-#: Lookup table mapping a byte value to its popcount; used to count covered
-#: samples in packed masks without unpacking.
-POPCOUNT_TABLE = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint32
-)
-
-
 def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:
     """OR-reduce packed uint8 rows over ``axis``, then popcount per row.
 
     ``rows`` is ``(A, K, B)`` uint8; the reduction axis (0 or 1) is
     collapsed and the surviving ``(rows, B)`` bytes are popcounted and
-    summed to int64 bit counts.  Pure integer arithmetic, so exact in any
-    evaluation order.  Callers guarantee a non-empty reduction axis.
+    summed to int64 bit counts, so covered samples are counted without
+    unpacking.  Pure integer arithmetic, so exact in any evaluation order.
+    Callers guarantee a non-empty reduction axis.
     """
     packed_or = np.bitwise_or.reduce(rows, axis=axis)
-    return POPCOUNT_TABLE[packed_or].sum(axis=1).astype(np.int64)
+    return np.bitwise_count(packed_or).sum(axis=1, dtype=np.int64)
 
 
 class PackedVisibility:
@@ -304,7 +286,11 @@ class PackedVisibility:
 
     def site_mask(self, site_index: int, sat_indices=None) -> np.ndarray:
         """Boolean coverage mask (T,) of one site under a satellite subset."""
-        rows = self._subset(sat_indices)[site_index]
+        # Select the site before gathering: gathering the subset's rows at
+        # every site would copy S times the bytes this mask reads.
+        rows = self.packed[site_index]
+        if sat_indices is not None:
+            rows = rows[self._as_index_array(sat_indices)]
         if rows.shape[0] == 0:
             return np.zeros(self.n_times, dtype=bool)
         packed_or = np.bitwise_or.reduce(rows, axis=0)
@@ -372,20 +358,14 @@ def packed_visibility(
 
     Streams: one (S, N, chunk) slab is packed at a time, so peak memory is
     the packed result plus O(S·N·chunk) transients — the full boolean
-    tensor is never held.  The chunk size defaults to
-    :data:`DEFAULT_CHUNK_SIZE` (wide), not the adaptive streaming default:
-    the packed tensor is a long-lived cache whose thousands of downstream
-    gather-heavy reductions are measurably (~2x on Fig. 3) faster when the
-    build's transients are few and large — small-chunk builds leave the
-    process allocator in a regime where every big reduction temporary is
-    freshly mapped and page-faulted.  Either way the chunk is rounded down
-    to a multiple of 8 so chunks pack cleanly; the final partial chunk is
-    zero-padded (padding bits read "not visible").
+    tensor is never held.  The chunk size defaults to the adaptive
+    :func:`repro.sim.kernels.default_chunk_size` (64 samples for the full
+    pool at the 22 experiment sites) and is rounded down to a multiple of
+    8 so chunks pack cleanly; the final partial chunk is zero-padded
+    (padding bits read "not visible").
 
     ``geometry`` reuses a cached :class:`SiteGeometry`.
     """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
     if geometry is None:
         geometry = SiteGeometry(sites, grid)
     plan = kernels.plan_stream(

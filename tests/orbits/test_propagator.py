@@ -168,6 +168,21 @@ class TestBatchPropagator:
         normalized = positions / np.linalg.norm(positions, axis=-1, keepdims=True)
         assert np.allclose(units, normalized, atol=1e-12)
 
+    @pytest.mark.parametrize("eccentric", (False, True))
+    def test_positions_scale_unit_vectors_exactly(
+        self, leo_elements, eccentric_elements, eccentric
+    ):
+        # One product per component either way, so bit-exact on both the
+        # circular fast path and the Kepler path.
+        elements = [leo_elements, eccentric_elements] if eccentric else [leo_elements]
+        batch = BatchPropagator(elements)
+        times = np.linspace(0, 5000, 10)
+        radius = batch._latitude_args(times)[0]
+        assert np.array_equal(
+            batch.positions_eci(times),
+            batch.unit_positions_eci(times) * radius[..., None],
+        )
+
     def test_shape(self, leo_elements):
         batch = BatchPropagator([leo_elements] * 5)
         positions = batch.positions_eci(np.zeros(7))

@@ -115,14 +115,69 @@ class TestStreamingEqualsMaterialized:
         )
 
 
-def _plan(elements, sites, chunk, cull=True):
+def _plan(elements, sites, chunk, cull=True, pack=False):
     return kernels.plan_stream(
         BatchPropagator(list(elements)),
         kernels.SiteGeometry(sites, GRID),
         GRID,
         chunk_size=chunk,
         cull=cull,
+        pack=pack,
     )
+
+
+class TestPackedBitsEqualPackbits:
+    """The pack reads along the slab's time-major layout; its bytes must
+    still equal ``np.packbits`` of the materialized tensor, padded tail
+    byte included (GRID's 125 samples are not a multiple of 8)."""
+
+    @pytest.mark.parametrize("chunk", (8, 64))
+    def test_unaligned_grid(self, mixed_pool, reference, chunk):
+        assert GRID.count % 8
+        packed = kernels.stream_packed_bits(
+            _plan(mixed_pool, SITES, chunk, pack=True)
+        )
+        assert np.array_equal(packed, np.packbits(reference, axis=2))
+
+    def test_all_culled_c_ordered_slabs(self):
+        elements = _shell(16, 2, 5.0)
+        site = [SITES[3]]
+        plan = _plan(elements, site, 16, pack=True)
+        assert plan.nothing_visible
+        visible = VisibilityEngine(GRID).visibility(elements, site, cull=False)
+        assert np.array_equal(
+            kernels.stream_packed_bits(plan), np.packbits(visible, axis=2)
+        )
+
+    def test_fleet_scoped_subset_build(self, mixed_pool):
+        fleet = np.array([3, 17, 24, 30, 47])
+        query = kernels.subsets.SubsetQuery.build(
+            BatchPropagator(mixed_pool),
+            kernels.SiteGeometry(SITES, GRID),
+            GRID,
+            fleet,
+            chunk_size=8,
+        )
+        visible = VisibilityEngine(GRID).visibility(
+            [mixed_pool[index] for index in fleet], SITES, cull=False
+        )
+        assert np.array_equal(query.packed, np.packbits(visible, axis=2))
+
+    def test_packed_visibility_plans_adaptive_chunk(self, monkeypatch):
+        elements = _shell(600, 20, 53.0)
+        plans = []
+        plan_stream = kernels.plan_stream
+
+        def spy(*args, **kwargs):
+            plans.append(plan_stream(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(kernels, "plan_stream", spy)
+        packed_visibility(elements, SITES, GRID)
+        (plan,) = plans
+        expected = kernels.default_chunk_size(len(SITES), len(elements))
+        assert expected < kernels.MAX_STREAM_CHUNK  # Not the old fixed default.
+        assert plan.chunk_size == expected
 
 
 class TestDegenerateSites:

@@ -11,7 +11,6 @@ from repro.orbits.propagator import BatchPropagator
 from repro.orbits.topocentric import elevation_deg
 from repro.sim.clock import TimeGrid
 from repro.sim.visibility import (
-    POPCOUNT_TABLE,
     PackedVisibility,
     VisibilityEngine,
     coverage_cos_thresholds,
@@ -235,10 +234,15 @@ class TestOrPopcount:
             np.testing.assert_array_equal(got, want)
             assert got.dtype == np.int64
 
-    def test_popcount_table(self):
+    def test_popcount_every_byte_value(self):
+        # Each byte value alone on a singleton reduction axis: the count
+        # must equal a bit-by-bit brute force for all 256 values.
         values = np.arange(256, dtype=np.uint8)
-        want = np.unpackbits(values[:, None], axis=1).sum(axis=1)
-        np.testing.assert_array_equal(POPCOUNT_TABLE[values], want)
+        want = [sum((int(value) >> bit) & 1 for bit in range(8)) for value in values]
+        for axis, rows in ((0, values[None, :, None]), (1, values[:, None, None])):
+            got = or_popcount(rows, axis=axis)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64
 
 
 class TestPackedEmptySelections:
