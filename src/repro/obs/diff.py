@@ -73,7 +73,9 @@ def _hit_rate(counters: Dict[str, float], prefix: str) -> Optional[float]:
 
 
 def derived_ratios(report: Dict[str, Any]) -> Dict[str, Optional[float]]:
-    """The efficiency ratios a report implies: cull fraction, cache hit rates."""
+    """The efficiency ratios a report implies: cull fraction, the share of
+    pair-samples the float32 screen left to an exact decision, cache hit
+    rates."""
     counters = report.get("metrics", {}).get("counters", {})
     culled = counters.get("sim.visibility.culled_pairs")
     evaluated = counters.get("sim.kernels.pairs_evaluated")
@@ -81,8 +83,12 @@ def derived_ratios(report: Dict[str, Any]) -> Dict[str, Optional[float]]:
     if culled is not None and evaluated is not None:
         pairs = culled + evaluated
         cull_ratio = culled / pairs if pairs else None
+    rechecks = counters.get("sim.kernels.exact_rechecks")
+    samples = counters.get("sim.visibility.pair_samples")
+    recheck_ratio = rechecks / samples if rechecks is not None and samples else None
     return {
         "cull_ratio": cull_ratio,
+        "exact_recheck_ratio": recheck_ratio,
         "visibility_cache_hit_rate": _hit_rate(
             counters, "experiments.visibility_cache"
         ),
@@ -142,6 +148,8 @@ def _format(value: Optional[float], places: int = 3) -> str:
         return "-"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
+    if abs(value) < 10.0**-places:  # Fixed point would print a zero.
+        return f"{value:.{places}g}"
     return f"{value:.{places}f}"
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,20 @@ from repro.orbits.kepler import solve_kepler, solve_kepler_batch
 
 #: Total (satellite, time) state evaluations across all batch propagations.
 _STATE_EVALS = metrics.counter("orbits.propagator.state_evaluations")
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _reduced_f32(angle: np.ndarray) -> np.ndarray:
+    """``angle`` reduced to [-pi, pi] in float64 (in place), cast to float32.
+
+    A week of argument of latitude reaches ~700 rad, where one float32 ulp
+    is ~6e-5 rad; reduced first, the cast costs at most ~2e-7 rad.
+    """
+    turns = np.rint(angle / _TWO_PI)
+    turns *= _TWO_PI
+    angle -= turns
+    return angle.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -305,6 +319,54 @@ class BatchPropagator:
         out = self._assemble_eci(cos_u, sin_u, raan)
         _STATE_EVALS.inc(out.shape[0] * out.shape[1])
         return out
+
+    def unit_positions_screen(
+        self, times_s: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Float32 unit ECI directions laid out (T, 3, N), for a cheap screen.
+
+        Returns ``(units32, units64)``.  On the circular fast path the
+        arguments ``u`` and ``raan`` are formed in float64 exactly as in
+        :meth:`unit_positions_eci`, reduced to [-pi, pi] in float64, and
+        only the trig and the rotation run in float32 (~10x cheaper than
+        float64 trig); every component is within ~1e-6 of the float64 one.
+        ``units64`` is None there: callers that need exact directions for
+        a few samples get them from :meth:`unit_positions_at`, which
+        reproduces :meth:`unit_positions_eci` bit for bit.
+
+        Eccentric pools solve Kepler's equation once, in float64, for the
+        whole batch; ``units64`` is that (N, T, 3) solution and ``units32``
+        its cast.  Exact directions must come from ``units64``: a solve
+        over another batch may stop at a different iteration.
+        """
+        times = np.atleast_1d(np.asarray(times_s, dtype=np.float64))
+        if not self.all_circular:
+            exact = self.unit_positions_eci_unspanned(times)
+            return (
+                np.ascontiguousarray(exact.transpose(1, 2, 0), dtype=np.float32),
+                exact,
+            )
+        # In-place where it reads clearly: each (T, N) temporary saved is a
+        # pass over a few MB per chunk.
+        dt = times[:, None] - self.epoch_s  # (T, N)
+        arg = np.multiply(dt, self._u_rate)
+        arg += self._u0
+        u = _reduced_f32(arg)
+        np.multiply(dt, self.raan_rate, out=arg)
+        arg += self.raan_rad
+        raan = _reduced_f32(arg)
+        cos_u, sin_u = np.cos(u), np.sin(u, out=u)
+        cos_o, sin_o = np.cos(raan), np.sin(raan, out=raan)
+        out = np.empty((times.size, 3, self.count), dtype=np.float32)
+        x, y, z = out[:, 0], out[:, 1], out[:, 2]
+        np.multiply(sin_u, self._sin_i.astype(np.float32), out=z)
+        sin_u *= self._cos_i.astype(np.float32)  # now sin u cos i
+        np.multiply(cos_o, cos_u, out=x)
+        x -= sin_o * sin_u
+        np.multiply(sin_o, cos_u, out=y)
+        y += cos_o * sin_u
+        _STATE_EVALS.inc(out.shape[0] * out.shape[2])
+        return out, None
 
     def unit_positions_at(
         self, sat_indices: np.ndarray, times_s: np.ndarray

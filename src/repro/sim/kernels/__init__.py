@@ -12,22 +12,34 @@ plus GB-scale float64 intermediates.
 
 Bit-identity contract
 ---------------------
-Streaming must not change a single bit relative to the materialized
-reference (:meth:`repro.sim.visibility.VisibilityEngine.visibility`): the
-golden figures compare at rtol 1e-6 and one flipped visibility bit moves a
-coverage fraction by 1/T.  Three rules keep the guarantee (pinned by
-tests/sim/test_kernels.py and the ``oracle.fused`` validation check):
+Every streamed bit must equal the exact reference
+(:func:`exact_visibility`): the float64 unit directions of
+:meth:`~repro.orbits.propagator.BatchPropagator.unit_positions_eci`, the
+site track, and :func:`exact_dots` compared against the cos thresholds.
+The golden figures compare at rtol 1e-6 and one flipped visibility bit
+moves a coverage fraction by 1/T.  The kernels reach that reference in two
+steps (pinned by tests/sim/test_kernels.py and the ``oracle.fused``
+validation check):
 
-* the dot-product einsum always runs at the full ``(S, N, chunk)`` shape
-  with the exact signature of the reference path — BLAS summation geometry
-  (and hence the last ulp) depends on operand shapes, so culled satellites
-  are *zeroed in the operand*, never removed from it;
-* satellite culling only skips *propagation* (the per-chunk trig), and only
-  on the all-circular fast path, where per-element results are independent
-  of batch membership (the general Kepler path iterates to a batch-global
-  tolerance, so a subset could converge in a different iteration count);
-* chunking the time axis is bit-neutral: each time sample is an independent
-  batched-GEMM slice (pinned by the chunk-invariance tests).
+* a float32 *screen* forms every dot product with one batched matmul of
+  float32 unit vectors.  Its error against the float64 dot stays within
+  :data:`SCREEN_MARGIN` (derivation there), so a sample whose screen dot is
+  below ``thr - SCREEN_MARGIN`` is surely not visible and one at or above
+  ``thr + SCREEN_MARGIN`` surely is;
+* the rare samples in between (~0.01 % of pair-samples for the full pool)
+  are decided exactly: :func:`exact_dots` of float64 directions.  Circular
+  pools re-evaluate those directions with
+  :meth:`~repro.orbits.propagator.BatchPropagator.unit_positions_at` (bit
+  equal to the grid evaluation); eccentric pools read them from the
+  chunk's own float64 Kepler solve.
+
+No decision depends on the operand shapes: the screen only settles samples
+its error cannot flip, and :func:`exact_dots` is elementwise.  Chunking the
+time axis and culling satellites out of the screen are therefore
+bit-neutral.  Satellite culling
+still only skips propagation on the all-circular fast path: the general
+Kepler path iterates to a batch-global tolerance, so a subset could
+converge in a different iteration count.
 
 Subset-query batch kernels over the packed tensor live in
 :mod:`repro.sim.kernels.subsets`.
@@ -64,10 +76,11 @@ from repro.sim.clock import TimeGrid
 _LOG = get_logger(__name__)
 
 #: Smallest default streaming chunk (time samples per slab), and the one
-#: the full pool gets.  The float64 dot-product slab is the peak
-#: allocation — (S, N, chunk) · 8 bytes — so at 22 sites × 4408
-#: satellites a 64-sample slab is ~6 MiB of booleans plus a ~50 MiB
-#: float64 twin.  Multiple of 8 so packed chunks land on byte boundaries.
+#: the full pool gets.  The float32 screen's dot-product slab is the peak
+#: allocation — (S, N, chunk) · 4 bytes — so at 22 sites × 4408
+#: satellites a 64-sample slab is ~6 MiB of booleans plus a ~25 MiB
+#: float32 dot slab.  Multiple of 8 so packed chunks land on byte
+#: boundaries.
 DEFAULT_STREAM_CHUNK = 64
 
 #: Largest default streaming chunk.  Small constellations hit per-chunk
@@ -77,7 +90,7 @@ DEFAULT_STREAM_CHUNK = 64
 MAX_STREAM_CHUNK = 2048
 
 #: Boolean-slab byte budget the adaptive default chunk aims for.  The
-#: accompanying float64 dot slab is 8x this, so the default's transient
+#: accompanying float32 dot slab is 4x this, so the default's transient
 #: peak stays in the tens of megabytes for any population.
 TARGET_SLAB_BYTES = 4 * 2**20
 
@@ -104,6 +117,25 @@ def default_chunk_size(n_sites: int, n_satellites: int) -> int:
 #: orders of magnitude to spare.
 CULL_COS_MARGIN = 1e-9
 
+#: Half-width of the band around each threshold inside which the float32
+#: screen defers to an exact float64 decision.  Error budget of a screen
+#: dot, for unit vectors (every |component| <= 1):
+#:
+#: * arguments: ``u`` and ``raan`` are reduced to [-pi, pi] in float64
+#:   (error ~1e-13 for a week's ~700 rad) and cast to float32, <= pi·2^-24
+#:   ~ 1.9e-7 rad each;
+#: * float32 sin/cos (<= 4 ulp) and the rotation's products and sums
+#:   (<= 2^-24 relative each) add ~5e-7 per satellite component, so with
+#:   the argument errors a component is off by <= ~1e-6;
+#: * the site track's float32 cast adds <= 6e-8 per component, and the
+#:   matmul's three products and two sums ~2e-7;
+#: * casting ``thr -/+ margin`` to float32 moves the band edge <= 6e-8.
+#:
+#: Together <= ~3e-6 (3·1e-6 plus the smaller terms), 30x under this
+#: margin; the measured worst error over a week of the full pool at 120 s
+#: steps is 3.6e-7.  Without the float64 reduction it is 3.1e-5.
+SCREEN_MARGIN = 1e-4
+
 _PAIRS_CULLED = metrics.counter("sim.visibility.culled_pairs")
 _SATS_CULLED = metrics.counter("sim.visibility.culled_satellites")
 _CULL_FRACTION = metrics.gauge("sim.visibility.cull_fraction")
@@ -118,6 +150,8 @@ _CULL_RATIO = metrics.gauge("sim.kernels.cull_ratio")
 _THRESH_HITS = metrics.counter("sim.kernels.threshold_cache.hits")
 _THRESH_MISSES = metrics.counter("sim.kernels.threshold_cache.misses")
 _THRESH_EVICTIONS = metrics.counter("sim.kernels.threshold_cache.evictions")
+#: Pair-samples the float32 screen left to an exact float64 decision.
+_EXACT_RECHECKS = metrics.counter("sim.kernels.exact_rechecks")
 
 # Shared with repro.sim.visibility (get-or-create by name returns the same
 # instruments; visibility.py cannot be imported here — it imports us).
@@ -170,6 +204,32 @@ def coverage_cos_thresholds(
     return np.cos(psi)
 
 
+def exact_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last (size-3) axis: ``(a0·b0 + a1·b1) + a2·b2``.
+
+    Elementwise ufuncs in a fixed order, so each element's bits depend on
+    its own operands only — not on the array shapes or broadcasting, as a
+    BLAS or einsum reduction's would.  This defines the visibility
+    decision the screen must reproduce.
+    """
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def exact_visibility(propagator: BatchPropagator, geometry: "SiteGeometry") -> np.ndarray:
+    """The unscreened (S, N, T) reference tensor over ``geometry.grid``.
+
+    Float64 directions of every satellite at every time, no cull, no
+    screen: what every streaming kernel must reproduce bit for bit.
+    Materializes float64 (S, N, T) temporaries, so it is for tests and
+    validation-sized inputs only.
+    """
+    times = geometry.grid.times_s
+    sats = propagator.unit_positions_eci(times)  # (N, T, 3)
+    sites = geometry.units_eci(times)  # (S, T, 3)
+    dots = exact_dots(sats[None], sites[:, None])
+    return dots >= geometry.thresholds(propagator)[:, :, None]
+
+
 def site_radii_m(sites: Sequence[GroundSite]) -> np.ndarray:
     """Batched geocentric site radii (S,).
 
@@ -215,6 +275,7 @@ class SiteGeometry:
         #: Geocentric site latitudes (S,), for the pair-culling bound.
         self.latitude_rad = np.arcsin(np.clip(self.unit_ecef[:, 2], -1.0, 1.0))
         self._track: Optional[np.ndarray] = None
+        self._track32: Optional[np.ndarray] = None
         # Thresholds depend on the propagator's radii; weak keying lets a
         # cached geometry serve many pool rebuilds without pinning
         # propagators alive.
@@ -255,10 +316,15 @@ class SiteGeometry:
         return out
 
     def prime_track(self) -> np.ndarray:
-        """Build (and cache) the full (S, T, 3) ECI unit track for the grid."""
+        """Build (and cache) the full (S, T, 3) ECI unit track for the grid.
+
+        Also caches its float32 time-major copy (T, S, 3), the screen's
+        matmul operand (:meth:`screen_chunk`).
+        """
         if self._track is None:
             self._track = self.units_eci(self.grid.times_s)
             self._track.flags.writeable = False
+            self._track32 = _time_major_f32(self._track)
         return self._track
 
     @property
@@ -266,18 +332,29 @@ class SiteGeometry:
         return self._track is not None
 
     def units_chunk(self, offset: int, times_s: np.ndarray) -> np.ndarray:
-        """Unit track for one chunk, contiguous: (S, Tc, 3).
+        """Float64 unit track for one chunk: (S, Tc, 3).
 
         Slicing the primed track yields the same per-element values as
-        computing the chunk directly (the trig is elementwise); the copy to
-        contiguous layout keeps the einsum operand layout — and therefore
-        its bits — independent of whether a track cache was present.
+        computing the chunk directly (the trig is elementwise).
         """
         if self._track is None:
             return self.units_eci(times_s)
-        return np.ascontiguousarray(
-            self._track[:, offset : offset + times_s.size, :]
-        )
+        return self._track[:, offset : offset + times_s.size, :]
+
+    def screen_chunk(
+        self, offset: int, times_s: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Site operands for one chunk: float64 (S, Tc, 3) for the exact
+        decisions and its float32 time-major copy (Tc, S, 3) for the screen."""
+        units = self.units_chunk(offset, times_s)
+        if self._track32 is None:
+            return units, _time_major_f32(units)
+        return units, self._track32[offset : offset + times_s.size]
+
+
+def _time_major_f32(track: np.ndarray) -> np.ndarray:
+    """(S, T, 3) float64 -> contiguous (T, S, 3) float32."""
+    return np.ascontiguousarray(track.transpose(1, 0, 2), dtype=np.float32)
 
 
 def pair_cull_mask(
@@ -309,12 +386,16 @@ class StreamPlan:
     Built by :func:`plan_stream`; consumed by :func:`iter_slabs` and the
     ``stream_*`` kernels.  ``active_indices`` is None when every satellite
     propagates (culling off, not applicable, or nothing to cull).
+    ``screen_lo``/``screen_hi`` are the float32 (S, N) screen band edges,
+    ``thresholds -/+ SCREEN_MARGIN``; infeasible pairs get ``screen_lo =
+    inf``, so they never pass the screen.
     """
 
     __slots__ = (
         "propagator", "geometry", "grid", "chunk_size", "thresholds",
-        "feasible", "active_indices", "active_propagator", "culled_pairs",
-        "culled_satellites", "cull_applied",
+        "screen_lo", "screen_hi", "feasible", "active_indices",
+        "active_propagator", "culled_pairs", "culled_satellites",
+        "cull_applied",
     )
 
     def __init__(self, propagator, geometry, grid, chunk_size, thresholds,
@@ -325,6 +406,10 @@ class StreamPlan:
         self.grid = grid
         self.chunk_size = chunk_size
         self.thresholds = thresholds
+        self.screen_lo = (thresholds - SCREEN_MARGIN).astype(np.float32)
+        self.screen_hi = (thresholds + SCREEN_MARGIN).astype(np.float32)
+        if feasible is not None:
+            self.screen_lo[~feasible] = np.inf
         self.feasible = feasible
         self.active_indices = active_indices
         self.active_propagator = active_propagator
@@ -365,8 +450,9 @@ def plan_stream(
             :func:`default_chunk_size`); rounded down to a multiple of 8
             when ``pack`` so packed chunks land on byte boundaries.
         cull: Enable the geometric pair cull.  Infeasible pairs are always
-            *counted*; propagation is only skipped on the all-circular fast
-            path (see the module docstring's bit-identity contract).
+            *counted* and never pass the screen; propagation is only skipped
+            on the all-circular fast path (see the module docstring's
+            bit-identity contract).
         pack: Round the chunk for bit packing.
     """
     if chunk_size is None:
@@ -430,17 +516,16 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (time_offset, boolean slab (S, N, Tc)) per chunk, in order.
 
     The slab is freshly computed per chunk and owned by the consumer until
-    the next iteration; only one slab (plus its float64 dot-product twin)
-    is alive at a time.  Culled satellites appear as all-False rows: their
-    unit-vector columns are zeroed in the full-shape einsum operand, and a
-    zero dot product never reaches a threshold (thresholds of cullable
-    pairs are strictly positive — see :func:`pair_cull_mask`).
+    the next iteration; only one slab (plus its float32 dot-product slab)
+    is alive at a time.  Each chunk is screened in float32 and its
+    near-threshold samples decided exactly (module docstring).  Culled
+    satellites appear as all-False rows: their screen columns are zero and
+    their pairs' ``screen_lo`` is infinite.
 
-    The einsum's slab is a time-major view: its memory order is
-    (Tc, S, N), so each time sample is one contiguous (S, N) plane.  The
-    all-culled path yields C-ordered zeros instead.  Consumers must not
-    assume either layout; see :func:`stream_packed_bits` for one that
-    reads along it.
+    The slab is a time-major view: its memory order is (Tc, S, N), so each
+    time sample is one contiguous (S, N) plane.  The all-culled path
+    yields C-ordered zeros instead.  Consumers must not assume either
+    layout; see :func:`stream_packed_bits` for one that reads along it.
     """
     if plan.nothing_visible:
         for offset, chunk_times in _chunk_offsets(plan):
@@ -451,27 +536,61 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
             _SLAB_BYTES.inc(slab.nbytes)
             yield offset, slab
         return
-    thresholds = plan.thresholds[:, :, None]
     for offset, chunk_times in _chunk_offsets(plan):
-        if plan.active_indices is None:
-            sat_units = plan.active_propagator.unit_positions_eci_unspanned(
-                chunk_times
-            )
-        else:
-            sat_units = np.zeros((plan.n_satellites, chunk_times.size, 3))
-            sat_units[plan.active_indices] = (
-                plan.active_propagator.unit_positions_eci_unspanned(chunk_times)
-            )
-        site_units = plan.geometry.units_chunk(offset, chunk_times)
-        dots = np.einsum("ntk,stk->snt", sat_units, site_units, optimize=True)
-        slab = dots >= thresholds
-        # Release the float64 slab before yielding: it is 8x the boolean
+        sat32, sat64 = plan.active_propagator.unit_positions_screen(chunk_times)
+        if plan.active_indices is not None:
+            full = np.zeros((chunk_times.size, 3, plan.n_satellites), np.float32)
+            full[:, :, plan.active_indices] = sat32
+            sat32 = full
+        site64, site32 = plan.geometry.screen_chunk(offset, chunk_times)
+        dots = np.matmul(site32, sat32)  # (Tc, S, N)
+        slab = dots >= plan.screen_lo  # C-contiguous: flat views write through
+        _decide_near_threshold(plan, chunk_times, dots, slab, site64, sat64)
+        # Release the float32 slab before yielding: it is 4x the boolean
         # slab and would otherwise stay alive across the next chunk's
-        # einsum, doubling the transient peak.
+        # matmul.
         del dots
         _SLABS_STREAMED.inc()
         _SLAB_BYTES.inc(slab.nbytes)
-        yield offset, slab
+        yield offset, slab.transpose(1, 2, 0)
+
+
+def _decide_near_threshold(
+    plan: StreamPlan,
+    times_s: np.ndarray,
+    dots: np.ndarray,
+    slab: np.ndarray,
+    site64: np.ndarray,
+    sat64: Optional[np.ndarray],
+) -> None:
+    """Overwrite ``slab``'s screen decisions inside the band exactly.
+
+    ``dots`` and ``slab`` are one chunk's (Tc, S, N) screen dots and
+    ``dots >= screen_lo``; of the samples that passed, those with
+    ``dots < screen_hi`` get :func:`exact_dots` of float64 directions
+    compared against the float64 threshold.  ``sat64`` is the chunk's
+    (N, Tc, 3) float64 directions when the propagator returned them
+    (eccentric pools); otherwise they are re-evaluated per sample.
+    """
+    flat = slab.reshape(-1)
+    passed = np.flatnonzero(flat)
+    if not passed.size:
+        return
+    pairs = plan.n_sites * plan.n_satellites
+    pair = passed % pairs
+    near = dots.reshape(-1)[passed] < plan.screen_hi.reshape(-1)[pair]
+    if not near.any():
+        return
+    passed = passed[near]
+    pair = pair[near]
+    t = passed // pairs
+    s, n = np.divmod(pair, plan.n_satellites)
+    if sat64 is None:
+        sat_units = plan.propagator.unit_positions_at(n, times_s[t])
+    else:
+        sat_units = sat64[n, t]
+    flat[passed] = exact_dots(sat_units, site64[s, t]) >= plan.thresholds[s, n]
+    _EXACT_RECHECKS.inc(passed.size)
 
 
 def _chunk_offsets(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:

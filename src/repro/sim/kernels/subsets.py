@@ -106,7 +106,7 @@ class SubsetQuery:
         """Stream a fleet-scoped packed build — skips the rest of the pool.
 
         Orders of magnitude cheaper than a full-pool build when the fleet
-        is small (the einsum and trig scale with the fleet, not the pool).
+        is small (the trig and the screen scale with the fleet, not the pool).
         """
         fleet = _as_sorted_fleet(fleet)
         plan = plan_stream(

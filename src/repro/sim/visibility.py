@@ -24,8 +24,10 @@ The heavy lifting lives in :mod:`repro.sim.kernels`: chunk-streaming
 reduction kernels that never materialize the (S, N, T) tensor, plus the
 geometric pair cull that skips propagation for (site, satellite) pairs
 that can never see each other.  :class:`VisibilityEngine` keeps the
-figure-facing API; :meth:`VisibilityEngine.visibility` remains the
-materialized reference the streaming paths are tested bit-for-bit against.
+figure-facing API.  Every path, :meth:`VisibilityEngine.visibility`
+included, goes through the kernels' float32 screen;
+:func:`repro.sim.kernels.exact_visibility` is the unscreened float64
+reference they are all tested bit-for-bit against.
 """
 
 from __future__ import annotations
@@ -82,8 +84,7 @@ class VisibilityEngine:
     The reduction methods (:meth:`site_coverage`, :meth:`satellite_activity`,
     :meth:`visible_counts`) stream: they hold one (S, N, chunk) slab at a
     time and never allocate the full tensor.  :meth:`visibility` still
-    materializes (S, N, T) — it is the exact reference the streaming paths
-    are validated against, and some callers genuinely need the tensor.
+    materializes (S, N, T) for the callers that genuinely need the tensor.
 
     Example:
         >>> from repro.sim import TimeGrid, VisibilityEngine
@@ -135,7 +136,7 @@ class VisibilityEngine:
         geometry: Optional[SiteGeometry] = None,
         cull: bool = True,
     ) -> np.ndarray:
-        """Full visibility tensor (the materialized reference path).
+        """Full visibility tensor, assembled from the streamed slabs.
 
         Args:
             constellation: A :class:`Constellation`, element list, or
@@ -144,7 +145,7 @@ class VisibilityEngine:
             geometry: Precomputed :class:`SiteGeometry` (overrides
                 ``sites``; experiment contexts cache these).
             cull: Apply the conservative geometric pair cull (bit-neutral;
-                disable to force the fully unculled reference).
+                disable to propagate every satellite).
 
         Returns:
             Boolean array of shape (S, N, T).

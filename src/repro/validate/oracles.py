@@ -21,10 +21,11 @@ depend on against an independent formulation of the same physics:
   restrictions) against plain boolean reductions of the unpacked tensor.
   Bit packing is lossless, so agreement is exact, not approximate.
 * :func:`check_fused_agreement` — the streaming kernels of
-  :mod:`repro.sim.kernels` (chunked slabs, geometric pair culling, cached
-  site tracks) against reductions of the materialized unculled tensor,
+  :mod:`repro.sim.kernels` (float32 screen with exact near-threshold
+  decisions, chunked slabs, geometric pair culling, cached site tracks)
+  against reductions of the exact unscreened, unculled float64 tensor,
   bit-exact across chunk sizes; the population is rigged so the cull
-  genuinely fires.
+  genuinely fires and a sample sits on its threshold.
 * :func:`check_interval_agreement` — the analytic contact-interval engine
   of :mod:`repro.sim.intervals` against the dense grid engine: resampling
   the refined (rise, set) windows at the grid instants must reproduce the
@@ -36,12 +37,13 @@ depend on against an independent formulation of the same physics:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.ground.sites import GroundSite
-from repro.obs import get_logger
+from repro.obs import get_logger, metrics
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.frames import eci_to_ecef, gmst_rad
 from repro.orbits.propagator import BatchPropagator, J2Propagator
@@ -316,6 +318,49 @@ def check_packed_agreement(
     return passed("oracle.packed", **details)
 
 
+def _near_threshold_site(
+    propagator: BatchPropagator, grid: TimeGrid, rng: np.random.Generator
+) -> GroundSite:
+    """A site that sees one satellite at one grid sample exactly at its mask.
+
+    Picks a (satellite, sample) whose sub-satellite point lies between 40
+    and 75 deg of latitude, places the site 2 deg poleward of it, and sets
+    the site's elevation mask to the satellite's elevation there (in the
+    spherical geometry of the cos thresholds).  The pair's exact dot then
+    equals its threshold up to rounding: a sample deep inside the float32
+    screen's band, which only the exact float64 path can decide.  The
+    latitude keeps the site away from the low-inclination block the cull
+    must still drop.
+    """
+    times = grid.times_s
+    units = propagator.unit_positions_eci(times)  # (N, T, 3)
+    latitude = np.degrees(np.arcsin(np.clip(units[..., 2], -1.0, 1.0)))
+    sats, samples = np.nonzero((np.abs(latitude) >= 40.0) & (np.abs(latitude) <= 75.0))
+    sat, sample = 0, 0  # No such point: the check's recheck count tells.
+    if sats.size:
+        pick = int(rng.integers(sats.size))
+        sat, sample = int(sats[pick]), int(samples[pick])
+    ecef = eci_to_ecef(
+        units[sat, sample], gmst_rad(times[sample], grid.gmst_at_epoch_rad)
+    )
+    site_latitude = latitude[sat, sample]
+    site = GroundSite(
+        name="near-threshold",
+        latitude_deg=float(site_latitude + np.copysign(2.0, site_latitude)),
+        longitude_deg=float(np.degrees(np.arctan2(ecef[1], ecef[0]))),
+    )
+    geometry = kernels.SiteGeometry([site], grid)
+    cos_psi = kernels.exact_dots(
+        units[sat, sample], geometry.units_eci(times[sample : sample + 1])[0, 0]
+    )
+    radius = propagator.semi_major_axis_m[sat]
+    elevation = np.arctan2(
+        radius * cos_psi - geometry.radii_m[0],
+        radius * np.sqrt(1.0 - cos_psi**2),
+    )
+    return dataclasses.replace(site, min_elevation_deg=float(np.degrees(elevation)))
+
+
 def check_fused_agreement(
     seed: int,
     n_satellites: int = 28,
@@ -324,20 +369,22 @@ def check_fused_agreement(
     step_s: float = 60.0,
     chunk_sizes: Sequence[int] = (1, 13, 64, 1_000_000),
 ) -> CheckResult:
-    """Streaming (culled) kernels vs the materialized unculled reference.
+    """Streaming (screened, culled) kernels vs the exact unculled reference.
 
     Builds a random circular population *plus* a guaranteed-cullable block —
     a ~79 deg-latitude site that a handful of injected low-inclination
-    satellites can never reach — and demands bit-exact agreement of every
-    streaming reduction (site coverage, satellite activity, visible counts,
-    packed bits) with reductions of
-    :meth:`~repro.sim.visibility.VisibilityEngine.visibility` computed with
-    culling disabled.  Sweeps chunk sizes across the degenerate corners
-    (one sample per slab, a prime, the default, and larger than the grid)
-    and repeats the sweep with the site track primed, pinning the cached
-    ECI-track slicing path the experiment contexts use.  Fails outright if
-    the cull never fired — a check that stops exercising culling is a
-    broken check, not a passing one.
+    satellites can never reach — and a site whose elevation mask puts one
+    pair-sample on its threshold (:func:`_near_threshold_site`).  Demands
+    bit-exact agreement of every streaming reduction (site coverage,
+    satellite activity, visible counts, packed bits) with reductions of
+    :func:`~repro.sim.kernels.exact_visibility`: float64 directions,
+    :func:`~repro.sim.kernels.exact_dots`, no screen, no cull.  Sweeps chunk
+    sizes across the degenerate corners (one sample per slab, a prime, the
+    default, and larger than the grid) and repeats the sweep with the site
+    track primed, pinning the cached ECI-track slicing path the experiment
+    contexts use.  Fails outright if the cull never fired or no sample took
+    the exact path — a check that stops exercising either is a broken
+    check, not a passing one.
     """
     rng = gen.trial_rng(seed, 4)
     elements = list(gen.random_elements(rng, n_satellites, max_eccentricity=0.0))
@@ -382,14 +429,15 @@ def check_fused_agreement(
     grid = TimeGrid(duration_s=count * step_s, step_s=step_s)
 
     propagator = BatchPropagator(elements)
-    reference = VisibilityEngine(grid).visibility(propagator, sites, cull=False)
+    sites.append(_near_threshold_site(propagator, grid, rng))
+    reference = kernels.exact_visibility(propagator, kernels.SiteGeometry(sites, grid))
     expect_coverage = reference.any(axis=1)
     expect_activity = reference.any(axis=0)
     expect_counts = reference.sum(axis=1)
-    expect_packed = packed_visibility(
-        propagator, sites, grid, cull=False
-    ).site_masks()
+    expect_packed = np.packbits(reference, axis=2)
 
+    rechecks = metrics.counter("sim.kernels.exact_rechecks")
+    rechecks_before = rechecks.value
     mismatched: List[str] = []
     culled_pairs = 0
     culled_satellites = 0
@@ -423,15 +471,18 @@ def check_fused_agreement(
             if not np.array_equal(
                 packed_visibility(
                     propagator, sites, grid, chunk_size=chunk, geometry=geometry
-                ).site_masks(),
+                ).packed,
                 expect_packed,
             ):
                 mismatched.append(f"packed_bits ({label})")
+    exact_rechecks = int(rechecks.value - rechecks_before)
     if not culled_pairs or not culled_satellites:
         mismatched.append(
             f"cull never fired (pairs={culled_pairs}, "
             f"satellites={culled_satellites})"
         )
+    if not exact_rechecks:
+        mismatched.append("no sample took the exact path")
 
     details = {
         "sites": len(sites),
@@ -440,6 +491,7 @@ def check_fused_agreement(
         "chunk_sizes": list(chunk_sizes),
         "culled_pairs": culled_pairs,
         "culled_satellites": culled_satellites,
+        "exact_rechecks": exact_rechecks,
         "mismatches": mismatched,
     }
     if mismatched:

@@ -251,6 +251,7 @@ def _summarize_details(check: CheckResult) -> str:
             f"{len(details.get('chunk_sizes', []))} chunk sizes, "
             f"{details['culled_pairs']} pairs / "
             f"{details.get('culled_satellites', '?')} sats culled, "
+            f"{details.get('exact_rechecks', '?')} exact rechecks, "
             f"{len(details.get('mismatches', []))} mismatches"
         )
     if check.name == "oracle.intervals" and "contacts" in details:

@@ -99,6 +99,14 @@ class TestDerivedRatios:
         ratios = derived_ratios(report)
         assert ratios["cull_ratio"] is None
         assert ratios["geometry_cache_hit_rate"] is None
+        assert ratios["exact_recheck_ratio"] is None
+
+    def test_exact_recheck_ratio(self):
+        report = make_report(counters={
+            "sim.kernels.exact_rechecks": 3.0,
+            "sim.visibility.pair_samples": 30_000.0,
+        })
+        assert derived_ratios(report)["exact_recheck_ratio"] == pytest.approx(1e-4)
 
 
 class TestDiffReports:

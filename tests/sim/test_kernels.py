@@ -1,15 +1,19 @@
-"""Streaming kernels vs the materialized reference: exact equality.
+"""Streaming kernels vs the exact reference: exact equality.
 
 Every test here compares a streaming reduction against plain numpy
-reductions of the full (S, N, T) tensor with `np.array_equal` — not
-almost-equal.  The streaming rewrite is only admissible because it is
-bit-identical; these tests are the gate.
+reductions of the unscreened float64 (S, N, T) tensor
+(`kernels.exact_visibility`) with `np.array_equal` — not almost-equal.
+The float32 screen is only admissible because every streamed bit equals
+the exact decision; these tests are the gate, together with the screen's
+premises (bit-equal exact re-evaluation, error far under the margin).
 """
 
 import numpy as np
 import pytest
 
+from repro.constellation.shells import starlink_like_constellation
 from repro.constellation.walker import walker_delta
+from repro.experiments.common import ALL_SITES, ExperimentConfig
 from repro.ground.sites import GroundSite
 from repro.obs import metrics
 from repro.orbits.elements import OrbitalElements
@@ -54,11 +58,17 @@ def mixed_pool():
     return _shell(24, 3, 10.0) + _shell(24, 3, 53.0)
 
 
+def _exact(elements, sites, grid=GRID):
+    """The unscreened, unculled float64 reference tensor (S, N, T)."""
+    return kernels.exact_visibility(
+        BatchPropagator(list(elements)), kernels.SiteGeometry(sites, grid)
+    )
+
+
 @pytest.fixture(scope="module")
 def reference(mixed_pool):
-    """The materialized unculled tensor and its plain numpy reductions."""
-    visible = VisibilityEngine(GRID).visibility(mixed_pool, SITES, cull=False)
-    return visible
+    """The exact reference tensor; tests take plain numpy reductions of it."""
+    return _exact(mixed_pool, SITES)
 
 
 class TestStreamingEqualsMaterialized:
@@ -144,7 +154,7 @@ class TestPackedBitsEqualPackbits:
         site = [SITES[3]]
         plan = _plan(elements, site, 16, pack=True)
         assert plan.nothing_visible
-        visible = VisibilityEngine(GRID).visibility(elements, site, cull=False)
+        visible = _exact(elements, site)
         assert np.array_equal(
             kernels.stream_packed_bits(plan), np.packbits(visible, axis=2)
         )
@@ -158,9 +168,7 @@ class TestPackedBitsEqualPackbits:
             fleet,
             chunk_size=8,
         )
-        visible = VisibilityEngine(GRID).visibility(
-            [mixed_pool[index] for index in fleet], SITES, cull=False
-        )
+        visible = _exact([mixed_pool[index] for index in fleet], SITES)
         assert np.array_equal(query.packed, np.packbits(visible, axis=2))
 
     def test_packed_visibility_plans_adaptive_chunk(self, monkeypatch):
@@ -198,7 +206,7 @@ class TestDegenerateSites:
     def test_single_site_single_satellite(self):
         elements = _shell(1, 1, 53.0)
         site = [SITES[2]]
-        visible = VisibilityEngine(GRID).visibility(elements, site, cull=False)
+        visible = _exact(elements, site)
         for chunk in CHUNKS:
             plan = _plan(elements, site, chunk)
             assert np.array_equal(
@@ -240,14 +248,17 @@ class TestCulling:
         assert plan.culled_satellites == 24
         assert plan.active_propagator.count == 24
         evals = metrics.counter("orbits.propagator.state_evaluations")
-        before = evals.value
+        rechecks = metrics.counter("sim.kernels.exact_rechecks")
+        before, rechecks_before = evals.value, rechecks.value
         kernels.stream_site_coverage(plan)
-        assert evals.value - before == 24 * GRID.count  # Not 48 * count.
+        # Not 48 * count; each exact recheck re-evaluates one state.
+        assert (
+            evals.value - before
+            == 24 * GRID.count + rechecks.value - rechecks_before
+        )
 
     def test_culled_results_bit_identical(self, mixed_pool):
-        expected = VisibilityEngine(GRID).visibility(
-            mixed_pool, CULL_SITES, cull=False
-        )
+        expected = _exact(mixed_pool, CULL_SITES)
         for chunk in (13, 100_000):
             culled = _plan(mixed_pool, CULL_SITES, chunk, cull=True)
             unculled = _plan(mixed_pool, CULL_SITES, chunk, cull=False)
@@ -273,7 +284,7 @@ class TestCulling:
 
     def test_eccentric_pool_streams_unculled_but_identical(self):
         """Eccentric orbits: the cull counts pairs but must not subset the
-        batch Kepler solve; results still match the materialized path."""
+        batch Kepler solve; results still match the exact reference."""
         elements = [
             OrbitalElements.from_degrees(
                 altitude_km=550.0 + 10.0 * index,
@@ -289,14 +300,14 @@ class TestCulling:
         plan = _plan(elements, SITES, 13)
         assert plan.culled_pairs > 0  # The polar site can't see an 8 deg shell...
         assert plan.culled_satellites == 0  # ...but no satellite is dropped.
-        visible = VisibilityEngine(GRID).visibility(elements, SITES, cull=False)
+        visible = _exact(elements, SITES)
         assert np.array_equal(
             kernels.stream_site_coverage(plan), visible.any(axis=1)
         )
 
     def test_cull_mask_is_conservative(self, mixed_pool):
         """No satellite with any actual visibility may ever be culled."""
-        visible = VisibilityEngine(GRID).visibility(mixed_pool, SITES, cull=False)
+        visible = _exact(mixed_pool, SITES)
         plan = _plan(mixed_pool, SITES, 13)
         seen = visible.any(axis=2)  # (S, N) pairs with real contact time
         assert not (seen & ~plan.feasible).any()
@@ -353,9 +364,11 @@ class TestSiteGeometry:
         ]
         geometry.prime_track()
         for (offset, times), expected in zip(_offsets(GRID, 13), direct):
-            sliced = geometry.units_chunk(offset, times)
-            assert sliced.flags["C_CONTIGUOUS"]
-            assert np.array_equal(sliced, expected)
+            assert np.array_equal(geometry.units_chunk(offset, times), expected)
+            _, direct32 = kernels.SiteGeometry(SITES, GRID).screen_chunk(offset, times)
+            _, cached32 = geometry.screen_chunk(offset, times)
+            assert cached32.dtype == np.float32
+            assert np.array_equal(cached32, direct32)
 
     def test_thresholds_cached_per_propagator(self, mixed_pool):
         geometry = kernels.SiteGeometry(SITES, GRID)
@@ -377,6 +390,139 @@ def _offsets(grid, chunk):
     for times in grid.chunks(chunk):
         yield offset, times
         offset += times.size
+
+
+#: Samples per sampled chunk of the full-pool week below.
+WEEK_CHUNK = 16
+
+
+@pytest.fixture(scope="module")
+def full_pool_week():
+    """The experiments' 4 408-satellite pool, 22 sites, 1 week at 120 s,
+    and six chunk offsets spread over the week, the last ending on its
+    final sample (largest propagation arguments)."""
+    config = ExperimentConfig()
+    grid = config.grid()
+    sites = [
+        city.terminal(min_elevation_deg=config.min_elevation_deg)
+        for city in ALL_SITES
+    ]
+    propagator = BatchPropagator(
+        starlink_like_constellation(rng=np.random.default_rng(0)).elements
+    )
+    geometry = kernels.SiteGeometry(sites, grid)
+    geometry.prime_track()
+    offsets = np.linspace(0, grid.count - WEEK_CHUNK, 6).astype(int)
+    return propagator, geometry, offsets
+
+
+def _chunk_times(geometry, offset):
+    return geometry.grid.times_s[offset : offset + WEEK_CHUNK]
+
+
+class TestScreenPremises:
+    """What the float32 screen's exactness rests on."""
+
+    def test_unit_positions_at_bit_equal_to_grid(self, full_pool_week):
+        propagator, geometry, offsets = full_pool_week
+        for offset in offsets:
+            times = _chunk_times(geometry, offset)
+            grid_units = propagator.unit_positions_eci(times)  # (N, Tc, 3)
+            sat, sample = np.meshgrid(
+                np.arange(propagator.count), np.arange(times.size), indexing="ij"
+            )
+            at = propagator.unit_positions_at(sat.ravel(), times[sample.ravel()])
+            assert np.array_equal(at, grid_units.reshape(-1, 3))
+
+    def test_screen_error_far_under_margin(self, full_pool_week):
+        propagator, geometry, offsets = full_pool_week
+        worst = 0.0
+        for offset in offsets:
+            times = _chunk_times(geometry, offset)
+            sat32, sat64 = propagator.unit_positions_screen(times)
+            assert sat64 is None  # The pool is circular: float32 trig path.
+            site64, site32 = geometry.screen_chunk(offset, times)
+            screen = np.matmul(site32, sat32).transpose(1, 2, 0)  # (S, N, Tc)
+            exact = kernels.exact_dots(
+                propagator.unit_positions_eci(times)[None], site64[:, None]
+            )
+            worst = max(worst, float(np.abs(screen - exact).max()))
+        assert worst <= kernels.SCREEN_MARGIN / 10
+
+    def test_exact_dots_independent_of_shape(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 7, 3))
+        b = rng.normal(size=(7, 3))
+        whole = kernels.exact_dots(a, b)
+        for i in range(5):
+            for j in range(7):
+                assert kernels.exact_dots(a[i, j], b[j]) == whole[i, j]
+
+    @pytest.mark.parametrize("eccentricity", (0.0, 0.01))
+    def test_threshold_tie_is_decided_exactly(self, eccentricity):
+        """A threshold equal to a pair's exact dot reads visible; one ulp
+        above it reads not visible.  Both sit deep inside the screen band,
+        so the exact path decides them (eccentric pools from the chunk's
+        own float64 Kepler solve)."""
+        elements = [
+            OrbitalElements.from_degrees(
+                altitude_km=550.0,
+                inclination_deg=53.0,
+                raan_deg=45.0 * index,
+                mean_anomaly_deg=40.0 * index,
+                eccentricity=eccentricity,
+            )
+            for index in range(8)
+        ]
+        propagator = BatchPropagator(elements)
+        geometry = kernels.SiteGeometry(SITES, GRID)
+        dots = kernels.exact_dots(
+            propagator.unit_positions_eci(GRID.times_s)[None],
+            geometry.units_eci(GRID.times_s)[:, None],
+        )
+        s, n, t = np.unravel_index(np.argmax(dots), dots.shape)
+        # The plan reads the geometry's cached threshold table.
+        thresholds = geometry.thresholds(propagator)
+        rechecks = metrics.counter("sim.kernels.exact_rechecks")
+        for value, expected in (
+            (dots[s, n, t], True),
+            (np.nextafter(dots[s, n, t], np.inf), False),
+        ):
+            thresholds[s, n] = value
+            before = rechecks.value
+            plan = kernels.plan_stream(
+                propagator, geometry, GRID, chunk_size=13, cull=False
+            )
+            bits = np.concatenate(
+                [slab[s, n] for _, slab in kernels.iter_slabs(plan)]
+            )
+            assert bits[t] == expected
+            assert rechecks.value > before
+            assert np.array_equal(
+                bits, kernels.exact_visibility(propagator, geometry)[s, n]
+            )
+
+    def test_eccentric_pool_streams_exact_reference(self):
+        elements = [
+            OrbitalElements.from_degrees(
+                altitude_km=540.0 + 15.0 * index,
+                inclination_deg=(30.0, 53.0, 70.0, 97.0)[index % 4],
+                raan_deg=27.0 * index,
+                mean_anomaly_deg=33.0 * index,
+                eccentricity=0.005 * (index % 3),
+            )
+            for index in range(12)
+        ]
+        visible = _exact(elements, SITES)
+        for chunk in (13, 64):
+            assert np.array_equal(
+                kernels.stream_visible_counts(_plan(elements, SITES, chunk)),
+                visible.sum(axis=1),
+            )
+            assert np.array_equal(
+                kernels.stream_packed_bits(_plan(elements, SITES, chunk, pack=True)),
+                np.packbits(visible, axis=2),
+            )
 
 
 class TestPropagatorDerived:
