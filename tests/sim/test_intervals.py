@@ -9,12 +9,127 @@ from repro.sim.clock import TimeGrid
 from repro.sim.intervals import (
     ContactIntervals,
     IntervalSet,
+    IntervalSubsetQuery,
     find_contact_intervals,
-    grouped_union_seconds,
     sweep_accumulate,
-    sweep_count_steps,
 )
 from repro.sim.visibility import VisibilityEngine
+
+
+def _store(windows, n_sites, n_sats, start_s=0.0, end_s=100.0):
+    """A store from ``{(site, sat): [(rise, set), ...]}``."""
+    rises, sets, counts = [], [], []
+    for s in range(n_sites):
+        for n in range(n_sats):
+            pairs = sorted(windows.get((s, n), []))
+            rises += [rise for rise, _ in pairs]
+            sets += [fall for _, fall in pairs]
+            counts.append(len(pairs))
+    offsets = np.zeros(n_sites * n_sats + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    rise_s = np.array(rises, dtype=np.float64)
+    set_s = np.array(sets, dtype=np.float64)
+    return ContactIntervals(
+        n_sites=n_sites, n_satellites=n_sats, start_s=start_s, end_s=end_s,
+        rise_s=rise_s, set_s=set_s, truncated_start=rise_s == start_s,
+        truncated_end=set_s == end_s, pair_offsets=offsets,
+    )
+
+
+# -- the per-query lexsort sweep the event index replaced, as the reference --
+
+
+def _lexsort_union_seconds(starts, stops, groups, n_groups):
+    k = int(starts.size)
+    if k == 0:
+        return np.zeros(n_groups, dtype=np.float64)
+    times = np.concatenate([starts, stops])
+    deltas = np.concatenate(
+        [np.ones(k, dtype=np.int64), -np.ones(k, dtype=np.int64)]
+    )
+    both = np.concatenate([groups, groups])
+    order = np.lexsort((deltas, times, both))
+    return sweep_accumulate(times[order], deltas[order], both[order], n_groups)
+
+
+def _lexsort_count_steps(starts, stops, start_s):
+    k = int(starts.size)
+    if k == 0:
+        return np.array([start_s]), np.zeros(1, dtype=np.int64)
+    times = np.concatenate([starts, stops])
+    deltas = np.concatenate(
+        [np.ones(k, dtype=np.int64), -np.ones(k, dtype=np.int64)]
+    )
+    order = np.lexsort((deltas, times))
+    times = times[order]
+    counts = np.cumsum(deltas[order])
+    keep = np.empty(times.size, dtype=bool)
+    keep[:-1] = times[1:] != times[:-1]
+    keep[-1] = True
+    times, counts = times[keep], counts[keep]
+    if times[0] > start_s:
+        times = np.concatenate([[start_s], times])
+        counts = np.concatenate([[0], counts])
+    return times, counts
+
+
+def _windows(contacts, sites, sats):
+    """(rise, set, site row, satellite row) of every window, pair by pair."""
+    rises, sets, site_rows, sat_rows = [], [], [], []
+    for i, s in enumerate(sites):
+        for j, n in enumerate(sats):
+            rise, fall, _, _ = contacts.pair_windows(int(s), int(n))
+            rises.append(rise)
+            sets.append(fall)
+            site_rows.append(np.full(rise.size, i, dtype=np.intp))
+            sat_rows.append(np.full(rise.size, j, dtype=np.intp))
+    if not rises:
+        empty = np.empty(0)
+        return empty, empty, empty.astype(np.intp), empty.astype(np.intp)
+    return tuple(np.concatenate(a) for a in (rises, sets, site_rows, sat_rows))
+
+
+def _reference_coverage(contacts, sats):
+    sats = np.arange(contacts.n_satellites) if sats is None else np.asarray(sats)
+    if sats.size == 0:
+        return np.zeros(contacts.n_sites)
+    rise, fall, site_rows, _ = _windows(contacts, range(contacts.n_sites), sats)
+    seconds = _lexsort_union_seconds(rise, fall, site_rows, contacts.n_sites)
+    return seconds / contacts.span_s
+
+
+def _reference_active(contacts, sats, sites):
+    sats = np.arange(contacts.n_satellites) if sats is None else np.asarray(sats)
+    sites = np.arange(contacts.n_sites) if sites is None else np.asarray(sites)
+    if sats.size == 0:
+        return np.zeros(0)
+    if sites.size == 0:
+        return np.zeros(sats.size)
+    rise, fall, _, sat_rows = _windows(contacts, sites, sats)
+    return _lexsort_union_seconds(rise, fall, sat_rows, sats.size) / contacts.span_s
+
+
+def _reference_count_steps(contacts, site, sats):
+    sats = np.arange(contacts.n_satellites) if sats is None else np.asarray(sats)
+    rise, fall, _, _ = _windows(contacts, [site], sats)
+    return _lexsort_count_steps(rise, fall, contacts.start_s)
+
+
+def _assert_matches_reference(contacts, sats, site_subsets):
+    np.testing.assert_array_equal(
+        contacts.coverage_fractions(sats), _reference_coverage(contacts, sats)
+    )
+    for sites in site_subsets:
+        np.testing.assert_array_equal(
+            contacts.satellite_active_fractions(sats, sites),
+            _reference_active(contacts, sats, sites),
+        )
+    for site in range(contacts.n_sites):
+        got = contacts.visible_count_steps(site, sats)
+        want = _reference_count_steps(contacts, site, sats)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1].dtype == want[1].dtype
 
 
 @pytest.fixture
@@ -122,30 +237,23 @@ class TestGroupedSweeps:
     def test_grouped_union_matches_per_group_sets(self):
         rng = np.random.default_rng(11)
         n_groups = 5
-        starts, stops, groups = [], [], []
+        windows = {}
         for g in range(n_groups):
             for _ in range(rng.integers(0, 8)):
                 a = float(rng.uniform(0.0, 900.0))
-                starts.append(a)
-                stops.append(a + float(rng.uniform(0.0, 200.0)))
-                groups.append(g)
-        seconds = grouped_union_seconds(
-            np.array(starts), np.array(stops),
-            np.array(groups, dtype=np.intp), n_groups,
-        )
+                # Each window on its own satellite: groups are sites.
+                windows[(g, len(windows))] = [(a, a + float(rng.uniform(0.0, 200.0)))]
+        contacts = _store(windows, n_groups, len(windows), 0.0, 1200.0)
+        fractions = contacts.coverage_fractions()
+        np.testing.assert_array_equal(fractions, _reference_coverage(contacts, None))
         for g in range(n_groups):
-            rows = [i for i, grp in enumerate(groups) if grp == g]
-            expect = IntervalSet(
-                [starts[i] for i in rows], [stops[i] for i in rows],
-                -1e9, 1e9,
-            ).total_s
-            assert seconds[g] == pytest.approx(expect)
+            pairs = [w for (site, _), ws in windows.items() if site == g for w in ws]
+            expect = IntervalSet.from_pairs(pairs, 0.0, 1200.0).coverage_fraction
+            assert fractions[g] == pytest.approx(expect)
 
     def test_empty_groups_are_zero(self):
-        seconds = grouped_union_seconds(
-            np.array([1.0]), np.array([2.0]), np.array([2], dtype=np.intp), 4
-        )
-        assert list(seconds) == [0.0, 0.0, 1.0, 0.0]
+        contacts = _store({(2, 0): [(1.0, 2.0)]}, 4, 1)
+        assert contacts.coverage_fractions().tolist() == [0.0, 0.0, 0.01, 0.0]
 
     def test_sweep_accumulate_matches_sequential_loop(self):
         """Bit-exact against a per-event loop adding spans in array order."""
@@ -172,9 +280,11 @@ class TestGroupedSweeps:
         assert got.dtype == np.float64
 
     def test_sweep_count_steps(self):
-        times, counts = sweep_count_steps(
-            np.array([10.0, 15.0, 30.0]), np.array([20.0, 25.0, 40.0]), 0.0
+        contacts = _store(
+            {(0, 0): [(10.0, 20.0)], (0, 1): [(15.0, 25.0)], (0, 2): [(30.0, 40.0)]},
+            1, 3,
         )
+        times, counts = contacts.visible_count_steps(0)
         assert times[0] == 0.0 and counts[0] == 0
         # Count at a time = value of the last step at or before it.
         probe = {5.0: 0, 12.0: 1, 17.0: 2, 22.0: 1, 27.0: 0, 35.0: 1, 45.0: 0}
@@ -352,3 +462,160 @@ class TestUnitPositionsAt:
             np.testing.assert_allclose(
                 units[row], full_units[n, t], atol=1e-9
             )
+
+
+#: Ties and boundaries on 2 sites x 5 satellites over [0, 100): satellite
+#: 0 sets at 30 where satellite 1 rises, satellite 2 repeats satellite 0's
+#: window, satellite 3 is truncated at both horizon edges, satellite 4 is
+#: visible all horizon, and site 1 has windows that touch end to start.
+EDGE_WINDOWS = {
+    (0, 0): [(10.0, 30.0)],
+    (0, 1): [(30.0, 50.0)],
+    (0, 2): [(10.0, 30.0)],
+    (0, 3): [(0.0, 20.0), (80.0, 100.0)],
+    (1, 0): [(50.0, 60.0), (70.0, 90.0)],
+    (1, 1): [(60.0, 70.0)],
+    (1, 4): [(0.0, 100.0)],
+}
+
+EDGE_SUBSETS = [
+    [], [0], [0, 1], [0, 2], [3], [4], [0, 0, 1], [1, 1, 1], [4, 3, 2, 1, 0],
+    None,
+]
+
+
+class TestEventIndex:
+    """Reductions read the once-sorted event index bit-identically to the
+    per-query lexsort sweep."""
+
+    @pytest.fixture
+    def edges(self):
+        return _store(EDGE_WINDOWS, 2, 5)
+
+    @pytest.mark.parametrize(
+        "sats", EDGE_SUBSETS, ids=[str(sats) for sats in EDGE_SUBSETS]
+    )
+    def test_edge_windows_match_reference(self, edges, sats):
+        _assert_matches_reference(edges, sats, [None, [], [0], [1], [0, 1], [1, 1]])
+
+    def test_edge_store_values(self, edges):
+        np.testing.assert_array_equal(
+            edges.coverage_fractions([0, 1]), [0.4, 0.4]
+        )
+        np.testing.assert_array_equal(
+            edges.satellite_active_fractions([0, 3, 4]), [0.5, 0.4, 1.0]
+        )
+        times, counts = edges.visible_count_steps(0, [0, 1, 2])
+        assert times.tolist() == [0.0, 10.0, 30.0, 50.0]
+        assert counts.tolist() == [0, 2, 1, 0]
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_pool_matches_reference(self, small_walker, sites, short_grid, refine):
+        # Unrefined edges sit on scan samples, so many satellites' rise and
+        # set times tie exactly.
+        contacts = find_contact_intervals(
+            small_walker, sites, short_grid, refine=refine
+        )
+        n = contacts.n_satellites
+        rng = np.random.default_rng(5)
+        site_subsets = [None, [], [1], list(range(contacts.n_sites))]
+        for sats in [None, [], list(range(n))] + [
+            rng.choice(n, size=size, replace=True) for size in (1, 4, 15, 40)
+        ]:
+            _assert_matches_reference(contacts, sats, site_subsets)
+
+    def test_orders_are_time_sorted_within_groups(self, edges):
+        events = edges.event_index()
+        assert events.site_times.size == events.sat_times.size == 2 * edges.n_contacts
+        for times, offsets in (
+            (events.site_times, events.site_offsets),
+            (events.sat_times, events.sat_offsets),
+        ):
+            for lo, hi in zip(offsets[:-1], offsets[1:]):
+                assert np.all(np.diff(times[lo:hi]) >= 0.0)
+        np.testing.assert_array_equal(
+            events.site_groups,
+            np.repeat(np.arange(edges.n_sites), np.diff(events.site_offsets)),
+        )
+        assert events.site_deltas.sum() == events.sat_deltas.sum() == 0
+
+    def test_built_once_per_store(self, small_walker, sites, short_grid):
+        contacts = find_contact_intervals(small_walker, sites, short_grid)
+        events = contacts.event_index()
+        arrays = [id(a) for a in events]
+        contacts.coverage_fractions([1, 2])
+        contacts.satellite_active_fractions([3], [0])
+        contacts.k_coverage_fraction(0, 2, [4, 5])
+        assert contacts.event_index() is events
+        assert [id(a) for a in contacts.event_index()] == arrays
+
+    def test_empty_store(self):
+        contacts = _store({}, 2, 3)
+        assert contacts.coverage_fractions().tolist() == [0.0, 0.0]
+        assert contacts.satellite_active_fractions().tolist() == [0.0] * 3
+        times, counts = contacts.visible_count_steps(1)
+        assert times.tolist() == [0.0] and counts.tolist() == [0]
+
+    def test_restricted_copy_bit_identical(self, small_walker, sites, short_grid):
+        contacts = find_contact_intervals(small_walker, sites, short_grid)
+        rng = np.random.default_rng(9)
+        fleet = np.sort(rng.choice(contacts.n_satellites, size=17, replace=False))
+        query = IntervalSubsetQuery.from_contacts(contacts, fleet)
+        for size in (0, 1, 6, 17):
+            subset = rng.choice(fleet, size=size, replace=False)
+            np.testing.assert_array_equal(
+                query.coverage_fractions(subset),
+                contacts.coverage_fractions(subset),
+            )
+            for site_indices in (None, [], [2], [0, 1, 2]):
+                np.testing.assert_array_equal(
+                    query.satellite_active_fractions(subset, site_indices),
+                    contacts.satellite_active_fractions(subset, site_indices),
+                )
+            for site in range(contacts.n_sites):
+                for k in (1, 2, 3):
+                    assert query.k_coverage_fraction(
+                        site, k, subset
+                    ) == contacts.k_coverage_fraction(site, k, subset)
+
+
+#: Every public reduction, called with one bad satellite (``sat``) or site
+#: index (``site``); the other axis stays valid.
+BAD_INDEX_CALLS = {
+    "site_union.sat": lambda c, bad: c.site_union(0, [1, bad]),
+    "site_union.site": lambda c, bad: c.site_union(bad),
+    "satellite_union.sat": lambda c, bad: c.satellite_union(bad),
+    "satellite_union.site": lambda c, bad: c.satellite_union(0, [bad]),
+    "contact_count.sat": lambda c, bad: c.contact_count(sat_indices=[bad]),
+    "contact_count.site": lambda c, bad: c.contact_count(site_indices=[bad]),
+    "coverage_fractions.sat": lambda c, bad: c.coverage_fractions([bad]),
+    "satellite_active_fractions.sat": lambda c, bad: c.satellite_active_fractions([bad]),
+    "satellite_active_fractions.site": lambda c, bad: c.satellite_active_fractions(None, [bad]),
+    "visible_count_steps.sat": lambda c, bad: c.visible_count_steps(0, [bad]),
+    "visible_count_steps.site": lambda c, bad: c.visible_count_steps(bad),
+    "k_coverage_fraction.sat": lambda c, bad: c.k_coverage_fraction(0, 1, [bad]),
+    "k_coverage_fraction.site": lambda c, bad: c.k_coverage_fraction(bad, 1),
+    "sample_counts.sat": lambda c, bad: c.sample_counts([0.0], 0, [bad]),
+    "pair.sat": lambda c, bad: c.pair(0, bad),
+    "pair.site": lambda c, bad: c.pair(bad, 0),
+    "restrict.sat": lambda c, bad: c.restrict([0, bad]),
+}
+
+
+class TestIndexValidation:
+    """An out-of-range index raises IndexError instead of aliasing the
+    windows of another (site, satellite) pair."""
+
+    @pytest.mark.parametrize("call", sorted(BAD_INDEX_CALLS))
+    def test_out_of_range_index_raises(self, call):
+        contacts = _store(EDGE_WINDOWS, 2, 5)
+        axis = call.rsplit(".", 1)[1]
+        n = contacts.n_satellites if axis == "sat" else contacts.n_sites
+        for bad in (n, n + 1, -1):
+            with pytest.raises(IndexError, match=f"index {bad} is out of range"):
+                BAD_INDEX_CALLS[call](contacts, bad)
+
+    def test_pool_wide_query_raises(self):
+        query = IntervalSubsetQuery.from_contacts(_store(EDGE_WINDOWS, 2, 5))
+        with pytest.raises(IndexError):
+            query.coverage_fractions([5])
