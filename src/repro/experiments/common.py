@@ -2,8 +2,10 @@
 
 The Monte-Carlo experiments all sample from the same synthetic Starlink-like
 pool and evaluate coverage at the same sites (the 21 cities and/or Taipei),
-so the expensive artifacts — the pool and its packed visibility tensor — are
-owned by an :class:`ExperimentContext` and built once per configuration.
+so the expensive artifacts — the pool and its contact store (the packed
+visibility tensor on the grid engine, analytic contact windows on the
+intervals engine) — are owned by an :class:`ExperimentContext` and built
+once per configuration.
 
 A context is an explicit object with an explicit lifetime: the unified
 runner (:mod:`repro.runner`) threads one through every scenario kernel, and
@@ -13,8 +15,9 @@ module-level helpers (:func:`starlink_pool`, :func:`pool_visibility`,
 call sites keep working.
 
 Cache traffic and build time are accounted through :mod:`repro.obs`
-(counters ``experiments.visibility_cache.*`` / ``experiments.pool_cache.*``
-and the ``visibility.build`` span).
+(counters ``experiments.visibility_cache.*``, ``experiments.interval_cache.*``
+and ``experiments.pool_cache.*``; spans ``visibility.build``,
+``intervals.build`` and ``subsets.build``).
 """
 
 from __future__ import annotations
@@ -28,14 +31,24 @@ import numpy as np
 from repro.constants import DEFAULT_MIN_ELEVATION_DEG, WEEK_S
 from repro.constellation.satellite import Constellation
 from repro.constellation.shells import starlink_like_constellation
-from repro.ground.cities import CITIES, TAIPEI, population_weights
+from repro.ground.cities import (
+    CITIES,
+    TAIPEI,
+    population_weights,
+    terminals_for_cities,
+)
 from repro.ground.sites import GroundSite
 from repro.obs import get_logger, metrics
 from repro.obs.trace import span
 from repro.orbits.propagator import BatchPropagator
 from repro.sim.clock import TimeGrid
-from repro.sim.intervals import ContactIntervals, find_contact_intervals
+from repro.sim.intervals import (
+    ContactIntervals,
+    IntervalSubsetQuery,
+    find_contact_intervals,
+)
 from repro.sim.kernels import SiteGeometry
+from repro.sim.kernels.subsets import SubsetQuery, as_sorted_fleet
 from repro.sim.visibility import PackedVisibility, packed_visibility
 
 _LOG = get_logger(__name__)
@@ -63,6 +76,19 @@ _SUBSET_MISSES = metrics.counter("experiments.subset_cache.misses")
 ENGINE_GRID = "grid"
 ENGINE_INTERVALS = "intervals"
 ENGINES = (ENGINE_GRID, ENGINE_INTERVALS)
+
+#: Per engine: the store cache's hit and miss counters, build-time metrics
+#: and build span.
+_STORE_METRICS = {
+    ENGINE_GRID: (
+        _VIS_HITS, _VIS_MISSES, _VIS_BUILD_SECONDS, _VIS_LAST_BUILD,
+        "visibility.build",
+    ),
+    ENGINE_INTERVALS: (
+        _INT_HITS, _INT_MISSES, _INT_BUILD_SECONDS, _INT_LAST_BUILD,
+        "intervals.build",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -109,7 +135,7 @@ def visibility_cache_key(
 
 
 class ExperimentContext:
-    """Owns the expensive experiment artifacts: pools + visibility tensors.
+    """Owns the expensive experiment artifacts: pools + contact stores.
 
     One context is one cache domain.  The process-default context (module
     helpers below) serves the CLI and the benchmark suite; tests create
@@ -125,13 +151,14 @@ class ExperimentContext:
             (64 samples for the full pool).  An execution knob: results
             are chunk-invariant, only peak memory changes (the CLI's
             ``--chunk-size`` sets it on the default context).
-        engine: Which contact representation scenario kernels reduce
-            over: ``"grid"`` (the packed dense tensor, default) or
-            ``"intervals"`` (analytic rise/set windows).  A context-level
-            execution knob like ``chunk_size`` — never part of
-            :class:`ExperimentConfig`, never in cache keys, set by the
-            CLI's ``--engine``.  The engines agree within one coarse-scan
-            step per contact edge (``oracle.intervals`` quantifies it).
+        engine: Which contact store :meth:`store` returns, and so what
+            every scenario kernel reduces over: ``"grid"`` (the packed
+            dense tensor, default) or ``"intervals"`` (analytic rise/set
+            windows).  A context-level execution knob like
+            ``chunk_size`` — never part of :class:`ExperimentConfig`,
+            never in cache keys, set by the CLI's ``--engine``.  The
+            engines agree within one coarse-scan step per contact edge
+            (``oracle.intervals`` quantifies it).
     """
 
     def __init__(
@@ -141,14 +168,14 @@ class ExperimentContext:
     ) -> None:
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.chunk_size = chunk_size
         self.engine = engine
+        self._checked_engine()
         self._pools: Dict[int, Constellation] = {}
         self._propagators: Dict[int, BatchPropagator] = {}
-        self._visibility: Dict[VisibilityKey, PackedVisibility] = {}
-        self._intervals: Dict[VisibilityKey, ContactIntervals] = {}
+        self._stores: Dict[str, Dict[VisibilityKey, object]] = {
+            engine: {} for engine in ENGINES
+        }
         self._geometry: Dict[
             Tuple[Tuple[GroundSite, ...], TimeGrid], SiteGeometry
         ] = {}
@@ -197,6 +224,17 @@ class ExperimentContext:
             _GEO_HITS.inc()
         return geometry
 
+    def store(self, config: ExperimentConfig, pool_seed: int = 0):
+        """The engine's full-pool contact store for ``config``.
+
+        A :class:`PackedVisibility` on the grid engine, a
+        :class:`ContactIntervals` on the intervals engine.  Both answer
+        ``coverage_fractions(sats)`` and ``satellite_active_fractions(sats,
+        sites)`` with rows in :data:`ALL_SITES` order, so a Monte-Carlo
+        kernel written once over the store runs on either engine.
+        """
+        return self._cached_store(self._checked_engine(), config, pool_seed)
+
     def visibility(
         self, config: ExperimentConfig, pool_seed: int = 0
     ) -> PackedVisibility:
@@ -207,37 +245,7 @@ class ExperimentContext:
         host); everything downstream is boolean reductions.
         Cached per (pool seed, step, elevation mask, horizon).
         """
-        key = visibility_cache_key(config, pool_seed)
-        if key not in self._visibility:
-            _VIS_MISSES.inc()
-            _LOG.info(
-                "visibility cache miss: building packed tensor "
-                "(pool_seed=%d step=%.0fs mask=%.1fdeg duration=%.0fs)",
-                *key,
-            )
-            sites = [
-                city.terminal(min_elevation_deg=config.min_elevation_deg)
-                for city in ALL_SITES
-            ]
-            grid = config.grid()
-            propagator = self.pool_propagator(pool_seed)
-            geometry = self.site_geometry(sites, grid)
-            start = time.perf_counter()
-            with span("visibility.build"):
-                self._visibility[key] = packed_visibility(
-                    propagator,
-                    sites,
-                    grid,
-                    chunk_size=self.chunk_size,
-                    geometry=geometry,
-                )
-            elapsed = time.perf_counter() - start
-            _VIS_BUILD_SECONDS.observe(elapsed)
-            _VIS_LAST_BUILD.set(elapsed)
-            _LOG.info("packed tensor built in %.2f s", elapsed)
-        else:
-            _VIS_HITS.inc()
-        return self._visibility[key]
+        return self._cached_store(ENGINE_GRID, config, pool_seed)
 
     def contact_intervals(
         self, config: ExperimentConfig, pool_seed: int = 0
@@ -247,133 +255,126 @@ class ExperimentContext:
         The intervals-engine sibling of :meth:`visibility`: the coarse
         scan runs on the config's own grid (so both engines detect exactly
         the same passes) and every edge is refined by root-finding.
-        Cached under the same key shape as the packed tensor.
+        Cached under the same key as the packed tensor.
         """
-        key = visibility_cache_key(config, pool_seed)
-        if key not in self._intervals:
-            _INT_MISSES.inc()
-            _LOG.info(
-                "interval cache miss: finding contact windows "
-                "(pool_seed=%d step=%.0fs mask=%.1fdeg duration=%.0fs)",
-                *key,
-            )
-            sites = [
-                city.terminal(min_elevation_deg=config.min_elevation_deg)
-                for city in ALL_SITES
-            ]
-            grid = config.grid()
-            propagator = self.pool_propagator(pool_seed)
-            geometry = self.site_geometry(sites, grid)
-            start = time.perf_counter()
-            with span("intervals.build"):
-                self._intervals[key] = find_contact_intervals(
-                    propagator,
-                    sites,
-                    grid,
-                    geometry=geometry,
-                    chunk_size=self.chunk_size,
-                )
-            elapsed = time.perf_counter() - start
-            _INT_BUILD_SECONDS.observe(elapsed)
-            _INT_LAST_BUILD.set(elapsed)
-            _LOG.info(
-                "found %d contact windows in %.2f s",
-                self._intervals[key].n_contacts,
-                elapsed,
-            )
-        else:
-            _INT_HITS.inc()
-        return self._intervals[key]
+        return self._cached_store(ENGINE_INTERVALS, config, pool_seed)
 
-    def subset_query(self, config: ExperimentConfig, fleet=None, pool_seed: int = 0):
-        """An engine-appropriate subset-query object, cached per fleet.
+    def _checked_engine(self) -> str:
+        # ``engine`` is a plain attribute the CLI and tests assign after
+        # construction, so it is validated where it is read.
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
+            )
+        return self.engine
+
+    def _cached_store(self, engine: str, config: ExperimentConfig, pool_seed: int):
+        key = visibility_cache_key(config, pool_seed)
+        cache = self._stores[engine]
+        hits, misses, build_seconds, last_build, span_name = _STORE_METRICS[engine]
+        if key in cache:
+            hits.inc()
+            return cache[key]
+        misses.inc()
+        _LOG.info(
+            "%s store cache miss: building "
+            "(pool_seed=%d step=%.0fs mask=%.1fdeg duration=%.0fs)",
+            engine, *key,
+        )
+        propagator = self.pool_propagator(pool_seed)
+        start = time.perf_counter()
+        cache[key] = self._build_store(engine, config, propagator, span_name)
+        elapsed = time.perf_counter() - start
+        build_seconds.observe(elapsed)
+        last_build.set(elapsed)
+        _LOG.info("%s store built in %.2f s", engine, elapsed)
+        return cache[key]
+
+    def _build_store(
+        self,
+        engine: str,
+        config: ExperimentConfig,
+        propagator: BatchPropagator,
+        span_name: str,
+    ):
+        """One engine's store for ``propagator``'s satellites (uncached)."""
+        sites = terminals_for_cities(ALL_SITES, config.min_elevation_deg)
+        grid = config.grid()
+        geometry = self.site_geometry(sites, grid)
+        build = (
+            find_contact_intervals if engine == ENGINE_INTERVALS
+            else packed_visibility
+        )
+        with span(span_name):
+            return build(
+                propagator, sites, grid,
+                geometry=geometry, chunk_size=self.chunk_size,
+            )
+
+    def subset_query(self, config: ExperimentConfig, fleet, pool_seed: int = 0):
+        """An engine-appropriate subset-query object for one fleet, cached.
 
         Returns a :class:`repro.sim.kernels.subsets.SubsetQuery` (grid) or
         :class:`repro.sim.intervals.IntervalSubsetQuery` (intervals) whose
-        precompute covers exactly ``fleet`` (pool indices; None = the whole
-        pool).  Attrition/withdrawal-style experiments pay the precompute
-        once and answer every composition with a cheap masked reduction.
+        precompute covers exactly ``fleet`` (pool indices).
+        Attrition-style experiments pay the precompute once and answer
+        every composition of the fleet with a cheap masked reduction.
 
-        When the full-pool artifact is already cached the precompute is a
-        free row gather; on a cold cache with a small fleet the build is
-        *fleet-scoped* — the trig and screen scale with the fleet, not the
-        pool, which is the ~50x win behind ``ablation_failures``.  Both
-        paths yield bit-identical query results (all-circular pool;
-        pinned by tests/sim/test_subsets.py).
+        When the full-pool store is already cached the precompute is a
+        free row gather; on a cold cache the build is *fleet-scoped* — the
+        trig and screen scale with the fleet, not the pool, which is the
+        ~50x win behind ``ablation_failures``.  Both paths yield
+        bit-identical query results (all-circular pool; pinned by
+        tests/experiments/test_subset_query.py).
         """
-        from repro.sim.intervals import IntervalSubsetQuery
-        from repro.sim.kernels.subsets import SubsetQuery, _as_sorted_fleet
-
-        sorted_fleet = None if fleet is None else _as_sorted_fleet(fleet)
+        engine = self._checked_engine()
+        sorted_fleet = as_sorted_fleet(fleet)
         base_key = visibility_cache_key(config, pool_seed)
-        key = (
-            base_key,
-            self.engine,
-            None if sorted_fleet is None else sorted_fleet.tobytes(),
-        )
+        key = (base_key, engine, sorted_fleet.tobytes())
         cached = self._subsets.get(key)
         if cached is not None:
             _SUBSET_HITS.inc()
             return cached
         _SUBSET_MISSES.inc()
-        if self.engine == ENGINE_INTERVALS:
-            if sorted_fleet is None or base_key in self._intervals:
+        warm = base_key in self._stores[engine]
+        if engine == ENGINE_INTERVALS:
+            if warm:
                 query = IntervalSubsetQuery.from_contacts(
                     self.contact_intervals(config, pool_seed), sorted_fleet
                 )
             else:
+                propagator = self.pool_propagator(pool_seed).subset(sorted_fleet)
                 query = IntervalSubsetQuery(
-                    self._fleet_scoped_intervals(config, pool_seed, sorted_fleet),
+                    self._build_store(
+                        engine, config, propagator, "subsets.build"
+                    ),
                     sorted_fleet,
                 )
+        elif warm:
+            query = SubsetQuery.from_visibility(
+                self.visibility(config, pool_seed), sorted_fleet
+            )
         else:
-            if sorted_fleet is None or base_key in self._visibility:
-                query = SubsetQuery.from_visibility(
-                    self.visibility(config, pool_seed), sorted_fleet
+            sites = terminals_for_cities(ALL_SITES, config.min_elevation_deg)
+            grid = config.grid()
+            with span("subsets.build"):
+                query = SubsetQuery.build(
+                    self.pool_propagator(pool_seed),
+                    self.site_geometry(sites, grid),
+                    grid,
+                    sorted_fleet,
+                    chunk_size=self.chunk_size,
                 )
-            else:
-                sites = [
-                    city.terminal(min_elevation_deg=config.min_elevation_deg)
-                    for city in ALL_SITES
-                ]
-                grid = config.grid()
-                with span("subsets.build"):
-                    query = SubsetQuery.build(
-                        self.pool_propagator(pool_seed),
-                        self.site_geometry(sites, grid),
-                        grid,
-                        sorted_fleet,
-                        chunk_size=self.chunk_size,
-                    )
         self._subsets[key] = query
         return query
 
-    def _fleet_scoped_intervals(
-        self, config: ExperimentConfig, pool_seed: int, sorted_fleet: np.ndarray
-    ) -> ContactIntervals:
-        """Contact windows of one fleet only (satellite axis = fleet order)."""
-        sites = [
-            city.terminal(min_elevation_deg=config.min_elevation_deg)
-            for city in ALL_SITES
-        ]
-        grid = config.grid()
-        propagator = self.pool_propagator(pool_seed).subset(sorted_fleet)
-        with span("subsets.build"):
-            return find_contact_intervals(
-                propagator,
-                sites,
-                grid,
-                geometry=self.site_geometry(sites, grid),
-                chunk_size=self.chunk_size,
-            )
-
     def cached_visibility(self) -> Dict[VisibilityKey, PackedVisibility]:
         """A copy of the live visibility cache (tests inspect keying)."""
-        return dict(self._visibility)
+        return dict(self._stores[ENGINE_GRID])
 
     def cached_intervals(self) -> Dict[VisibilityKey, ContactIntervals]:
         """A copy of the live contact-interval cache (tests inspect keying)."""
-        return dict(self._intervals)
+        return dict(self._stores[ENGINE_INTERVALS])
 
     def cached_pool_seeds(self) -> Tuple[int, ...]:
         return tuple(sorted(self._pools))
@@ -381,13 +382,13 @@ class ExperimentContext:
     def clear(self) -> None:
         """Drop every cached pool/visibility/geometry this context owns."""
         _POOL_EVICTIONS.inc(len(self._pools))
-        _VIS_EVICTIONS.inc(len(self._visibility))
+        _VIS_EVICTIONS.inc(len(self._stores[ENGINE_GRID]))
         _GEO_EVICTIONS.inc(len(self._geometry))
-        _INT_EVICTIONS.inc(len(self._intervals))
+        _INT_EVICTIONS.inc(len(self._stores[ENGINE_INTERVALS]))
         self._pools.clear()
         self._propagators.clear()
-        self._visibility.clear()
-        self._intervals.clear()
+        for cache in self._stores.values():
+            cache.clear()
         self._geometry.clear()
         self._subsets.clear()
 
@@ -409,13 +410,6 @@ def starlink_pool(seed: int = 0) -> Constellation:
 def pool_visibility(config: ExperimentConfig, pool_seed: int = 0) -> PackedVisibility:
     """The default context's packed visibility for ``config``."""
     return _DEFAULT_CONTEXT.visibility(config, pool_seed)
-
-
-def pool_contact_intervals(
-    config: ExperimentConfig, pool_seed: int = 0
-) -> ContactIntervals:
-    """The default context's analytic contact windows for ``config``."""
-    return _DEFAULT_CONTEXT.contact_intervals(config, pool_seed)
 
 
 def clear_caches() -> None:
@@ -443,29 +437,13 @@ def city_weights() -> np.ndarray:
     return _CITY_WEIGHTS
 
 
-def weighted_city_coverage_fraction(
-    visibility: PackedVisibility, sat_indices: np.ndarray
-) -> float:
-    """Population-weighted coverage over the 21 cities for a pool subset."""
-    fractions = visibility.coverage_fractions(sat_indices)
-    return float(city_weights() @ fractions[_CITY_ROWS])
+def weighted_city_coverage(store, sat_indices) -> float:
+    """Population-weighted city coverage of a satellite subset.
 
-
-def weighted_city_coverage_from_intervals(
-    contacts: ContactIntervals, sat_indices: np.ndarray
-) -> float:
-    """:func:`weighted_city_coverage_fraction` on the intervals engine."""
-    fractions = contacts.coverage_fractions(sat_indices)
-    return float(city_weights() @ fractions[_CITY_ROWS])
-
-
-def weighted_city_coverage(reducer, sat_indices) -> float:
-    """Population-weighted city coverage via any ``coverage_fractions`` source.
-
-    Works uniformly over :class:`~repro.sim.visibility.PackedVisibility`,
-    :class:`~repro.sim.intervals.ContactIntervals`, and the engine's
-    subset-query objects (:meth:`ExperimentContext.subset_query`), all of
-    which return per-site fractions in :data:`ALL_SITES` order.
+    ``store`` is any ``coverage_fractions`` source with rows in
+    :data:`ALL_SITES` order: either engine's contact store
+    (:meth:`ExperimentContext.store`) or a subset query
+    (:meth:`ExperimentContext.subset_query`).
     """
-    fractions = reducer.coverage_fractions(sat_indices)
+    fractions = store.coverage_fractions(sat_indices)
     return float(city_weights() @ fractions[_CITY_ROWS])

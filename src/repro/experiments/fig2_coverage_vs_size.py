@@ -18,13 +18,12 @@ import numpy as np
 from repro.analysis.gaps import gap_timeline_events, gap_timeline_events_from_intervals
 from repro.experiments.common import (
     ALL_SITES,
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
     TAIPEI_INDEX,
 )
 from repro.runner import RunContext, Scenario, run_scenario
-from repro.sim.contacts import contact_events, contact_events_from_intervals
+from repro.sim.contacts import contact_events
 from repro.sim.coverage import gap_lengths_s
 from repro.sim.intervals import ContactIntervals
 
@@ -62,8 +61,8 @@ class Fig2Result:
 class Fig2Scenario(Scenario):
     """Taipei coverage vs sampled constellation size.
 
-    Each run reduces the Taipei row of the shared packed-visibility tensor
-    over a random satellite subset.  The first run of each size is also
+    Each run reduces the Taipei row of the shared contact store over a
+    random satellite subset.  The first run of each size is also
     narrated onto the simulation timeline (coverage gaps at Taipei plus
     per-satellite contact windows for a bounded satellite subset), so
     ``--trace-out`` captures inspectable tracks from a figure run.
@@ -84,28 +83,29 @@ class Fig2Scenario(Scenario):
         return list(self.sizes)
 
     def run_one(self, ctx: RunContext, run_index: int) -> Tuple[float, float]:
-        # The subset draw happens before any engine branch, so both
-        # engines evaluate identical satellite samples.
+        # The subset draw happens before the store-type branch, so both
+        # engines evaluate identical satellite samples.  The branch stays
+        # because the Taipei timeline takes a different form per store: an
+        # analytic IntervalSet on intervals, a sampled mask on the grid.
         indices = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
-        if ctx.engine == ENGINE_INTERVALS:
-            contacts = ctx.contacts()
-            union = contacts.site_union(TAIPEI_INDEX, indices)
+        store = ctx.store()
+        if isinstance(store, ContactIntervals):
+            union = store.site_union(TAIPEI_INDEX, indices)
             uncovered = 100.0 * (1.0 - union.coverage_fraction)
             gaps = union.gap_lengths_s()
             max_gap = float(gaps.max()) if gaps.size else 0.0
             if run_index == 0:
                 _narrate_run_intervals(
-                    contacts, indices, union, ctx.context.pool(ctx.pool_seed)
+                    store, indices, union, ctx.context.pool(ctx.pool_seed)
                 )
             return (float(uncovered), max_gap)
-        visibility = ctx.visibility()
-        mask = visibility.site_mask(TAIPEI_INDEX, indices)
+        mask = store.site_mask(TAIPEI_INDEX, indices)
         uncovered = 100.0 * (1.0 - mask.mean())
         gaps = gap_lengths_s(mask, ctx.config.grid().step_s)
         max_gap = float(gaps.max()) if gaps.size else 0.0
         if run_index == 0:
             _narrate_run(
-                visibility, indices, mask, ctx.config.grid(),
+                store, indices, mask, ctx.config.grid(),
                 ctx.context.pool(ctx.pool_seed),
             )
         return (float(uncovered), max_gap)
@@ -172,8 +172,7 @@ def _narrate_run_intervals(
                 break
     if not traced:
         return
-    sub = contacts  # full-pool container; select the traced pairs directly
-    contact_events_from_intervals_subset(sub, traced, site_name, pool)
+    contact_events_from_intervals_subset(contacts, traced, site_name, pool)
 
 
 def contact_events_from_intervals_subset(

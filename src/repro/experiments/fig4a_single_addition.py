@@ -17,11 +17,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.common import (
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage_fraction,
-    weighted_city_coverage_from_intervals,
+    weighted_city_coverage,
 )
 from repro.runner import RunContext, Scenario, run_scenario
 
@@ -70,25 +68,12 @@ class Fig4aScenario(Scenario):
         return list(self.base_sizes)
 
     def run_one(self, ctx: RunContext, run_index: int) -> float:
-        if ctx.engine == ENGINE_INTERVALS:
-            contacts = ctx.contacts()
-
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_from_intervals(contacts, indices)
-                )
-        else:
-            visibility = ctx.visibility()
-
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_fraction(visibility, indices)
-                )
-
+        store = ctx.store()
         draw = ctx.rng.choice(ctx.pool_size(), size=ctx.point + 1, replace=False)
         base, extra = draw[:-1], draw
         horizon_hours = ctx.config.grid().duration_s / 3600.0
-        return float((coverage(extra) - coverage(base)) * horizon_hours)
+        gain = weighted_city_coverage(store, extra) - weighted_city_coverage(store, base)
+        return float(gain * horizon_hours)
 
     def reduce(
         self,

@@ -66,15 +66,11 @@ class Fig5Scenario(Scenario):
         return list(self.sizes)
 
     def run_one(self, ctx: RunContext, run_index: int) -> float:
-        query = ctx.subset_query()
-
-        def coverage(indices: np.ndarray) -> float:
-            return weighted_city_coverage(query, indices)
-
+        store = ctx.store()
         withdraw = int(round(self.withdraw_fraction * ctx.point))
         base = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
         kept = ctx.rng.permutation(base)[withdraw:]
-        return float(coverage(base) - coverage(kept))
+        return weighted_city_coverage(store, base) - weighted_city_coverage(store, kept)
 
     def reduce(
         self,

@@ -79,11 +79,7 @@ class Fig6Scenario(Scenario):
         return contribution_ratio_split(self.total_satellites, ratios)[0]
 
     def run_one(self, ctx: RunContext, run_index: int) -> float:
-        query = ctx.subset_query()
-
-        def coverage(indices: np.ndarray) -> float:
-            return weighted_city_coverage(query, indices)
-
+        store = ctx.store()
         largest = self._largest_party_count(ctx.point)
         base = ctx.rng.choice(
             ctx.pool_size(), size=self.total_satellites, replace=False
@@ -92,7 +88,7 @@ class Fig6Scenario(Scenario):
         # largest party's satellites; the rest stay.
         shuffled = ctx.rng.permutation(base)
         kept = shuffled[largest:]
-        return float(coverage(base) - coverage(kept))
+        return weighted_city_coverage(store, base) - weighted_city_coverage(store, kept)
 
     def reduce(
         self,

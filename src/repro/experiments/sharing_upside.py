@@ -17,11 +17,9 @@ import numpy as np
 
 from repro.core.sharing import SharingUpside, sharing_upside
 from repro.experiments.common import (
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage_fraction,
-    weighted_city_coverage_from_intervals,
+    weighted_city_coverage,
 )
 from repro.runner import RunContext, Scenario, run_scenario
 
@@ -71,29 +69,18 @@ class SharingUpsideScenario(Scenario):
         return [*self.calibration_sizes, NETWORK_POINT]
 
     def run_one(self, ctx: RunContext, run_index: int) -> Any:
-        if ctx.engine == ENGINE_INTERVALS:
-            contacts = ctx.contacts()
-
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_from_intervals(contacts, indices)
-                )
-        else:
-            visibility = ctx.visibility()
-
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_fraction(visibility, indices)
-                )
-
+        store = ctx.store()
         if ctx.point == NETWORK_POINT:
             network = ctx.rng.choice(
                 ctx.pool_size(), size=self.network_size, replace=False
             )
             own = network[: self.contributed]
-            return (coverage(own), coverage(network))
+            return (
+                weighted_city_coverage(store, own),
+                weighted_city_coverage(store, network),
+            )
         indices = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
-        return coverage(indices)
+        return weighted_city_coverage(store, indices)
 
     def reduce(
         self,

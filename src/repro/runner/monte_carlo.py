@@ -2,7 +2,7 @@
 
 :class:`MonteCarloRunner` executes a :class:`~repro.runner.scenario.
 Scenario` — sweep axis × repetitions — in-process, one repetition after
-another, against the engine's world state cached on the
+another, against the contact store cached on the
 :class:`~repro.experiments.common.ExperimentContext` (the packed
 visibility tensor on the grid engine, the CSR contact windows on the
 intervals engine).

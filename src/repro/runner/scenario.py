@@ -39,14 +39,7 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
-from repro.experiments.common import (
-    ENGINE_GRID,
-    ENGINE_INTERVALS,
-    ExperimentConfig,
-    ExperimentContext,
-)
-from repro.sim.intervals import ContactIntervals
-from repro.sim.visibility import PackedVisibility
+from repro.experiments.common import ExperimentConfig, ExperimentContext
 
 
 def run_seed_sequence(
@@ -72,7 +65,7 @@ class RunContext:
 
     Attributes:
         config: The experiment configuration.
-        context: The artifact cache (pool + visibility) this run reads.
+        context: The artifact cache (pool + contact store) this run reads.
         point: The sweep-axis value being evaluated.
         point_index: Its index on the sweep axis (part of the RNG seed).
         run_index: The repetition number (part of the RNG seed).
@@ -88,24 +81,10 @@ class RunContext:
     rng: np.random.Generator = field(repr=False)
     pool_seed: int = 0
 
-    def visibility(self) -> PackedVisibility:
-        """The packed visibility tensor for this run's configuration."""
-        return self.context.visibility(self.config, self.pool_seed)
-
-    def contacts(self) -> ContactIntervals:
-        """The analytic contact intervals for this run's configuration."""
-        return self.context.contact_intervals(self.config, self.pool_seed)
-
-    def subset_query(self, fleet=None):
-        """An engine-appropriate subset-coverage query (see
-        :meth:`ExperimentContext.subset_query`).  Pool-wide by default;
-        pass ``fleet`` to scope the precompute to a fixed satellite set."""
-        return self.context.subset_query(self.config, fleet, self.pool_seed)
-
-    @property
-    def engine(self) -> str:
-        """The context's contact engine (``"grid"`` or ``"intervals"``)."""
-        return getattr(self.context, "engine", ENGINE_GRID)
+    def store(self):
+        """The context's full-pool contact store for this run's
+        configuration (see :meth:`ExperimentContext.store`)."""
+        return self.context.store(self.config, self.pool_seed)
 
     def pool_size(self) -> int:
         """Number of satellites in the sampling pool."""
@@ -122,8 +101,8 @@ class Scenario(abc.ABC):
             scenarios at the same seed never draw correlated samples; the
             values carry over from the old per-figure ``config.rng(salt=N)``
             streams.
-        uses_pool: Whether kernels read the packed pool visibility.  When
-            True the runner builds the tensor once up front.
+        uses_pool: Whether kernels read the pool's contact store.  When
+            True the runner builds the store once up front.
     """
 
     name: str = "scenario"
@@ -133,10 +112,7 @@ class Scenario(abc.ABC):
     def prepare(self, context: ExperimentContext, config: ExperimentConfig) -> None:
         """Build shared artifacts before any kernel runs."""
         if self.uses_pool:
-            if getattr(context, "engine", ENGINE_GRID) == ENGINE_INTERVALS:
-                context.contact_intervals(config)
-            else:
-                context.visibility(config)
+            context.store(config)
 
     @abc.abstractmethod
     def sweep(

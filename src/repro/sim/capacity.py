@@ -7,8 +7,9 @@ otherwise.  With the spare-capacity sharing of MP-LEO the same accounting
 splits an active satellite's time between serving its owner's terminals and
 serving other parties' terminals.
 
-Every accountant here has two front-ends: one over a dense (S, N, T)
-visibility tensor (grid engine) and an ``*_intervals`` sibling over
+The utilization and spare-capacity accountants have two front-ends: one
+over a dense (S, N, T) visibility tensor (grid engine) and an
+``*_intervals`` sibling over
 :class:`~repro.sim.intervals.ContactIntervals` (intervals engine).  The
 interval variants measure continuous time via union sweeps instead of
 counting samples, so they agree with the grid within the usual one-scan-step
@@ -207,12 +208,6 @@ def idle_time_hours(
     return stats.per_satellite_idle_fraction * grid.duration_s / 3600.0
 
 
-def idle_time_hours_from_intervals(contacts: ContactIntervals) -> np.ndarray:
-    """Per-satellite idle time in hours from analytic contact windows."""
-    stats = utilization_from_intervals(contacts)
-    return stats.per_satellite_idle_fraction * contacts.span_s / 3600.0
-
-
 def party_capacity_shares(
     visibility: np.ndarray,
     terminal_parties: Sequence[str],
@@ -226,24 +221,6 @@ def party_capacity_shares(
         no satellites are omitted.
     """
     ledger = spare_capacity_split(visibility, terminal_parties, satellite_parties)
-    return _shares_from_ledger(ledger, satellite_parties)
-
-
-def party_capacity_shares_intervals(
-    contacts: ContactIntervals,
-    terminal_parties: Sequence[str],
-    satellite_parties: Sequence[str],
-) -> Dict[str, Dict[str, float]]:
-    """Interval-native :func:`party_capacity_shares`."""
-    ledger = spare_capacity_split_intervals(
-        contacts, terminal_parties, satellite_parties
-    )
-    return _shares_from_ledger(ledger, satellite_parties)
-
-
-def _shares_from_ledger(
-    ledger: SpareCapacityLedger, satellite_parties: Sequence[str]
-) -> Dict[str, Dict[str, float]]:
     shares: Dict[str, Dict[str, float]] = {}
     parties = np.array(satellite_parties)
     for party in sorted(set(satellite_parties)):

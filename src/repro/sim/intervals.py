@@ -676,9 +676,7 @@ class IntervalSubsetQuery:
     def from_contacts(cls, contacts, fleet=None) -> "IntervalSubsetQuery":
         if fleet is None:
             return cls(contacts, None)
-        fleet = np.sort(np.asarray(fleet, dtype=np.intp).reshape(-1))
-        if fleet.size > 1 and np.any(fleet[1:] == fleet[:-1]):
-            raise ValueError("fleet indices must be unique")
+        fleet = kernels.subsets.as_sorted_fleet(fleet)
         return cls(contacts.restrict(fleet), fleet)
 
     @property
@@ -694,14 +692,7 @@ class IntervalSubsetQuery:
         """Map pool-index subsets to restricted columns (identity pool-wide)."""
         if subset is None or self.fleet is None:
             return subset
-        subset = np.asarray(subset, dtype=np.intp).reshape(-1)
-        if subset.size == 0:
-            return subset
-        local = np.searchsorted(self.fleet, subset)
-        local = np.minimum(local, self.fleet.size - 1)
-        if self.fleet.size == 0 or not np.array_equal(self.fleet[local], subset):
-            raise KeyError("subset contains satellites outside the fleet")
-        return local
+        return kernels.subsets.fleet_positions(self.fleet, subset)
 
     def coverage_fractions(self, subset=None) -> np.ndarray:
         """Covered fraction per site (S,) for one satellite subset."""

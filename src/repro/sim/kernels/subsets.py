@@ -41,12 +41,27 @@ from repro.sim.kernels import SiteGeometry, plan_stream, stream_packed_bits
 from repro.sim.visibility import or_popcount
 
 
-def _as_sorted_fleet(fleet) -> np.ndarray:
+def as_sorted_fleet(fleet) -> np.ndarray:
     """Normalize a fleet selection to a sorted intp array."""
     array = np.sort(np.asarray(fleet, dtype=np.intp).reshape(-1))
     if array.size > 1 and np.any(array[1:] == array[:-1]):
         raise ValueError("fleet indices must be unique")
     return array
+
+
+def fleet_positions(fleet: np.ndarray, subset) -> np.ndarray:
+    """Positions of pool-index ``subset`` within a sorted ``fleet``.
+
+    Raises KeyError if any subset satellite is outside the fleet.
+    """
+    subset = np.asarray(subset, dtype=np.intp).reshape(-1)
+    local = np.searchsorted(fleet, subset)
+    local = np.minimum(local, fleet.size - 1) if fleet.size else local
+    if subset.size and (
+        fleet.size == 0 or not np.array_equal(fleet[local], subset)
+    ):
+        raise KeyError("subset contains satellites outside the fleet")
+    return local
 
 
 class SubsetQuery:
@@ -89,7 +104,7 @@ class SubsetQuery:
         """
         if fleet is None:
             return cls(visibility.packed, visibility.n_times, None)
-        fleet = _as_sorted_fleet(fleet)
+        fleet = as_sorted_fleet(fleet)
         rows = np.ascontiguousarray(visibility.packed[:, fleet, :])
         return cls(rows, visibility.n_times, fleet)
 
@@ -108,7 +123,7 @@ class SubsetQuery:
         Orders of magnitude cheaper than a full-pool build when the fleet
         is small (the trig and the screen scale with the fleet, not the pool).
         """
-        fleet = _as_sorted_fleet(fleet)
+        fleet = as_sorted_fleet(fleet)
         plan = plan_stream(
             propagator.subset(fleet), geometry, grid,
             chunk_size=chunk_size, cull=cull, pack=True,
@@ -131,16 +146,9 @@ class SubsetQuery:
         """Map pool-index subsets to local packed rows (identity pool-wide)."""
         if subset is None:
             return np.arange(self.n_satellites, dtype=np.intp)
-        subset = np.asarray(subset, dtype=np.intp).reshape(-1)
         if self.fleet is None:
-            return subset
-        local = np.searchsorted(self.fleet, subset)
-        local = np.minimum(local, self.fleet.size - 1) if self.fleet.size else local
-        if subset.size and (
-            self.fleet.size == 0 or not np.array_equal(self.fleet[local], subset)
-        ):
-            raise KeyError("subset contains satellites outside the fleet")
-        return local
+            return np.asarray(subset, dtype=np.intp).reshape(-1)
+        return fleet_positions(self.fleet, subset)
 
     # -- queries -----------------------------------------------------------
 

@@ -128,16 +128,16 @@ class TestCityWeightCache:
     def test_weighted_coverage_uses_city_rows(self):
         """The weighted reduction equals the manual dot over city sites."""
 
-        class StubVisibility:
+        class StubStore:
             def coverage_fractions(self, sat_indices):
                 return np.linspace(0.0, 1.0, len(common.ALL_SITES))
 
-        stub = StubVisibility()
+        stub = StubStore()
         fractions = stub.coverage_fractions(None)
         expected = float(
             common.city_weights() @ fractions[list(common.CITY_INDICES)]
         )
-        got = common.weighted_city_coverage_fraction(stub, np.arange(3))
+        got = common.weighted_city_coverage(stub, np.arange(3))
         assert got == pytest.approx(expected)
         # Taipei (site 0) carries zero coverage in the stub, so any leak of
         # the non-city row would lower the weighted value.

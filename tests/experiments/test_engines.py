@@ -13,12 +13,15 @@ context == explicit grid context) and the intervals pass is the
 cross-engine agreement check.
 """
 
+import re
+
 import pytest
 
 from repro.experiments import common
 from repro.experiments.common import (
     ENGINE_GRID,
     ENGINE_INTERVALS,
+    ENGINES,
     ExperimentConfig,
     ExperimentContext,
 )
@@ -64,6 +67,20 @@ class TestContextEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             ExperimentContext(engine="octree")
+
+    def test_misspelled_engine_assigned_later_is_rejected(self):
+        """The CLI and tests assign ``engine`` after construction; a typo
+        must fail, not silently run the grid."""
+        context = ExperimentContext()
+        context.engine = "interval"
+        config = ExperimentConfig(runs=1, step_s=900.0, duration_s=10_800.0)
+        message = re.escape(str(ENGINES))
+        with pytest.raises(ValueError, match=message):
+            run_scenario(Fig3Scenario(sample_size=10), config, context=context)
+        with pytest.raises(ValueError, match=message):
+            context.subset_query(config, [0, 1])
+        assert context.cached_visibility() == {}
+        context.clear()
 
     def test_interval_cache_hits(self):
         context = ExperimentContext(engine=ENGINE_INTERVALS)

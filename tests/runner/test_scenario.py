@@ -48,7 +48,7 @@ class TestRunContext:
         assert ctx.pool_size() == len(context.pool())
 
     def test_visibility_reads_the_context_cache(self, monkeypatch):
-        """The context's cached tensor is what kernels see."""
+        """The context's cached grid store is what kernels see."""
         context = ExperimentContext()
         sentinel = object()
         monkeypatch.setattr(
@@ -60,7 +60,7 @@ class TestRunContext:
             config=CONFIG, context=context, point=10, point_index=0,
             run_index=0, rng=run_rng(7, 0, 0, 0),
         )
-        assert ctx.visibility() is sentinel
+        assert ctx.store() is sentinel
 
 
 class TestScenarioDefaults:
