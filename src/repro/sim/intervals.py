@@ -260,24 +260,6 @@ def _csr_gather(
     return flat, positions
 
 
-def _checked_id(index, n: int, axis: str) -> int:
-    """One index as an int; IndexError unless it is in [0, n)."""
-    i = int(index)
-    if not 0 <= i < n:
-        raise IndexError(f"{axis} index {i} is out of range for {n} {axis}s")
-    return i
-
-
-def _checked_ids(indices, n: int, axis: str) -> np.ndarray:
-    """Indices as a flat intp array; IndexError unless each is in [0, n)."""
-    ids = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if ids.size:
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            _checked_id(bad[0], n, axis)  # raises
-    return ids
-
-
 def _id_dtype(n: int) -> type:
     """The smallest signed integer type holding the ids ``0 .. n - 1``."""
     return np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32
@@ -386,18 +368,18 @@ class ContactIntervals:
     def _sat_array(self, sat_indices) -> np.ndarray:
         if sat_indices is None:
             return np.arange(self.n_satellites, dtype=np.intp)
-        return _checked_ids(sat_indices, self.n_satellites, "satellite")
+        return kernels.checked_indices(sat_indices, self.n_satellites, "satellite")
 
     def _site_array(self, site_indices) -> np.ndarray:
         if site_indices is None:
             return np.arange(self.n_sites, dtype=np.intp)
-        return _checked_ids(site_indices, self.n_sites, "site")
+        return kernels.checked_indices(site_indices, self.n_sites, "site")
 
     def _site(self, site_index: int) -> int:
-        return _checked_id(site_index, self.n_sites, "site")
+        return kernels.checked_index(site_index, self.n_sites, "site")
 
     def _sat(self, sat_index: int) -> int:
-        return _checked_id(sat_index, self.n_satellites, "satellite")
+        return kernels.checked_index(sat_index, self.n_satellites, "satellite")
 
     def _pair_slice(self, site_index: int, sat_index: int) -> slice:
         p = self._site(site_index) * self.n_satellites + self._sat(sat_index)

@@ -648,7 +648,7 @@ def stream_visible_counts(plan: StreamPlan) -> np.ndarray:
 #: 7 - j of byte k, the big-endian bit order of ``np.packbits``.
 _BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
-#: Packed bytes per (site, satellite) row that :func:`stream_packed_bits`
+#: Packed bytes per (satellite, site) row that :func:`stream_packed_bits`
 #: stages before writing them to the time-minor store: one cache line.
 #: Writing each 64-sample slab's 8 bytes on its own costs one short
 #: strided run per row, ~3x slower than line-sized runs.
@@ -686,6 +686,13 @@ def stream_packed_bits(plan: StreamPlan) -> np.ndarray:
     ``np.packbits`` of the materialized tensor along time; the final
     partial byte is zero-padded (padding reads "not visible").
 
+    The bytes are stored satellite-major: the result is the (S, N, B)
+    transpose view of one C-contiguous (N, S, B) buffer, so a satellite's
+    rows at every site are one contiguous run.  Every Monte-Carlo query
+    selects satellites, and on this layout a subset is one gather of n
+    such runs; ``result.transpose(1, 0, 2)`` recovers the buffer without
+    a copy.
+
     Requires a plan built with ``pack=True`` (chunk a multiple of 8, so
     every chunk lands on a byte boundary).
     """
@@ -697,7 +704,7 @@ def stream_packed_bits(plan: StreamPlan) -> np.ndarray:
     # lazily faulted pages (first touched in the scattered per-chunk write
     # order below) map poorly — downstream reductions measure ~1.8x slower
     # than on a sequentially first-touched buffer.
-    out = np.empty((plan.n_sites, plan.n_satellites, n_bytes), dtype=np.uint8)
+    out = np.empty((plan.n_satellites, plan.n_sites, n_bytes), dtype=np.uint8)
     out.fill(0)
     stage_bytes = min(n_bytes, max(plan.chunk_size // 8, PACK_STAGE_BYTES))
     stage = np.empty((stage_bytes, plan.n_sites, plan.n_satellites), dtype=np.uint8)
@@ -708,15 +715,37 @@ def stream_packed_bits(plan: StreamPlan) -> np.ndarray:
         for _, slab in iter_slabs(plan):
             size = (slab.shape[2] + 7) // 8
             if staged + size > stage.shape[0]:
-                out[:, :, written : written + staged] = stage[:staged].transpose(1, 2, 0)
+                out[:, :, written : written + staged] = stage[:staged].transpose(2, 1, 0)
                 written += staged
                 staged = 0
             _pack_time_major(slab, stage[staged : staged + size])
             staged += size
             visible_samples += int(np.count_nonzero(slab))
-        out[:, :, written : written + staged] = stage[:staged].transpose(1, 2, 0)
+        out[:, :, written : written + staged] = stage[:staged].transpose(2, 1, 0)
     _finish(plan, visible_samples)
-    return out
+    return out.transpose(1, 0, 2)
+
+
+def checked_index(index, n: int, axis: str) -> int:
+    """One index as an int; IndexError unless it is in [0, n)."""
+    i = int(index)
+    if not 0 <= i < n:
+        raise IndexError(f"{axis} index {i} is out of range for {n} {axis}s")
+    return i
+
+
+def checked_indices(indices, n: int, axis: str) -> np.ndarray:
+    """Indices as a flat intp array; IndexError unless each is in [0, n).
+
+    Numpy would read a negative index from the end and so answer for
+    another site or satellite.  One ``min`` and one ``max`` per call keep
+    the check to microseconds on a Monte-Carlo subset.
+    """
+    ids = np.asarray(indices, dtype=np.intp).reshape(-1)
+    if ids.size:
+        low, high = ids.min(), ids.max()
+        checked_index(low if low < 0 else high, n, axis)
+    return ids
 
 
 def _finish(plan: StreamPlan, visible_samples: int) -> None:

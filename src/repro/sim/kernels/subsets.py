@@ -5,7 +5,7 @@ satellite subsets of one fleet (12+ per arm in ``ablation_failures``).
 Re-running a full visibility build per composition — or even gathering
 from the full-pool tensor when only 500 of 4400+ satellites matter — pays
 for geometry the queries never touch.  :class:`SubsetQuery` precomputes
-one per-(site, satellite) contribution structure, the packed bit rows of
+one per-(satellite, site) contribution structure, the packed bit rows of
 exactly the fleet under study, and then answers weighted-city coverage,
 idle capacity, and k-coverage for arbitrary subsets via
 popcount-on-masked-rows (:func:`repro.sim.visibility.or_popcount`).
@@ -37,8 +37,14 @@ import numpy as np
 
 from repro.orbits.propagator import BatchPropagator
 from repro.sim.clock import TimeGrid
-from repro.sim.kernels import SiteGeometry, plan_stream, stream_packed_bits
-from repro.sim.visibility import or_popcount
+from repro.sim.kernels import (
+    SiteGeometry,
+    checked_index,
+    checked_indices,
+    plan_stream,
+    stream_packed_bits,
+)
+from repro.sim.visibility import or_popcount, satellite_major
 
 
 def as_sorted_fleet(fleet) -> np.ndarray:
@@ -68,9 +74,13 @@ class SubsetQuery:
     """Precomputed packed rows of one fleet; cheap arbitrary-subset queries.
 
     ``fleet`` is None when the query spans the whole pool (subset indices
-    are then raw pool indices); otherwise it is the sorted pool-index
-    array the packed rows were gathered/built for, and every queried
-    subset must be drawn from it.
+    are then raw pool indices, and out-of-range ones raise IndexError);
+    otherwise it is the sorted pool-index array the packed rows were
+    gathered/built for, and every queried subset must be drawn from it.
+
+    The rows use :class:`repro.sim.visibility.PackedVisibility`'s layout:
+    ``by_satellite`` is one C-contiguous (F, S, B) buffer and ``packed``
+    its (S, F, B) transpose view.
     """
 
     def __init__(
@@ -89,7 +99,8 @@ class SubsetQuery:
                 f"fleet has {fleet.size} indices but packed holds "
                 f"{packed.shape[1]} satellite rows"
             )
-        self.packed = packed
+        self.by_satellite = satellite_major(packed)
+        self.packed = self.by_satellite.transpose(1, 0, 2)
         self.n_times = int(n_times)
         self.fleet = fleet
 
@@ -100,13 +111,13 @@ class SubsetQuery:
         """Gather fleet rows from a built tensor (zero-copy when pool-wide).
 
         Gathering is exact by construction: the rows are the very bytes
-        the full build produced.
+        the full build produced, and one contiguous run per satellite.
         """
         if fleet is None:
             return cls(visibility.packed, visibility.n_times, None)
         fleet = as_sorted_fleet(fleet)
-        rows = np.ascontiguousarray(visibility.packed[:, fleet, :])
-        return cls(rows, visibility.n_times, fleet)
+        rows = visibility.by_satellite[fleet]
+        return cls(rows.transpose(1, 0, 2), visibility.n_times, fleet)
 
     @classmethod
     def build(
@@ -135,19 +146,19 @@ class SubsetQuery:
 
     @property
     def n_sites(self) -> int:
-        return self.packed.shape[0]
+        return self.by_satellite.shape[1]
 
     @property
     def n_satellites(self) -> int:
         """Satellites held by the precompute (the fleet size)."""
-        return self.packed.shape[1]
+        return self.by_satellite.shape[0]
 
     def _rows_for(self, subset) -> np.ndarray:
         """Map pool-index subsets to local packed rows (identity pool-wide)."""
         if subset is None:
             return np.arange(self.n_satellites, dtype=np.intp)
         if self.fleet is None:
-            return np.asarray(subset, dtype=np.intp).reshape(-1)
+            return checked_indices(subset, self.n_satellites, "satellite")
         return fleet_positions(self.fleet, subset)
 
     # -- queries -----------------------------------------------------------
@@ -157,32 +168,29 @@ class SubsetQuery:
         local = self._rows_for(subset)
         if local.size == 0:
             return np.zeros(self.n_sites)
-        rows = self.packed[:, local, :]
-        counts = or_popcount(rows, axis=1)
+        counts = or_popcount(self.by_satellite[local], axis=0)
         return counts / float(self.n_times)
 
     def satellite_active_fractions(
         self, subset=None, site_indices=None
     ) -> np.ndarray:
         """Active fraction per subset satellite (any selected site visible)."""
-        local = self._rows_for(subset)
-        rows = self.packed
+        rows = self.by_satellite[self._rows_for(subset)]
         if site_indices is not None:
-            rows = rows[np.asarray(site_indices, dtype=np.intp).reshape(-1)]
-        rows = rows[:, local, :]
+            rows = rows[:, checked_indices(site_indices, self.n_sites, "site"), :]
         if rows.shape[0] == 0 or rows.shape[1] == 0:
-            return np.zeros(rows.shape[1])
-        counts = or_popcount(rows, axis=0)
+            return np.zeros(rows.shape[0])
+        counts = or_popcount(rows, axis=1)
         return counts / float(self.n_times)
 
     def visible_counts(self, site_index: int, subset=None) -> np.ndarray:
         """Per-step visible-satellite counts (T,) at one site."""
+        site = checked_index(site_index, self.n_sites, "site")
         local = self._rows_for(subset)
         if local.size == 0:
             return np.zeros(self.n_times, dtype=np.int64)
-        rows = self.packed[int(site_index), local, :]
-        bits = np.unpackbits(rows, axis=1)[:, : self.n_times]
-        return bits.sum(axis=0, dtype=np.int64)
+        bits = np.unpackbits(self.by_satellite[local, site], axis=1)
+        return bits[:, : self.n_times].sum(axis=0, dtype=np.int64)
 
     def k_coverage_fraction(self, site_index: int, k: int, subset=None) -> float:
         """Fraction of steps with >= k subset satellites visible at a site."""
@@ -195,6 +203,7 @@ class SubsetQuery:
 def query_for_sites(
     query: SubsetQuery, site_indices: Sequence[int]
 ) -> SubsetQuery:
-    """A site-restricted view of a query (shares the packed rows)."""
-    rows = query.packed[np.asarray(site_indices, dtype=np.intp).reshape(-1)]
-    return SubsetQuery(rows, query.n_times, query.fleet)
+    """A query over a subset of the sites (copies their rows)."""
+    sites = checked_indices(site_indices, query.n_sites, "site")
+    rows = query.by_satellite[:, sites, :]
+    return SubsetQuery(rows.transpose(1, 0, 2), query.n_times, query.fleet)

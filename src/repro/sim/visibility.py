@@ -58,6 +58,7 @@ __all__ = [
     "coverage_cos_thresholds",
     "or_popcount",
     "packed_visibility",
+    "satellite_major",
     "visibility_matrix",
 ]
 
@@ -234,6 +235,19 @@ def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:
     return np.bitwise_count(packed_or).sum(axis=1, dtype=np.int64)
 
 
+def satellite_major(packed: np.ndarray) -> np.ndarray:
+    """The C-contiguous (N, S, B) rows behind a (S, N, B) packed array.
+
+    A view when ``packed`` is the transpose of such a buffer, as
+    :func:`repro.sim.kernels.stream_packed_bits` returns; otherwise (a
+    hand-built site-major array) one copy.
+    """
+    rows = packed.transpose(1, 0, 2)
+    if rows.flags.c_contiguous:
+        return rows
+    return np.ascontiguousarray(rows)
+
+
 class PackedVisibility:
     """A bit-packed visibility tensor for Monte-Carlo subset experiments.
 
@@ -241,7 +255,14 @@ class PackedVisibility:
     satellite pool, what is the coverage at these sites?"  Propagating the
     pool once and answering each run with boolean reductions is orders of
     magnitude cheaper than re-propagating.  Packing 8 time samples per byte
-    keeps a full Starlink-scale pool x 21 sites x one week at ~120 MB.
+    keeps a full Starlink-scale pool x 22 sites x one week at 120 s steps
+    at ~58 MiB.
+
+    The bytes are stored satellite-major: ``by_satellite`` is one
+    C-contiguous (N, S, ceil(T/8)) buffer, so every query, which selects
+    satellites, gathers one contiguous S·B-byte run per selected satellite.
+    ``packed`` is its (S, N, ceil(T/8)) transpose, a view.  Indices out of
+    range, negative ones included, raise IndexError.
 
     The time axis is padded to a byte boundary with zero (= not visible)
     bits, which is neutral for every OR/popcount reduction as long as counts
@@ -255,43 +276,46 @@ class PackedVisibility:
             raise ValueError("packed must be a (S, N, ceil(T/8)) uint8 array")
         if packed.shape[2] * 8 < n_times:
             raise ValueError("packed array too short for n_times")
-        self.packed = packed
+        self.by_satellite = satellite_major(packed)
+        self.packed = self.by_satellite.transpose(1, 0, 2)
         self.n_times = n_times
         self.grid = grid
 
     @property
     def n_sites(self) -> int:
-        return self.packed.shape[0]
+        return self.by_satellite.shape[1]
 
     @property
     def n_satellites(self) -> int:
-        return self.packed.shape[1]
+        return self.by_satellite.shape[0]
 
-    @staticmethod
-    def _as_index_array(indices) -> np.ndarray:
-        """Normalize a selection to an integer index array.
-
-        A plain empty list arrives as a float64 array, which numpy rejects
-        as an index; coerce empty selections to an integer dtype so "select
-        nothing" is a valid (zero-result) query rather than an IndexError.
-        """
-        array = np.asarray(indices)
-        if array.size == 0:
-            return np.empty(0, dtype=np.intp)
-        return array
-
-    def _subset(self, sat_indices) -> np.ndarray:
+    def _sat_rows(self, sat_indices) -> np.ndarray:
+        """(n, S, B) rows of a satellite subset; every satellite for None."""
         if sat_indices is None:
-            return self.packed
-        return self.packed[:, self._as_index_array(sat_indices), :]
+            return self.by_satellite
+        return self.by_satellite[
+            kernels.checked_indices(sat_indices, self.n_satellites, "satellite")
+        ]
+
+    def _activity_rows(self, sat_indices, site_indices) -> np.ndarray:
+        """(n, k, B) rows of a satellite subset at the selected sites.
+
+        Gathers the satellites first: their rows are contiguous, and the
+        site selection then copies only n·k·B bytes.
+        """
+        rows = self._sat_rows(sat_indices)
+        if site_indices is not None:
+            sites = kernels.checked_indices(site_indices, self.n_sites, "site")
+            rows = rows[:, sites, :]
+        return rows
 
     def site_mask(self, site_index: int, sat_indices=None) -> np.ndarray:
         """Boolean coverage mask (T,) of one site under a satellite subset."""
-        # Select the site before gathering: gathering the subset's rows at
-        # every site would copy S times the bytes this mask reads.
-        rows = self.packed[site_index]
+        site = kernels.checked_index(site_index, self.n_sites, "site")
+        sats = slice(None)
         if sat_indices is not None:
-            rows = rows[self._as_index_array(sat_indices)]
+            sats = kernels.checked_indices(sat_indices, self.n_satellites, "satellite")
+        rows = self.by_satellite[sats, site]
         if rows.shape[0] == 0:
             return np.zeros(self.n_times, dtype=bool)
         packed_or = np.bitwise_or.reduce(rows, axis=0)
@@ -299,27 +323,19 @@ class PackedVisibility:
 
     def site_masks(self, sat_indices=None) -> np.ndarray:
         """Boolean coverage masks (S, T) for all sites under a subset."""
-        rows = self._subset(sat_indices)
-        if rows.shape[1] == 0:
+        rows = self._sat_rows(sat_indices)
+        if rows.shape[0] == 0:
             return np.zeros((self.n_sites, self.n_times), dtype=bool)
-        packed_or = np.bitwise_or.reduce(rows, axis=1)  # (S, bytes)
+        packed_or = np.bitwise_or.reduce(rows, axis=0)  # (S, bytes)
         return np.unpackbits(packed_or, axis=1)[:, : self.n_times].astype(bool)
 
     def coverage_fractions(self, sat_indices=None) -> np.ndarray:
         """Covered fraction per site (S,) without unpacking full masks."""
-        rows = self._subset(sat_indices)
-        if rows.shape[1] == 0:
+        rows = self._sat_rows(sat_indices)
+        if rows.shape[0] == 0:
             return np.zeros(self.n_sites)
-        counts = or_popcount(rows, axis=1)
+        counts = or_popcount(rows, axis=0)
         return counts / float(self.n_times)
-
-    def _subset2(self, sat_indices, site_indices) -> np.ndarray:
-        rows = self.packed
-        if site_indices is not None:
-            rows = rows[self._as_index_array(site_indices)]
-        if sat_indices is not None:
-            rows = rows[:, self._as_index_array(sat_indices), :]
-        return rows
 
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None
@@ -331,19 +347,19 @@ class PackedVisibility:
         site selection means no demand anywhere: every satellite's active
         fraction is zero.
         """
-        rows = self._subset2(sat_indices, site_indices)
+        rows = self._activity_rows(sat_indices, site_indices)
         if rows.shape[0] == 0 or rows.shape[1] == 0:
-            return np.zeros(rows.shape[1])
-        counts = or_popcount(rows, axis=0)
+            return np.zeros(rows.shape[0])
+        counts = or_popcount(rows, axis=1)
         return counts / float(self.n_times)
 
     def satellite_masks(self, sat_indices=None, site_indices=None) -> np.ndarray:
         """Boolean activity masks (N_subset, T): any selected site sees the
         satellite.  An empty site selection yields all-False masks."""
-        rows = self._subset2(sat_indices, site_indices)
+        rows = self._activity_rows(sat_indices, site_indices)
         if rows.shape[0] == 0 or rows.shape[1] == 0:
-            return np.zeros((rows.shape[1], self.n_times), dtype=bool)
-        packed_or = np.bitwise_or.reduce(rows, axis=0)
+            return np.zeros((rows.shape[0], self.n_times), dtype=bool)
+        packed_or = np.bitwise_or.reduce(rows, axis=1)
         return np.unpackbits(packed_or, axis=1)[:, : self.n_times].astype(bool)
 
 
@@ -365,7 +381,8 @@ def packed_visibility(
     8 so chunks pack cleanly; the final partial chunk is zero-padded
     (padding bits read "not visible").
 
-    ``geometry`` reuses a cached :class:`SiteGeometry`.
+    The bits land satellite-major (see :class:`PackedVisibility`) without
+    a copy.  ``geometry`` reuses a cached :class:`SiteGeometry`.
     """
     if geometry is None:
         geometry = SiteGeometry(sites, grid)

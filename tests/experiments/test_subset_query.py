@@ -86,3 +86,19 @@ def test_query_is_cached_per_fleet(engine):
     assert context.subset_query(config, [1, 2, 3]) is first
     assert context.subset_query(config, [1, 2]) is not first
     context.clear()
+
+
+def test_store_rejects_out_of_range_indices(engine):
+    """Both engines' full-pool stores raise IndexError for an index < 0 or
+    >= n; numpy would read a negative one from the end of the pool."""
+    context = ExperimentContext(engine=engine)
+    store = context.store(ExperimentConfig(runs=1, step_s=900.0, duration_s=10_800.0))
+    for bad in (-1, store.n_satellites):
+        with pytest.raises(IndexError, match=f"satellite index {bad} is out of range"):
+            store.coverage_fractions([bad])
+        with pytest.raises(IndexError, match=f"satellite index {bad} is out of range"):
+            store.satellite_active_fractions([3, bad], SITES)
+    for bad in (-1, store.n_sites):
+        with pytest.raises(IndexError, match=f"site index {bad} is out of range"):
+            store.satellite_active_fractions([5], [bad])
+    context.clear()

@@ -149,6 +149,22 @@ class TestPackedBitsEqualPackbits:
         )
         assert np.array_equal(packed, np.packbits(reference, axis=2))
 
+    @pytest.mark.parametrize("chunk", (8, 64))
+    def test_satellite_major_store_across_stage_flushes(self, mixed_pool, chunk):
+        """126 packed bytes: one full 64-byte stage flush, then a partial
+        one ending in a padded byte.  The result is the (S, N, B) view of
+        a C-contiguous (N, S, B) buffer."""
+        grid = TimeGrid(duration_s=60_060.0, step_s=60.0)  # 1 001 samples.
+        plan = kernels.plan_stream(
+            BatchPropagator(mixed_pool), kernels.SiteGeometry(SITES, grid),
+            grid, chunk_size=chunk, pack=True,
+        )
+        packed = kernels.stream_packed_bits(plan)
+        assert packed.shape == (len(SITES), len(mixed_pool), 126)
+        assert packed.transpose(1, 0, 2).flags.c_contiguous
+        visible = _exact(mixed_pool, SITES, grid)
+        assert np.array_equal(packed, np.packbits(visible, axis=2))
+
     def test_all_culled_c_ordered_slabs(self):
         elements = _shell(16, 2, 5.0)
         site = [SITES[3]]

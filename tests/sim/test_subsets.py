@@ -144,6 +144,17 @@ class TestSubsetQueryGrid:
         with pytest.raises(ValueError):
             SubsetQuery.from_visibility(visibility, np.array([1, 1, 2]))
 
+    @pytest.mark.parametrize("bad", [-1, N_SATELLITES])
+    def test_pool_wide_query_rejects_out_of_range(self, world, bad):
+        _, _, _, visibility, _ = world
+        query = SubsetQuery.from_visibility(visibility)
+        with pytest.raises(IndexError, match=f"satellite index {bad} is out"):
+            query.coverage_fractions([0, bad])
+        with pytest.raises(IndexError, match=f"satellite index {bad} is out"):
+            query.k_coverage_fraction(0, 1, [bad])
+        with pytest.raises(IndexError, match="site index -1 is out"):
+            query.satellite_active_fractions([0], [-1])
+
 
 class TestIntervalSubsetQuery:
     def test_pool_wide_matches_contacts_reductions(self, world):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.constellation.satellite import Constellation, Satellite
+from repro.constellation.walker import walker_delta
 from repro.ground.sites import UserTerminal
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.frames import eci_to_ecef, gmst_rad
 from repro.orbits.propagator import BatchPropagator
 from repro.orbits.topocentric import elevation_deg
 from repro.sim.clock import TimeGrid
+from repro.sim.kernels import SiteGeometry
+from repro.sim.kernels.subsets import SubsetQuery
 from repro.sim.visibility import (
     PackedVisibility,
     VisibilityEngine,
@@ -402,3 +405,169 @@ class TestChunkBoundaryIdentity:
         )
         assert np.array_equal(packed.site_masks(), dense.any(axis=1))
         assert np.array_equal(packed.satellite_masks(), dense.any(axis=0))
+
+
+#: Five sites a 53 deg shell serves, in no particular order.
+LAYOUT_SITES = [
+    UserTerminal("taipei-ish", 25.0, 121.5),
+    UserTerminal("equator", 0.0, 10.0),
+    UserTerminal("mid", 45.0, -70.0),
+    UserTerminal("sydney-ish", -33.9, 151.2),
+    UserTerminal("london-ish", 51.5, -0.1),
+]
+
+#: Satellite selections of the 40-satellite walker: unsorted, with
+#: duplicates, empty in two spellings, and everything (None).
+LAYOUT_SATS = {
+    "unsorted": [31, 2, 17, 9, 0, 39, 22],
+    "duplicates": [5, 30, 5, 12, 5],
+    "empty-list": [],
+    "empty-array": np.array([], dtype=np.intp),
+    "all": None,
+}
+
+#: Site selections: scattered and unsorted (fig3 only ever passes
+#: contiguous prefixes), duplicated, a single site, empty and all.
+LAYOUT_SITE_LISTS = {
+    "scattered": [4, 0, 2],
+    "reversed-pair": [3, 1],
+    "duplicates": [1, 4, 1],
+    "single": [2],
+    "empty": [],
+    "all": None,
+}
+
+
+@pytest.fixture(scope="module")
+def layout_world():
+    """(propagator, grid, built store, dense (S, N, T) tensor)."""
+    elements = walker_delta(40, 8, 1, inclination_deg=53.0, altitude_km=550.0)
+    grid = TimeGrid.hours(6.0, step_s=60.0)
+    propagator = BatchPropagator(elements)
+    built = packed_visibility(propagator, LAYOUT_SITES, grid)
+    dense = VisibilityEngine(grid).visibility(propagator, LAYOUT_SITES)
+    assert dense.any(axis=(1, 2)).all()  # Every site sees something.
+    return propagator, grid, built, dense
+
+
+def _ids(selection, n):
+    return np.arange(n) if selection is None else np.asarray(selection, dtype=np.intp)
+
+
+def _fractions(mask, n_times):
+    return np.count_nonzero(mask, axis=-1) / float(n_times)
+
+
+class TestSatelliteMajorLayout:
+    """The store is one C-contiguous (N, S, B) buffer; ``packed`` is its
+    (S, N, B) view.  Every query must equal the unpacked boolean
+    reduction it stands for, on built and hand-built stores alike."""
+
+    def test_build_makes_no_copy(self, layout_world):
+        _, _, built, dense = layout_world
+        assert built.by_satellite.flags.c_contiguous
+        assert np.shares_memory(built.packed, built.by_satellite)
+        assert built.packed.shape == (5, 40, (dense.shape[2] + 7) // 8)
+        assert np.array_equal(built.packed, np.packbits(dense, axis=2))
+
+    def test_hand_built_site_major_input(self, layout_world):
+        _, grid, built, _ = layout_world
+        site_major = np.ascontiguousarray(built.packed)
+        store = PackedVisibility(site_major, grid.count, grid)
+        assert store.by_satellite.flags.c_contiguous
+        assert np.array_equal(store.by_satellite, built.by_satellite)
+        assert np.array_equal(store.packed, site_major)
+
+    @pytest.mark.parametrize("store_kind", ["built", "hand-built"])
+    @pytest.mark.parametrize("sats", sorted(LAYOUT_SATS))
+    @pytest.mark.parametrize("sites", sorted(LAYOUT_SITE_LISTS))
+    def test_queries_match_unpacked(self, layout_world, store_kind, sats, sites):
+        _, grid, built, dense = layout_world
+        store = built
+        if store_kind == "hand-built":
+            store = PackedVisibility(np.ascontiguousarray(built.packed), grid.count, grid)
+        n_sites, n_sats, n_times = dense.shape
+        sat_sel, site_sel = LAYOUT_SATS[sats], LAYOUT_SITE_LISTS[sites]
+        sat_ids, site_ids = _ids(sat_sel, n_sats), _ids(site_sel, n_sites)
+
+        covered = dense[:, sat_ids].any(axis=1)  # (S, T)
+        np.testing.assert_array_equal(store.site_masks(sat_sel), covered)
+        np.testing.assert_array_equal(
+            store.coverage_fractions(sat_sel), _fractions(covered, n_times)
+        )
+        for site in site_ids:
+            np.testing.assert_array_equal(store.site_mask(site, sat_sel), covered[site])
+
+        active = dense[np.ix_(site_ids, sat_ids)].any(axis=0)  # (n, T)
+        np.testing.assert_array_equal(store.satellite_masks(sat_sel, site_sel), active)
+        np.testing.assert_array_equal(
+            store.satellite_active_fractions(sat_sel, site_sel),
+            _fractions(active, n_times),
+        )
+
+    @pytest.mark.parametrize("sats", sorted(LAYOUT_SATS))
+    @pytest.mark.parametrize("sites", sorted(LAYOUT_SITE_LISTS))
+    def test_subset_query_paths_match_unpacked(self, layout_world, sats, sites):
+        """``SubsetQuery.from_visibility`` (gathered rows) and
+        ``SubsetQuery.build`` (fleet-scoped stream) answer alike."""
+        propagator, grid, built, dense = layout_world
+        fleet = np.array([0, 2, 5, 9, 12, 17, 22, 30, 31, 39])
+        queries = {
+            "gathered": SubsetQuery.from_visibility(built, fleet[::-1]),
+            "built": SubsetQuery.build(
+                propagator, SiteGeometry(LAYOUT_SITES, grid), grid, fleet
+            ),
+        }
+        n_sites, _, n_times = dense.shape
+        sat_sel, site_sel = LAYOUT_SATS[sats], LAYOUT_SITE_LISTS[sites]
+        sat_ids = fleet if sat_sel is None else np.asarray(sat_sel, dtype=np.intp)
+        site_ids = _ids(site_sel, n_sites)
+        covered = dense[:, sat_ids].any(axis=1)
+        active = dense[np.ix_(site_ids, sat_ids)].any(axis=0)
+        counts = dense[:, sat_ids].sum(axis=1)  # (S, T)
+        for query in queries.values():
+            assert query.by_satellite.flags.c_contiguous
+            np.testing.assert_array_equal(
+                query.coverage_fractions(sat_sel), _fractions(covered, n_times)
+            )
+            np.testing.assert_array_equal(
+                query.satellite_active_fractions(sat_sel, site_sel),
+                _fractions(active, n_times),
+            )
+            for site in site_ids:
+                np.testing.assert_array_equal(
+                    query.visible_counts(site, sat_sel), counts[site]
+                )
+                assert query.k_coverage_fraction(site, 2, sat_sel) == (
+                    np.count_nonzero(counts[site] >= 2) / n_times
+                )
+
+
+#: Every PackedVisibility query with one bad index on one axis.
+BAD_INDEX_CALLS = {
+    "site_mask.sat": lambda v, bad: v.site_mask(0, [1, bad]),
+    "site_mask.site": lambda v, bad: v.site_mask(bad),
+    "site_masks.sat": lambda v, bad: v.site_masks([bad, 2]),
+    "coverage_fractions.sat": lambda v, bad: v.coverage_fractions([bad]),
+    "satellite_active_fractions.sat": lambda v, bad: v.satellite_active_fractions([bad]),
+    "satellite_active_fractions.site": lambda v, bad: v.satellite_active_fractions(
+        [5], [0, bad]
+    ),
+    "satellite_masks.sat": lambda v, bad: v.satellite_masks([3, bad], [0]),
+    "satellite_masks.site": lambda v, bad: v.satellite_masks(None, [bad]),
+}
+
+
+class TestPackedIndexValidation:
+    """An out-of-range index raises IndexError instead of reading another
+    satellite or site (numpy would count a negative one from the end)."""
+
+    @pytest.mark.parametrize("call", sorted(BAD_INDEX_CALLS))
+    def test_out_of_range_index_raises(self, layout_world, call):
+        _, _, built, _ = layout_world
+        axis = call.rsplit(".", 1)[1]
+        n = built.n_satellites if axis == "sat" else built.n_sites
+        name = "satellite" if axis == "sat" else "site"
+        for bad in (n, n + 1, -1):
+            with pytest.raises(IndexError, match=f"{name} index {bad} is out of range"):
+                BAD_INDEX_CALLS[call](built, bad)
