@@ -73,8 +73,8 @@ class Fig3Scenario(Scenario):
         sat_indices = ctx.rng.choice(
             ctx.pool_size(), size=self.sample_size, replace=False
         )
-        active = ctx.store().satellite_active_fractions(
-            sat_indices=sat_indices, site_indices=site_indices
+        active = ctx.context.satellite_activity(
+            ctx.config, sat_indices, site_indices, ctx.pool_seed
         )
         return float(100.0 * (1.0 - active).mean())
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage,
+    withdrawal_loss,
 )
 from repro.runner import RunContext, Scenario, run_scenario
 
@@ -66,11 +66,10 @@ class Fig5Scenario(Scenario):
         return list(self.sizes)
 
     def run_one(self, ctx: RunContext, run_index: int) -> float:
-        store = ctx.store()
         withdraw = int(round(self.withdraw_fraction * ctx.point))
         base = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
-        kept = ctx.rng.permutation(base)[withdraw:]
-        return weighted_city_coverage(store, base) - weighted_city_coverage(store, kept)
+        # The head of a random permutation withdraws; the rest stay.
+        return withdrawal_loss(ctx.store(), ctx.rng.permutation(base), withdraw)
 
     def reduce(
         self,

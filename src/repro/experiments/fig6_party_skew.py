@@ -21,7 +21,7 @@ from repro.core.party import contribution_ratio_split
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage,
+    withdrawal_loss,
 )
 from repro.runner import RunContext, Scenario, run_scenario
 
@@ -79,16 +79,13 @@ class Fig6Scenario(Scenario):
         return contribution_ratio_split(self.total_satellites, ratios)[0]
 
     def run_one(self, ctx: RunContext, run_index: int) -> float:
-        store = ctx.store()
         largest = self._largest_party_count(ctx.point)
         base = ctx.rng.choice(
             ctx.pool_size(), size=self.total_satellites, replace=False
         )
         # The first `largest` positions of a random permutation are the
         # largest party's satellites; the rest stay.
-        shuffled = ctx.rng.permutation(base)
-        kept = shuffled[largest:]
-        return weighted_city_coverage(store, base) - weighted_city_coverage(store, kept)
+        return withdrawal_loss(ctx.store(), ctx.rng.permutation(base), largest)
 
     def reduce(
         self,

@@ -519,6 +519,36 @@ class ContactIntervals:
         seconds = sweep_accumulate(times, deltas, groups, self.n_sites)
         return seconds / self.span_s
 
+    def withdrawal_coverage(
+        self, order, withdrawn: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Coverage fractions (S,) of ``order`` and of ``order[withdrawn:]``.
+
+        Equal bit for bit to ``(coverage_fractions(order),
+        coverage_fractions(order[withdrawn:]))`` from one ``take`` over the
+        site-major events: each satellite is coded 0 (absent), 1
+        (withdrawn) or 2 (kept).  The base sweeps the events coded ``> 0``
+        and the kept tail the base events coded ``== 2``: the events, in
+        the order, that the separate calls keep.
+        """
+        sats = self._sat_array(order)
+        split = kernels.checked_withdrawn(withdrawn, sats.size)
+        if sats.size == 0 or self.span_s == 0.0:
+            return np.zeros(self.n_sites), np.zeros(self.n_sites)
+        code = np.zeros(self.n_satellites, dtype=np.int8)
+        code[sats[:split]] = 1
+        code[sats[split:]] = 2  # After the head: a repeated id stays kept.
+        events = self.event_index()
+        event_code = code.take(events.site_sats)
+        # Positions, not boolean masks (see coverage_fractions).
+        keep = np.flatnonzero(event_code > 0)
+        base = (events.site_times[keep], events.site_deltas[keep], events.site_groups[keep])
+        kept = np.flatnonzero(event_code[keep] == 2)
+        return tuple(
+            sweep_accumulate(times, deltas, groups, self.n_sites) / self.span_s
+            for times, deltas, groups in (base, [column[kept] for column in base])
+        )
+
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None
     ) -> np.ndarray:

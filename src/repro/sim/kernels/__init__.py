@@ -748,6 +748,18 @@ def checked_indices(indices, n: int, axis: str) -> np.ndarray:
     return ids
 
 
+def checked_withdrawn(withdrawn, n: int) -> int:
+    """How many of n satellites withdraw, as an int; ValueError unless in [0, n].
+
+    The count splits a withdrawal order, and a bad one would slice
+    silently: ``order[-3:]`` keeps the last three, ``order[n + 1:]`` none.
+    """
+    i = int(withdrawn)
+    if not 0 <= i <= n:
+        raise ValueError(f"withdrawn count {i} is outside [0, {n}]")
+    return i
+
+
 def _finish(plan: StreamPlan, visible_samples: int) -> None:
     record_visibility_metrics(
         plan.n_sites, plan.n_satellites, plan.grid.count, visible_samples

@@ -255,6 +255,21 @@ def _unpacked_reductions_match(
         else np.zeros(n_subset),
     ):
         mismatches.append("satellite_active_fractions")
+
+    # Withdrawal coverage of the satellite subset (it ignores the sites, so
+    # once per subset), reversed so the order is unsorted: the whole order
+    # and its kept tail, from one query.
+    if site_indices is None:
+        order = (np.arange(visible.shape[1]) if sat_ref is None else sat_ref)[::-1]
+        for withdrawn in sorted({0, order.size // 2, order.size}):
+            expect = [
+                part.any(axis=1).mean(axis=1) if part.shape[1]
+                else np.zeros(visible.shape[0])
+                for part in (visible[:, order], visible[:, order[withdrawn:]])
+            ]
+            got = packed.withdrawal_coverage(order, withdrawn)
+            if not all(map(np.array_equal, got, expect)):
+                mismatches.append(f"withdrawal_coverage[withdrawn={withdrawn}]")
     return mismatches
 
 

@@ -142,3 +142,81 @@ class TestCityWeightCache:
         # Taipei (site 0) carries zero coverage in the stub, so any leak of
         # the non-city row would lower the weighted value.
         assert got > 0.0
+
+
+#: A cheap full-pool store: three hours at 15-minute steps.
+ACTIVITY_CONFIG = ExperimentConfig(runs=1, step_s=900.0, duration_s=10_800.0)
+
+
+class TestSatelliteActivity:
+    """The fill-once activity table answers like the store it reads."""
+
+    @pytest.fixture
+    def context(self, engine):
+        return ExperimentContext(engine=engine)
+
+    @pytest.fixture
+    def asked(self, context, monkeypatch):
+        """Every satellite list the store is asked about, in call order."""
+        store = context.store(ACTIVITY_CONFIG)
+        calls = []
+        query = type(store).satellite_active_fractions
+
+        def counting(self, sat_indices=None, site_indices=None):
+            calls.append(np.asarray(sat_indices).tolist())
+            return query(self, sat_indices, site_indices)
+
+        monkeypatch.setattr(type(store), "satellite_active_fractions", counting)
+        return calls
+
+    def test_matches_store_over_overlapping_subsets(self, context):
+        store = context.store(ACTIVITY_CONFIG)
+        rng = np.random.default_rng(3)
+        n = store.n_satellites
+        for sites in ([1], [1, 2, 3], list(range(1, 22)), [5, 0], []):
+            for size in (1, 50, 500, 500, 2000):
+                sats = rng.choice(n, size=size, replace=False)
+                np.testing.assert_array_equal(
+                    context.satellite_activity(ACTIVITY_CONFIG, sats, sites),
+                    store.satellite_active_fractions(sats, sites),
+                )
+
+    def test_store_is_asked_only_for_missing_satellites(self, context, asked):
+        context.satellite_activity(ACTIVITY_CONFIG, [7, 3, 7], [1, 2])
+        context.satellite_activity(ACTIVITY_CONFIG, [3, 9, 7], [1, 2])
+        context.satellite_activity(ACTIVITY_CONFIG, [9, 3], [1, 2])
+        assert asked == [[3, 7], [9]]
+
+    def test_bad_satellite_index_raises_after_fill(self, context):
+        n = context.store(ACTIVITY_CONFIG).n_satellites
+        context.satellite_activity(ACTIVITY_CONFIG, np.arange(n), [1])
+        for bad in (-1, n, n + 1):
+            with pytest.raises(IndexError, match=f"satellite index {bad}"):
+                context.satellite_activity(ACTIVITY_CONFIG, [0, bad], [1])
+        with pytest.raises(IndexError, match="site index -1"):
+            context.satellite_activity(ACTIVITY_CONFIG, [0], [-1])
+
+    def test_site_spellings_share_one_table(self, context, asked):
+        sats = [4, 8, 15]
+        answers = [
+            context.satellite_activity(ACTIVITY_CONFIG, sats, sites)
+            for sites in ([1, 2], (1, 2), np.array([1, 2]))
+        ]
+        assert asked == [sats]
+        for answer in answers[1:]:
+            np.testing.assert_array_equal(answer, answers[0])
+
+    def test_returns_a_copy(self, context):
+        first = context.satellite_activity(ACTIVITY_CONFIG, [4, 8], [1])
+        expect = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(
+            context.satellite_activity(ACTIVITY_CONFIG, [4, 8], [1]), expect
+        )
+
+    def test_clear_drops_every_table(self, context):
+        context.satellite_activity(ACTIVITY_CONFIG, [4, 8], [1])
+        context.satellite_activity(ACTIVITY_CONFIG, [4, 8], [1, 2])
+        assert len(context._activity) == 2
+        context.clear()
+        assert context._activity == {}

@@ -543,6 +543,35 @@ class TestSatelliteMajorLayout:
                 )
 
 
+class TestWithdrawalCoverage:
+    """One gather answers a withdrawal bit for bit like two
+    ``coverage_fractions`` calls: the whole order and its kept tail."""
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 40])
+    def test_matches_two_coverage_calls(self, layout_world, size):
+        _, _, built, _ = layout_world
+        rng = np.random.default_rng(size)
+        order = rng.permutation(40)[:size]
+        for withdrawn in sorted({0, size // 2, size}):
+            base, kept = built.withdrawal_coverage(order, withdrawn)
+            np.testing.assert_array_equal(base, built.coverage_fractions(order))
+            np.testing.assert_array_equal(
+                kept, built.coverage_fractions(order[withdrawn:])
+            )
+
+    def test_empty_order(self, layout_world):
+        _, _, built, _ = layout_world
+        for order in ([], np.array([], dtype=np.intp)):
+            base, kept = built.withdrawal_coverage(order, 0)
+            assert base.tolist() == kept.tolist() == [0.0] * built.n_sites
+
+    @pytest.mark.parametrize("withdrawn", [-1, 4])
+    def test_withdrawn_outside_order_raises(self, layout_world, withdrawn):
+        _, _, built, _ = layout_world
+        with pytest.raises(ValueError, match="withdrawn"):
+            built.withdrawal_coverage([3, 1, 2], withdrawn)
+
+
 #: Every PackedVisibility query with one bad index on one axis.
 BAD_INDEX_CALLS = {
     "site_mask.sat": lambda v, bad: v.site_mask(0, [1, bad]),
@@ -555,6 +584,7 @@ BAD_INDEX_CALLS = {
     ),
     "satellite_masks.sat": lambda v, bad: v.satellite_masks([3, bad], [0]),
     "satellite_masks.site": lambda v, bad: v.satellite_masks(None, [bad]),
+    "withdrawal_coverage.sat": lambda v, bad: v.withdrawal_coverage([2, bad], 1),
 }
 
 
