@@ -18,6 +18,8 @@ pin the current top-level key set.  Schema history:
 * **3** — adds ``bus`` (telemetry-bus accounting: frame counts by kind,
   scenarios observed).  Reports from before the process pool was removed
   also carry ``bus.workers`` and ``bus.failed_workers``; they still load.
+  ``meta.cpus`` and ``meta.peak_rss_mib`` were added later, as additive
+  keys; older schema-3 reports lack them.
 
 :func:`load_run_report` reads any supported version, upgrading older files
 to the schema-3 shape in memory (empty timeline/memory/bus sections,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform
 import sys
 import time
@@ -110,6 +113,17 @@ def _memory_section() -> Dict[str, Any]:
     return section
 
 
+def _peak_rss_mib() -> Optional[float]:
+    """This process's peak resident set so far (MiB); None without getrusage."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - not on every platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def collect_run_report(
     command: Optional[str] = None,
     config: Any = None,
@@ -158,6 +172,8 @@ def collect_run_report(
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "created_unix": time.time(),
+            "cpus": os.cpu_count(),
+            "peak_rss_mib": _peak_rss_mib(),
         },
     }
     if extra:

@@ -40,16 +40,21 @@ _STATE_EVALS = metrics.counter("orbits.propagator.state_evaluations")
 _TWO_PI = 2.0 * math.pi
 
 
+def _reduced(angle: np.ndarray) -> np.ndarray:
+    """``angle`` reduced to [-pi, pi] in float64, in place."""
+    turns = np.rint(angle / _TWO_PI)
+    turns *= _TWO_PI
+    angle -= turns
+    return angle
+
+
 def _reduced_f32(angle: np.ndarray) -> np.ndarray:
     """``angle`` reduced to [-pi, pi] in float64 (in place), cast to float32.
 
     A week of argument of latitude reaches ~700 rad, where one float32 ulp
     is ~6e-5 rad; reduced first, the cast costs at most ~2e-7 rad.
     """
-    turns = np.rint(angle / _TWO_PI)
-    turns *= _TWO_PI
-    angle -= turns
-    return angle.astype(np.float32)
+    return _reduced(angle).astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,18 @@ The finder works in two stages (the classic ``get_overpasses`` idiom):
    the grid detects it, and resampling the refined intervals back onto the
    scan grid reproduces the grid masks bit-for-bit.
 2. **Edge refinement** — each detected transition brackets a root of the
-   continuous elevation function in ``(t_{k-1}, t_k]``.  A clamped,
-   vectorized bisection on the exact topocentric geometry
-   (:meth:`BatchPropagator.unit_positions_at` against the rotating site
-   direction) narrows every bracket to ``tolerance_s`` at once.  The
-   refined edge is taken from the *new-state* side of the bracket, so the
-   resampling identity above survives refinement exactly.
+   continuous elevation function in ``(t_{k-1}, t_k]``, narrowed to
+   ``tolerance_s`` against the exact topocentric geometry
+   (:func:`_edge_visibility`: :meth:`BatchPropagator.unit_positions_at`
+   against the rotating site direction).  The result is by definition a
+   clamped, vectorized bisection's (:func:`_bisect_edges`), but on
+   circular pools it is found cheaper: a closed-form Newton estimate
+   (:func:`_newton_edges`) picks the dyadic cell bisection would end in,
+   and two exact evaluations at the cell's ends confirm it; only edges
+   that fail the check, and every edge of an eccentric pool, are bisected
+   (:func:`_estimate_edges`).  The refined edge is taken from the
+   *new-state* side of the cell, so the resampling identity above
+   survives refinement exactly.
 
 On top of the windows sits an interval algebra (:class:`IntervalSet`:
 union / intersect / complement, coverage fraction, gap list) and grouped
@@ -40,23 +46,28 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import EARTH_ROTATION_RATE
 from repro.obs import metrics
 from repro.obs.trace import span
 from repro.orbits.frames import gmst_rad
 from repro.ground.sites import GroundSite
-from repro.orbits.propagator import BatchPropagator
+from repro.orbits.propagator import BatchPropagator, _reduced
 from repro.sim import kernels
 from repro.sim.clock import TimeGrid
 
 #: Default width to which each rise/set edge is narrowed (seconds).
 DEFAULT_EDGE_TOLERANCE_S = 1e-2
 
-#: Edges refined per bisection batch; bounds the temporary (K,) arrays.
-REFINE_BATCH = 1 << 17
+#: Edges refined per batch; bounds the temporary (K,) arrays.
+REFINE_BATCH = 1 << 16
+
+#: Newton steps behind each edge estimate (:func:`_newton_edges`).
+NEWTON_STEPS = 5
 
 _CONTACTS_FOUND = metrics.counter("sim.intervals.contacts")
 _EDGES_REFINED = metrics.counter("sim.intervals.refined_edges")
 _SCAN_TRANSITIONS = metrics.counter("sim.intervals.scan_transitions")
+_REFINE_FALLBACKS = metrics.counter("sim.intervals.refine_fallbacks")
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -749,6 +760,222 @@ def _edge_visibility(
     return dots >= thresholds[site_idx, sat_idx]
 
 
+def _bisect_edges(
+    propagator, geometry, thresholds, site_idx, sat_idx, hi, state, step, iters
+) -> np.ndarray:
+    """Bisect each bracket ``(hi - step, hi]`` through ``iters`` halvings.
+
+    ``state`` is each bracket's old (lo-side) visibility; rises refine
+    toward the visible hi side, sets toward the invisible one, so one loop
+    handles both.  Returns the new-state end of each final cell.
+    """
+    hi = hi.copy()
+    lo = hi - step
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        vis = _edge_visibility(
+            propagator, geometry, site_idx, sat_idx, mid, thresholds
+        )
+        take_lo = vis == state
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    return hi
+
+
+def _newton_edges(
+    propagator, geometry, thresholds, site_idx, sat_idx, hi, state, step
+) -> np.ndarray:
+    """Estimate each bracket's crossing time on circular-orbit geometry.
+
+    With ``e == 0`` the argument of latitude ``u`` and the Earth-fixed node
+    ``phi = raan - gmst`` are linear in time.  Rotating the site by
+    ``-phi`` gives ``p = ux cos phi + uy sin phi`` and ``q = uy cos phi -
+    ux sin phi``, so ``dot = p cos u + (q cos i + uz sin i) sin u`` and its
+    time derivative are closed-form: a Newton step costs four trig calls.
+    Each edge starts at its bracket's invisible end (lo for rises, hi for
+    sets); every step is clipped into the bracket and a non-finite step
+    falls back to its midpoint.  Angles are reduced to [-pi, pi] before
+    the trig, where float64 trig runs faster; the exact evaluator never
+    reduces, but this is only the estimate.
+    """
+    epoch = propagator.epoch_s[sat_idx]
+    u_rate = propagator._u_rate[sat_idx]
+    u_0 = propagator._u0[sat_idx] - u_rate * epoch
+    raan_rate = propagator.raan_rate[sat_idx]
+    phi_rate = raan_rate - EARTH_ROTATION_RATE
+    phi_0 = (
+        propagator.raan_rad[sat_idx]
+        - raan_rate * epoch
+        - geometry.grid.gmst_at_epoch_rad
+    )
+    cos_i = propagator._cos_i[sat_idx]
+    ux = geometry.unit_ecef[site_idx, 0]
+    uy = geometry.unit_ecef[site_idx, 1]
+    uz_sin_i = geometry.unit_ecef[site_idx, 2] * propagator._sin_i[sat_idx]
+    # d(p, q)/dt = phi_rate * (q, -p), so d(dot)/dt =
+    # cos u (u_rate r + phi_rate q) - sin u p (u_rate + phi_rate cos i).
+    p_rate = u_rate + phi_rate * cos_i
+    thr = thresholds[site_idx, sat_idx]
+    lo = hi - step
+    mid = 0.5 * (lo + hi)
+    t = np.where(state, hi, lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            u = _reduced(u_0 + u_rate * t)
+            phi = _reduced(phi_0 + phi_rate * t)
+            cos_u, sin_u = np.cos(u), np.sin(u)
+            cos_p, sin_p = np.cos(phi), np.sin(phi)
+            p = ux * cos_p + uy * sin_p
+            q = uy * cos_p - ux * sin_p
+            r = cos_i * q + uz_sin_i
+            f = cos_u * p + sin_u * r - thr
+            df = cos_u * (u_rate * r + phi_rate * q) - sin_u * p * p_rate
+            t = t - f / df
+            t = np.where(np.isfinite(t), np.clip(t, lo, hi), mid)
+    return t
+
+
+def _estimate_edges(
+    propagator, geometry, thresholds, site_idx, sat_idx, hi, state, step, iters
+) -> Tuple[np.ndarray, int]:
+    """:func:`_bisect_edges`' result, steered by a Newton estimate.
+
+    Replays bisection's float updates with ``mid < t_est`` standing in for
+    each visibility test, then checks the final cell exactly: its lo end
+    (where it moved) must show the old state and its hi end (where it
+    moved) the new one.  Edges that fail are bisected.  Every kept decision
+    comes from the same exact evaluator, and a bracket's dyadic cells are
+    disjoint, so a cell that passes is the one bisection ends in whenever
+    the state changes once inside the bracket, as it does on one flank of
+    a pass.  Returns the refined edges and the number bisected.
+    """
+    t_est = _newton_edges(
+        propagator, geometry, thresholds, site_idx, sat_idx, hi, state, step
+    )
+    lo0 = hi - step
+    lo, cell_hi = lo0, hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + cell_hi)
+        take_lo = mid < t_est
+        lo = np.where(take_lo, mid, lo)
+        cell_hi = np.where(take_lo, cell_hi, mid)
+    lo_moved = np.flatnonzero(lo != lo0)
+    hi_moved = np.flatnonzero(cell_hi != hi)
+    at = np.concatenate([lo_moved, hi_moved])
+    vis = _edge_visibility(
+        propagator,
+        geometry,
+        site_idx[at],
+        sat_idx[at],
+        np.concatenate([lo[lo_moved], cell_hi[hi_moved]]),
+        thresholds,
+    )
+    want = np.concatenate([state[lo_moved], ~state[hi_moved]])
+    failed = np.unique(at[vis != want])
+    if failed.size:
+        cell_hi[failed] = _bisect_edges(
+            propagator,
+            geometry,
+            thresholds,
+            site_idx[failed],
+            sat_idx[failed],
+            hi[failed],
+            state[failed],
+            step,
+            iters,
+        )
+    return cell_hi, int(failed.size)
+
+
+def _refine_windows(
+    propagator: BatchPropagator,
+    geometry: "kernels.SiteGeometry",
+    pair: np.ndarray,
+    rise_s: np.ndarray,
+    set_s: np.ndarray,
+    truncated_start: np.ndarray,
+    truncated_end: np.ndarray,
+    step: float,
+    tolerance_s: float,
+    estimate: bool = True,
+) -> Tuple[int, int]:
+    """Refine every non-truncated edge of CSR windows in place.
+
+    ``rise_s`` / ``set_s`` hold scan-sample edges: each is the hi end of
+    its bracket.  Circular pools take :func:`_estimate_edges`; eccentric
+    pools, and every edge when ``estimate`` is false, take
+    :func:`_bisect_edges` — the reference the estimate path must equal bit
+    for bit.  Returns ``(edges, bisected)``.
+    """
+    thresholds = geometry.thresholds(propagator)
+    n_sats = propagator.count
+    iters = max(1, int(math.ceil(math.log2(max(step / tolerance_s, 2.0)))))
+    rises = ~truncated_start
+    sets = ~truncated_end
+    n_rise = int(rises.sum())
+    edge_pair = np.concatenate([pair[rises], pair[sets]])
+    edge_hi = np.concatenate([rise_s[rises], set_s[sets]])
+    lo_state = np.concatenate(
+        [np.zeros(n_rise, dtype=bool), np.ones(edge_pair.size - n_rise, dtype=bool)]
+    )
+    estimate = estimate and propagator.all_circular
+    refined = np.empty(edge_pair.size, dtype=np.float64)
+    bisected = 0
+    for lo_idx in range(0, edge_pair.size, REFINE_BATCH):
+        sl = slice(lo_idx, min(lo_idx + REFINE_BATCH, edge_pair.size))
+        args = (
+            propagator,
+            geometry,
+            thresholds,
+            (edge_pair[sl] // n_sats).astype(np.intp),
+            (edge_pair[sl] % n_sats).astype(np.intp),
+            edge_hi[sl],
+            lo_state[sl],
+            step,
+            iters,
+        )
+        if estimate:
+            refined[sl], failed = _estimate_edges(*args)
+        else:
+            refined[sl], failed = _bisect_edges(*args), sl.stop - sl.start
+        bisected += failed
+    rise_s[rises] = refined[:n_rise]
+    set_s[sets] = refined[n_rise:]
+    return int(edge_pair.size), bisected
+
+
+def _bisect_windows(
+    propagator: BatchPropagator,
+    geometry: "kernels.SiteGeometry",
+    coarse: ContactIntervals,
+    step: float,
+    tolerance_s: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bisect every edge of an unrefined scan (``refine=False``).
+
+    The reference refinement: ``find_contact_intervals`` must return these
+    ``(rise_s, set_s)`` bit for bit.
+    """
+    pair = np.repeat(
+        np.arange(coarse.pair_offsets.size - 1), np.diff(coarse.pair_offsets)
+    )
+    rise_s = coarse.rise_s.copy()
+    set_s = coarse.set_s.copy()
+    _refine_windows(
+        propagator,
+        geometry,
+        pair,
+        rise_s,
+        set_s,
+        coarse.truncated_start,
+        coarse.truncated_end,
+        step,
+        tolerance_s,
+        estimate=False,
+    )
+    return rise_s, set_s
+
+
 def find_contact_intervals(
     constellation,
     sites: Sequence[GroundSite],
@@ -766,16 +993,26 @@ def find_contact_intervals(
     scan sample falls inside it — exactly the grid engine's detection
     semantics, so running the scan at the grid's own step makes the two
     engines agree on which passes exist.  Each detected edge is then
-    refined to ``tolerance_s`` by bisection on the continuous geometry
-    (skipped when ``refine`` is false: edges stay at scan-sample times).
+    refined to ``tolerance_s`` on the continuous geometry (skipped when
+    ``refine`` is false: edges stay at scan-sample times).  The refined
+    edge is bisection's bit for bit; circular pools reach it from a Newton
+    estimate checked by two exact evaluations, and bisect only the edges
+    whose check fails (counted in ``sim.intervals.refine_fallbacks``).
 
     Refined edges keep the resampling identity: the rise lies in
     ``(t_{k-1}, t_k]`` for the first visible sample ``t_k`` (sets
     symmetric), so sampling the result on the scan grid reproduces the
     grid-engine masks bit-for-bit.
+
+    Raises:
+        ValueError: If ``tolerance_s`` is not a positive finite number.
     """
     from repro.sim.visibility import _as_propagator
 
+    if not (math.isfinite(tolerance_s) and tolerance_s > 0.0):
+        raise ValueError(
+            f"tolerance_s must be a positive finite number, got {tolerance_s!r}"
+        )
     propagator = _as_propagator(constellation)
     if geometry is None:
         geometry = kernels.SiteGeometry(sites, grid)
@@ -867,44 +1104,24 @@ def find_contact_intervals(
     if not np.array_equal(rise_pair, set_pair):  # pragma: no cover - invariant
         raise AssertionError("rise/set pairing broke: unbalanced transitions")
 
-    # -- stage 2: bisection refinement of real crossings -------------------
+    # -- stage 2: refinement of real crossings ---------------------------
     rise_s = start_s + step * rise_k.astype(np.float64)
     set_s = start_s + step * set_k.astype(np.float64)
     if refine and rise_pair.size:
-        thresholds = plan.thresholds
-        iters = max(1, int(math.ceil(math.log2(max(step / tolerance_s, 2.0)))))
-        # One flat batch of every non-truncated edge: rises refine toward
-        # the visible (hi) side, sets toward the invisible (hi) side; in
-        # both cases the lo-side state is the *old* state, so a single
-        # vectorized loop handles them together.
-        edge_pair = np.concatenate([rise_pair[~rise_trunc], set_pair[~set_trunc]])
-        edge_hi = np.concatenate([rise_s[~rise_trunc], set_s[~set_trunc]])
-        lo_state = np.concatenate(
-            [np.zeros(int((~rise_trunc).sum()), dtype=bool),
-             np.ones(int((~set_trunc).sum()), dtype=bool)]
-        )
-        refined = np.empty(edge_pair.size, dtype=np.float64)
         with span("intervals.refine"):
-            for lo_idx in range(0, edge_pair.size, REFINE_BATCH):
-                sl = slice(lo_idx, min(lo_idx + REFINE_BATCH, edge_pair.size))
-                site_idx = (edge_pair[sl] // n_sats).astype(np.intp)
-                sat_idx = (edge_pair[sl] % n_sats).astype(np.intp)
-                hi = edge_hi[sl].copy()
-                lo = hi - step
-                state = lo_state[sl]
-                for _ in range(iters):
-                    mid = 0.5 * (lo + hi)
-                    vis = _edge_visibility(
-                        propagator, geometry, site_idx, sat_idx, mid, thresholds
-                    )
-                    take_lo = vis == state
-                    lo = np.where(take_lo, mid, lo)
-                    hi = np.where(take_lo, hi, mid)
-                refined[sl] = hi
-        _EDGES_REFINED.inc(int(edge_pair.size))
-        n_rise = int((~rise_trunc).sum())
-        rise_s[~rise_trunc] = refined[:n_rise]
-        set_s[~set_trunc] = refined[n_rise:]
+            edges, bisected = _refine_windows(
+                propagator,
+                geometry,
+                rise_pair,
+                rise_s,
+                set_s,
+                rise_trunc,
+                set_trunc,
+                step,
+                tolerance_s,
+            )
+        _EDGES_REFINED.inc(edges)
+        _REFINE_FALLBACKS.inc(bisected)
 
     counts = np.bincount(rise_pair, minlength=n_sites * n_sats)
     pair_offsets = np.zeros(n_sites * n_sats + 1, dtype=np.int64)

@@ -544,6 +544,11 @@ def check_interval_agreement(
     path).  Fails outright if no contact was ever found — a vacuously
     green comparison is a broken check.
 
+    Every refined edge must also equal plain bisection's bit for bit: the
+    circular batch's edges come from the Newton-steered refinement (which
+    must keep at least one estimate, or the comparison is vacuous), the
+    eccentric batch's from bisection itself.
+
     On top of the raw-geometry checks, the downstream consumers are held to
     the same contract: the interval downlink scheduler must produce
     bit-identical assignments, downlinked volumes, and backlogs to the grid
@@ -559,7 +564,11 @@ def check_interval_agreement(
         utilization_from_visibility,
     )
     from repro.sim.coverage import gap_lengths_s
-    from repro.sim.intervals import find_contact_intervals
+    from repro.sim.intervals import (
+        _REFINE_FALLBACKS,
+        _bisect_windows,
+        find_contact_intervals,
+    )
     from repro.sim.scheduling import (
         DownlinkScheduler,
         IntervalDownlinkScheduler,
@@ -570,6 +579,8 @@ def check_interval_agreement(
     total_contacts = 0
     samples = 0
     scheduling_comparisons = 0
+    refine_identity_edges = 0
+    refine_fallbacks = 0
     for batch_name, eccentricity_ceiling in (
         ("circular", 0.0),
         ("eccentric", gen.MAX_DOMAIN_ECCENTRICITY),
@@ -582,10 +593,44 @@ def check_interval_agreement(
         grid = TimeGrid(duration_s=duration_s, step_s=step_s)
         propagator = BatchPropagator(elements)
         reference = VisibilityEngine(grid).visibility(propagator, list(sites))
+        geometry = kernels.SiteGeometry(list(sites), grid)
+        fallbacks_before = _REFINE_FALLBACKS.value
         contacts = find_contact_intervals(
-            propagator, list(sites), grid, tolerance_s=tolerance_s
+            propagator,
+            list(sites),
+            grid,
+            tolerance_s=tolerance_s,
+            geometry=geometry,
         )
+        fallbacks = int(_REFINE_FALLBACKS.value - fallbacks_before)
         total_contacts += contacts.n_contacts
+
+        # Refinement identity: every edge equals plain bisection's.
+        coarse = find_contact_intervals(
+            propagator, list(sites), grid, geometry=geometry, refine=False
+        )
+        rise_s, set_s = _bisect_windows(
+            propagator, geometry, coarse, step_s, tolerance_s
+        )
+        edges = int(
+            np.count_nonzero(~coarse.truncated_start)
+            + np.count_nonzero(~coarse.truncated_end)
+        )
+        differing = int(
+            np.count_nonzero(contacts.rise_s != rise_s)
+            + np.count_nonzero(contacts.set_s != set_s)
+        )
+        if differing:
+            mismatches.append(
+                f"refine_identity ({batch_name}): {differing} of {edges} "
+                "edges differ from bisection"
+            )
+        if batch_name == "circular" and edges and fallbacks == edges:
+            mismatches.append(
+                "refine_identity (circular): no edge kept its estimate"
+            )
+        refine_identity_edges += edges
+        refine_fallbacks += fallbacks
         samples = int(grid.count)
         times = grid.times_s
         span_total = contacts.span_s
@@ -740,6 +785,8 @@ def check_interval_agreement(
         "contacts": total_contacts,
         "scheduling_policies": [p.value for p in SchedulingPolicy],
         "scheduling_comparisons": scheduling_comparisons,
+        "refine_identity_edges": refine_identity_edges,
+        "refine_fallbacks": refine_fallbacks,
         "mismatches": mismatches,
     }
     if mismatches:

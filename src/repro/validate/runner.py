@@ -257,6 +257,7 @@ def _summarize_details(check: CheckResult) -> str:
     if check.name == "oracle.intervals" and "contacts" in details:
         return (
             f"{details['contacts']} contacts, "
+            f"{details.get('refine_identity_edges', 0)} edges = bisection, "
             f"{details.get('scheduling_comparisons', 0)} schedules, "
             f"{len(details.get('mismatches', []))} mismatches"
         )

@@ -7,6 +7,7 @@ schema-1 and schema-2 fixtures.
 
 import io
 import json
+import os
 
 import pytest
 
@@ -78,6 +79,15 @@ class TestSchema3RoundTrip:
         assert report["bus"]["frames_total"] == 1
         assert report["bus"]["frames_by_kind"] == {SCENARIO_STARTED: 1}
         assert report["bus"]["scenarios"] == ["fig2"]
+
+    def test_meta_records_host_cpus_and_peak_rss(self):
+        first = collect_run_report(command="fig2")["meta"]
+        second = collect_run_report(command="fig2")["meta"]
+        assert first["cpus"] == os.cpu_count()
+        # MiB, not KiB or bytes: a process with numpy loaded holds tens of
+        # MiB.  A high-water mark never falls between reports.
+        assert 10.0 < first["peak_rss_mib"] < 65_536.0
+        assert first["peak_rss_mib"] <= second["peak_rss_mib"]
 
     def test_validate_rejects_gutted_bus_section(self):
         report = collect_run_report()

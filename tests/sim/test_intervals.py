@@ -5,14 +5,20 @@ import pytest
 
 from repro.ground.sites import GroundSite
 from repro.orbits.elements import OrbitalElements
+from repro.orbits.propagator import BatchPropagator
+from repro.sim import intervals as intervals_module
 from repro.sim.clock import TimeGrid
 from repro.sim.intervals import (
+    DEFAULT_EDGE_TOLERANCE_S,
     ContactIntervals,
     IntervalSet,
     IntervalSubsetQuery,
+    _REFINE_FALLBACKS,
+    _bisect_windows,
     find_contact_intervals,
     sweep_accumulate,
 )
+from repro.sim.kernels import SiteGeometry
 from repro.sim.visibility import VisibilityEngine
 
 
@@ -386,8 +392,127 @@ class TestEngineParity:
                 small_walker, sites, short_grid, chunk_size=chunk
             )
             assert np.array_equal(base.pair_offsets, other.pair_offsets), chunk
-            assert np.allclose(base.rise_s, other.rise_s, atol=1e-6), chunk
-            assert np.allclose(base.set_s, other.set_s, atol=1e-6), chunk
+            assert np.array_equal(base.rise_s, other.rise_s), chunk
+            assert np.array_equal(base.set_s, other.set_s), chunk
+
+    @pytest.mark.parametrize(
+        "tolerance_s", [0.0, -0.5, float("inf"), float("nan")]
+    )
+    def test_rejects_bad_tolerance(self, small_walker, sites, short_grid, tolerance_s):
+        with pytest.raises(ValueError, match="tolerance_s"):
+            find_contact_intervals(
+                small_walker, sites, short_grid, tolerance_s=tolerance_s
+            )
+
+
+@pytest.fixture(scope="module")
+def sub_pool():
+    """Every 8th satellite of the 4 408-satellite pool, over every site."""
+    from repro.constellation.shells import starlink_like_constellation
+    from repro.experiments.common import ALL_SITES
+    from repro.ground.cities import terminals_for_cities
+
+    pool = BatchPropagator(
+        starlink_like_constellation(rng=np.random.default_rng(0)).elements
+    )
+    return (
+        pool.subset(np.arange(0, pool.count, 8)),
+        terminals_for_cities(ALL_SITES),
+    )
+
+
+class TestRefinementIdentity:
+    """The Newton-steered refinement equals plain bisection bit for bit."""
+
+    @staticmethod
+    def _refine_both(propagator, sites, grid):
+        geometry = SiteGeometry(sites, grid)
+        before = _REFINE_FALLBACKS.value
+        refined = find_contact_intervals(
+            propagator, sites, grid, geometry=geometry
+        )
+        fallbacks = _REFINE_FALLBACKS.value - before
+        coarse = find_contact_intervals(
+            propagator, sites, grid, geometry=geometry, refine=False
+        )
+        rise_s, set_s = _bisect_windows(
+            propagator, geometry, coarse, grid.step_s, DEFAULT_EDGE_TOLERANCE_S
+        )
+        edges = int(
+            np.count_nonzero(~coarse.truncated_start)
+            + np.count_nonzero(~coarse.truncated_end)
+        )
+        return refined, (rise_s, set_s), edges, fallbacks
+
+    @pytest.mark.parametrize("step_s", [60.0, 120.0, 300.0])
+    def test_matches_bisection_on_every_edge(self, sub_pool, step_s):
+        propagator, sites = sub_pool
+        grid = TimeGrid(duration_s=86_400.0, step_s=step_s)
+        refined, (rise_s, set_s), edges, fallbacks = self._refine_both(
+            propagator, sites, grid
+        )
+        assert edges > 10_000
+        # The estimate must carry nearly every edge, or nothing is tested.
+        assert fallbacks < 0.05 * edges
+        assert np.array_equal(refined.rise_s, rise_s)
+        assert np.array_equal(refined.set_s, set_s)
+
+    def test_all_fallback_matches_bisection(self, sub_pool, monkeypatch):
+        monkeypatch.setattr(intervals_module, "NEWTON_STEPS", 0)
+        propagator, sites = sub_pool
+        grid = TimeGrid(duration_s=86_400.0, step_s=300.0)
+        refined, (rise_s, set_s), edges, fallbacks = self._refine_both(
+            propagator, sites, grid
+        )
+        # Unrefined estimates sit on the bracket's invisible end; no edge of
+        # this pool lies in that end's cell, so every edge is bisected.
+        assert fallbacks == edges
+        assert np.array_equal(refined.rise_s, rise_s)
+        assert np.array_equal(refined.set_s, set_s)
+
+    def test_jittered_estimate_matches_bisection(self, sub_pool, monkeypatch):
+        # Knock each estimate up to two final cells off, so the exact check
+        # must catch the misses: a check that trusts the estimate fails here.
+        newton = intervals_module._newton_edges
+        rng = np.random.default_rng(7)
+        cell_s = 300.0 / 2 ** 15
+
+        def jittered(*args):
+            t_est = newton(*args)
+            return t_est + rng.uniform(-2.0, 2.0, t_est.size) * cell_s
+
+        monkeypatch.setattr(intervals_module, "_newton_edges", jittered)
+        propagator, sites = sub_pool
+        grid = TimeGrid(duration_s=86_400.0, step_s=300.0)
+        refined, (rise_s, set_s), edges, fallbacks = self._refine_both(
+            propagator, sites, grid
+        )
+        assert 0.2 * edges < fallbacks < 0.9 * edges
+        assert np.array_equal(refined.rise_s, rise_s)
+        assert np.array_equal(refined.set_s, set_s)
+
+    def test_eccentric_pool_bisects(self, sites, short_grid, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("eccentric pools must not take the estimate")
+
+        monkeypatch.setattr(intervals_module, "_newton_edges", unused)
+        elements = [
+            OrbitalElements.from_degrees(
+                altitude_km=550.0 + 40.0 * index,
+                inclination_deg=53.0 + index,
+                raan_deg=36.0 * index,
+                mean_anomaly_deg=45.0 * index,
+                eccentricity=0.015,
+            )
+            for index in range(10)
+        ]
+        propagator = BatchPropagator(elements)
+        refined, (rise_s, set_s), edges, fallbacks = self._refine_both(
+            propagator, sites, short_grid
+        )
+        assert edges > 0 and fallbacks == edges
+        assert np.array_equal(refined.rise_s, rise_s)
+        assert np.array_equal(refined.set_s, set_s)
 
 
 class TestContactIntervalsReductions:
