@@ -2,8 +2,9 @@
 
 Each module encapsulates the exact methodology of the corresponding figure
 in *A Call for Decentralized Satellite Networks* (HotNets '24) as a
-:class:`repro.runner.Scenario` — a sweep axis, a pure per-run kernel, and a
-reduction — executed by the unified :class:`repro.runner.MonteCarloRunner`.
+:class:`repro.runner.Scenario` — a sweep axis, a kernel over one sweep
+point's runs, and a reduction — executed by the unified
+:class:`repro.runner.MonteCarloRunner`.
 Each module keeps a thin ``run_figN()`` entry point returning the
 structured result the benchmark suite prints as paper-style rows.
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,14 @@ class ExperimentConfig:
 ALL_SITES = (TAIPEI,) + tuple(CITIES)
 TAIPEI_INDEX = 0
 CITY_INDICES = tuple(range(1, len(ALL_SITES)))
+
+#: Satellites per store query when :meth:`ExperimentContext.
+#: satellite_activity` fills its table: about one Fig. 3 run's sample.  A
+#: batch of runs asks for nearly the whole pool at once, and the packed
+#: store gathers a satellite's rows at every site before selecting sites,
+#: so one unchunked fill would copy the whole store (23 MiB at the CLI
+#: defaults).  In chunks it gathers no more at a time than one run did.
+ACTIVITY_FILL_SATELLITES = 512
 
 #: Cache key of one packed visibility tensor — every config field the tensor
 #: depends on: pool seed, step, elevation mask, AND horizon.  Omitting the
@@ -385,9 +393,11 @@ class ExperimentContext:
         is asked only for satellites not yet in the table.  A satellite's
         activity is its own popcount (grid) or its own event sweep
         (intervals), so the table's values do not depend on which
-        satellites were asked together.  Fig. 3's runs share one site set
-        per sweep point, so the point's store work scales with the union
-        of its runs' samples rather than with the runs.
+        satellites were asked together.  Fig. 3 asks once per sweep point,
+        for all of its runs' samples at the point's site set, so the
+        point's store work scales with the union of those samples rather
+        than with the runs.  The store is asked for at most
+        :data:`ACTIVITY_FILL_SATELLITES` satellites at a time.
         """
         store = self.store(config, pool_seed)
         sats = kernels.checked_indices(sat_indices, store.n_satellites, "satellite")
@@ -399,8 +409,14 @@ class ExperimentContext:
         active = table[sats]
         missing = np.isnan(active)
         if missing.any():
-            fill = np.unique(sats[missing])
-            table[fill] = store.satellite_active_fractions(fill, sites)
+            # The distinct missing satellites, sorted: a mask over the pool
+            # is cheaper than a hash-based np.unique on a batch's samples.
+            need = np.zeros(store.n_satellites, dtype=bool)
+            need[sats[missing]] = True
+            fill = np.flatnonzero(need)
+            for start in range(0, fill.size, ACTIVITY_FILL_SATELLITES):
+                part = fill[start : start + ACTIVITY_FILL_SATELLITES]
+                table[part] = store.satellite_active_fractions(part, sites)
             active = table[sats]
         return active
 
@@ -455,9 +471,9 @@ def clear_caches() -> None:
 
 
 #: Lazily built, read-only normalized city-weight vector.  The weighted
-#: coverage reduction below runs inside every Monte-Carlo kernel of
-#: Figs. 4a/5/6 and the sharing experiment; rebuilding the vector per call
-#: was measurable noise in exactly those hot loops.
+#: coverage reduction below runs once per Monte-Carlo run of Figs. 4a/5/6
+#: and the sharing experiment; rebuilding the vector per call was
+#: measurable noise in exactly those hot loops.
 _CITY_WEIGHTS: Optional[np.ndarray] = None
 
 #: City rows of the visibility tensor (sites 1..21) as a fancy index.
@@ -486,16 +502,27 @@ def weighted_city_coverage(store, sat_indices) -> float:
     return _weighted_cities(fractions)
 
 
-def withdrawal_loss(store, order, withdrawn: int) -> float:
-    """Weighted city coverage lost when ``order[:withdrawn]`` withdraws.
+def withdrawal_losses(store, orders, withdrawn: int) -> List[float]:
+    """Weighted city coverage lost when each order's first ``withdrawn``
+    satellites withdraw.
 
-    Equal to ``weighted_city_coverage(store, order) -
-    weighted_city_coverage(store, order[withdrawn:])`` from one
-    ``withdrawal_coverage`` query, which gathers ``order`` once.  ``store``
-    is either engine's full-pool contact store.
+    ``orders`` is a ``(runs, k)`` matrix of withdrawal orders.  Entry *i*
+    equals ``weighted_city_coverage(store, orders[i]) -
+    weighted_city_coverage(store, orders[i][withdrawn:])``, all from one
+    ``withdrawal_coverage`` query.  ``store`` is either engine's full-pool
+    contact store.
     """
-    base, kept = store.withdrawal_coverage(order, withdrawn)
-    return _weighted_cities(base) - _weighted_cities(kept)
+    base, kept = store.withdrawal_coverage(orders, withdrawn)
+    return [
+        whole - tail
+        for whole, tail in zip(weighted_city_rows(base), weighted_city_rows(kept))
+    ]
+
+
+def weighted_city_rows(fractions: np.ndarray) -> List[float]:
+    """:func:`weighted_city_coverage` of each row of a batched
+    ``coverage_fractions`` result: one float per ``(S,)`` row."""
+    return [_weighted_cities(row) for row in fractions]
 
 
 def _weighted_cities(fractions: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
 )
-from repro.runner import RunContext, Scenario, run_scenario
+from repro.runner import PointContext, Scenario, draw_subsets, run_scenario
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class Fig3Scenario(Scenario):
     A satellite's idle time depends only on its own footprint vs the
     terminal set, so the random satellite sample just controls the averaging
     population; per run we sample ``sample_size`` satellites and average
-    their idle fractions over terminals at the top-k cities.
+    their idle fractions over terminals at the top-k cities.  A point's
+    runs read their satellites' activity in one query.
     """
 
     city_counts: Sequence[int] = tuple(range(1, 22))
@@ -59,24 +60,27 @@ class Fig3Scenario(Scenario):
         self, config: ExperimentConfig, context: ExperimentContext
     ) -> Sequence[int]:
         pool_size = len(context.pool())
-        if self.sample_size > pool_size:
+        if not 1 <= self.sample_size <= pool_size:
             raise ValueError(
-                f"sample_size {self.sample_size} exceeds pool {pool_size}"
+                f"sample_size {self.sample_size} is outside [1, {pool_size}]"
             )
         for count in self.city_counts:
             if not 1 <= count <= len(CITY_INDICES):
                 raise ValueError(f"city count {count} out of range")
         return list(self.city_counts)
 
-    def run_one(self, ctx: RunContext, run_index: int) -> float:
-        site_indices = list(CITY_INDICES[: ctx.point])
-        sat_indices = ctx.rng.choice(
-            ctx.pool_size(), size=self.sample_size, replace=False
-        )
+    def run_batch(
+        self, ctx: PointContext, rngs: Sequence[np.random.Generator]
+    ) -> List[float]:
+        samples = draw_subsets(rngs, ctx.pool_size(), self.sample_size)
         active = ctx.context.satellite_activity(
-            ctx.config, sat_indices, site_indices, ctx.pool_seed
+            ctx.config,
+            samples.reshape(-1),
+            list(CITY_INDICES[: ctx.point]),
+            ctx.pool_seed,
         )
-        return float(100.0 * (1.0 - active).mean())
+        idle = 1.0 - active.reshape(samples.shape)
+        return [float(100.0 * run.mean()) for run in idle]
 
     def reduce(
         self,

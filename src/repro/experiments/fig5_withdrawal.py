@@ -18,9 +18,9 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
-    withdrawal_loss,
+    withdrawal_losses,
 )
-from repro.runner import RunContext, Scenario, run_scenario
+from repro.runner import PointContext, Scenario, draw_subsets, run_scenario
 
 DEFAULT_SIZES: Sequence[int] = (200, 500, 1000, 2000)
 
@@ -61,15 +61,17 @@ class Fig5Scenario(Scenario):
             )
         pool_size = len(context.pool())
         for size in self.sizes:
-            if size > pool_size:
-                raise ValueError(f"size {size} exceeds pool of {pool_size}")
+            if not 1 <= size <= pool_size:
+                raise ValueError(f"size {size} is outside [1, {pool_size}]")
         return list(self.sizes)
 
-    def run_one(self, ctx: RunContext, run_index: int) -> float:
+    def run_batch(
+        self, ctx: PointContext, rngs: Sequence[np.random.Generator]
+    ) -> List[float]:
         withdraw = int(round(self.withdraw_fraction * ctx.point))
-        base = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
-        # The head of a random permutation withdraws; the rest stay.
-        return withdrawal_loss(ctx.store(), ctx.rng.permutation(base), withdraw)
+        # The head of each run's random permutation withdraws; the rest stay.
+        orders = draw_subsets(rngs, ctx.pool_size(), ctx.point, permute=True)
+        return withdrawal_losses(ctx.store(), orders, withdraw)
 
     def reduce(
         self,

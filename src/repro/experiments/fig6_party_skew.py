@@ -21,9 +21,9 @@ from repro.core.party import contribution_ratio_split
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
-    withdrawal_loss,
+    withdrawal_losses,
 )
-from repro.runner import RunContext, Scenario, run_scenario
+from repro.runner import PointContext, Scenario, draw_subsets, run_scenario
 
 DEFAULT_SKEWS: Sequence[int] = tuple(range(1, 11))
 DEFAULT_PARTIES = 11
@@ -67,10 +67,12 @@ class Fig6Scenario(Scenario):
     def sweep(
         self, config: ExperimentConfig, context: ExperimentContext
     ) -> Sequence[int]:
+        if self.parties < 1:
+            raise ValueError(f"parties must be >= 1, got {self.parties}")
         pool_size = len(context.pool())
-        if self.total_satellites > pool_size:
+        if not 1 <= self.total_satellites <= pool_size:
             raise ValueError(
-                f"total {self.total_satellites} exceeds pool of {pool_size}"
+                f"total {self.total_satellites} is outside [1, {pool_size}]"
             )
         return list(self.skews)
 
@@ -78,14 +80,16 @@ class Fig6Scenario(Scenario):
         ratios = [float(skew)] + [1.0] * (self.parties - 1)
         return contribution_ratio_split(self.total_satellites, ratios)[0]
 
-    def run_one(self, ctx: RunContext, run_index: int) -> float:
+    def run_batch(
+        self, ctx: PointContext, rngs: Sequence[np.random.Generator]
+    ) -> List[float]:
         largest = self._largest_party_count(ctx.point)
-        base = ctx.rng.choice(
-            ctx.pool_size(), size=self.total_satellites, replace=False
+        # The first `largest` positions of each run's random permutation
+        # are the largest party's satellites; the rest stay.
+        orders = draw_subsets(
+            rngs, ctx.pool_size(), self.total_satellites, permute=True
         )
-        # The first `largest` positions of a random permutation are the
-        # largest party's satellites; the rest stay.
-        return withdrawal_loss(ctx.store(), ctx.rng.permutation(base), largest)
+        return withdrawal_losses(ctx.store(), orders, largest)
 
     def reduce(
         self,

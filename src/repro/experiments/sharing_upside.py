@@ -19,9 +19,9 @@ from repro.core.sharing import SharingUpside, sharing_upside
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage,
+    weighted_city_rows,
 )
-from repro.runner import RunContext, Scenario, run_scenario
+from repro.runner import PointContext, Scenario, draw_subsets, run_scenario
 
 DEFAULT_CALIBRATION_SIZES: Sequence[int] = (
     10, 25, 50, 100, 200, 400, 700, 1000, 1500, 2000, 3000, 4000,
@@ -64,23 +64,26 @@ class SharingUpsideScenario(Scenario):
             )
         pool_size = len(context.pool())
         for size in (*self.calibration_sizes, self.network_size):
-            if size > pool_size:
-                raise ValueError(f"size {size} exceeds pool of {pool_size}")
+            if not 1 <= size <= pool_size:
+                raise ValueError(f"size {size} is outside [1, {pool_size}]")
         return [*self.calibration_sizes, NETWORK_POINT]
 
-    def run_one(self, ctx: RunContext, run_index: int) -> Any:
+    def run_batch(
+        self, ctx: PointContext, rngs: Sequence[np.random.Generator]
+    ) -> List[Any]:
         store = ctx.store()
-        if ctx.point == NETWORK_POINT:
-            network = ctx.rng.choice(
-                ctx.pool_size(), size=self.network_size, replace=False
-            )
-            own = network[: self.contributed]
-            return (
-                weighted_city_coverage(store, own),
-                weighted_city_coverage(store, network),
-            )
-        indices = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
-        return weighted_city_coverage(store, indices)
+        if ctx.point != NETWORK_POINT:
+            subsets = draw_subsets(rngs, ctx.pool_size(), ctx.point)
+            return weighted_city_rows(store.coverage_fractions(subsets))
+        networks = draw_subsets(rngs, ctx.pool_size(), self.network_size)
+        # The party owns the head network[:contributed].  Reversed, that
+        # head is the tail a withdrawal of the other members keeps, so one
+        # query covers the whole network and the party's own slice (OR and
+        # union do not depend on order).
+        shared, own = store.withdrawal_coverage(
+            networks[:, ::-1], self.network_size - self.contributed
+        )
+        return list(zip(weighted_city_rows(own), weighted_city_rows(shared)))
 
     def reduce(
         self,

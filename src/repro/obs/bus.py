@@ -8,7 +8,11 @@ run report is written at exit.  The bus is the streaming complement: the
 
 * ``scenario.started`` / ``scenario.finished`` — sweep size and task count;
 * ``run.started`` / ``run.finished`` — one Monte-Carlo repetition beginning
-  /completing, with its wall time.
+  /completing, with its wall time.  The runner evaluates a sweep point's
+  repetitions as one batch, so it publishes the point's pairs together
+  after the batch, in run order, and each ``run.finished`` carries
+  ``wall_s`` = the point's wall time divided by its runs (a per-run mean,
+  not a per-run measurement).
 
 Frames fan out synchronously to subscribers (:meth:`TelemetryBus.subscribe`):
 the CLI's ``--live-status`` attaches a :class:`LiveStatus` renderer that
@@ -40,7 +44,7 @@ _LOG = get_logger(__name__)
 SCENARIO_STARTED = "scenario.started"  #: Sweep resolved; tasks about to run.
 SCENARIO_FINISHED = "scenario.finished"  #: Every task ran.
 RUN_STARTED = "run.started"  #: One Monte-Carlo repetition began.
-RUN_FINISHED = "run.finished"  #: One repetition completed (carries wall_s).
+RUN_FINISHED = "run.finished"  #: One repetition completed (wall_s: point mean).
 
 #: Every kind the bus accepts; :meth:`TelemetryBus.publish` rejects others so
 #: typos surface at the call site.

@@ -1,11 +1,13 @@
 """The Monte-Carlo runner: one driver for every figure experiment.
 
 :class:`MonteCarloRunner` executes a :class:`~repro.runner.scenario.
-Scenario` — sweep axis × repetitions — in-process, one repetition after
+Scenario` — sweep axis × repetitions — in-process, one sweep point after
 another, against the contact store cached on the
 :class:`~repro.experiments.common.ExperimentContext` (the packed
 visibility tensor on the grid engine, the CSR contact windows on the
-intervals engine).
+intervals engine).  A point's repetitions run as one batch: one
+:meth:`~repro.runner.scenario.Scenario.run_batch` call and one
+``runner.point.<name>`` span per point.
 
 Determinism contract
 --------------------
@@ -14,7 +16,7 @@ Results are a pure function of ``(scenario, config)``:
 
 * per-run RNGs come from order-independent seed derivation
   (:func:`repro.runner.scenario.run_rng`), so run *i* draws the same sample
-  whether 5 or 500 runs were requested;
+  whether 5 or 500 runs were requested, batched or not;
 * samples are reduced in (point, run) order.
 
 Live telemetry (the bus)
@@ -23,8 +25,11 @@ Live telemetry (the bus)
 When the telemetry bus has a consumer (the CLI's ``--live-status``, or a
 subscribed :class:`~repro.obs.bus.BusRecorder`; see :mod:`repro.obs.bus`),
 the runner publishes ``scenario.started`` / ``scenario.finished`` around
-each scenario and ``run.started`` / ``run.finished`` around each
-repetition.  An inactive bus costs one attribute check per repetition.
+each scenario and one ``run.started`` / ``run.finished`` pair per
+repetition, in (point, run) order.  A point's pairs are published after
+its batch returns; each ``run.finished`` carries the point's wall time
+divided by its runs.  An inactive bus costs one attribute check per
+point.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from repro.experiments.common import (
 from repro.obs import bus as obs_bus
 from repro.obs import metrics
 from repro.obs.trace import span
-from repro.runner.scenario import RunContext, Scenario, run_rng
+from repro.runner.scenario import PointContext, Scenario, run_rng
 
 _RUNS_TOTAL = metrics.counter("runner.runs")
 
@@ -50,7 +55,8 @@ POOL_SEED = 0
 
 
 class MonteCarloRunner:
-    """Executes scenarios: sweep × repetitions, in-process.
+    """Executes scenarios: sweep × repetitions, in-process, one batch of
+    repetitions per sweep point.
 
     Args:
         config: The experiment configuration.
@@ -102,46 +108,49 @@ class MonteCarloRunner:
             )
         with span(f"analysis.{scenario.name}"):
             samples = [
-                [
-                    self._run_one(scenario, point, point_index, run_index, narrate)
-                    for run_index in range(runs[point_index])
-                ]
+                self._run_point(
+                    scenario, point, point_index, runs[point_index], narrate
+                )
                 for point_index, point in enumerate(points)
             ]
         if narrate:
             self.bus.publish(obs_bus.SCENARIO_FINISHED, scenario=scenario.name)
         return points, samples
 
-    def _run_one(
-        self, scenario: Scenario, point: Any, point_index: int, run_index: int,
+    def _run_point(
+        self, scenario: Scenario, point: Any, point_index: int, runs: int,
         narrate: bool,
-    ) -> Any:
-        """One repetition, with bus progress frames when ``narrate``."""
-        if narrate:
-            self.bus.publish(
-                obs_bus.RUN_STARTED,
-                point_index=point_index, run_index=run_index,
-            )
-        ctx = RunContext(
+    ) -> List[Any]:
+        """Every repetition at one point as one batch, with bus progress
+        frames when ``narrate``."""
+        ctx = PointContext(
             config=self.config,
             context=self.context,
             point=point,
             point_index=point_index,
-            run_index=run_index,
-            rng=run_rng(self.config.seed, scenario.salt, point_index, run_index),
             pool_seed=POOL_SEED,
         )
         start = time.perf_counter()
-        with span(f"runner.run.{scenario.name}"):
-            sample = scenario.run_one(ctx, run_index)
-        _RUNS_TOTAL.inc()
+        with span(f"runner.point.{scenario.name}"):
+            rngs = [
+                run_rng(self.config.seed, scenario.salt, point_index, run_index)
+                for run_index in range(runs)
+            ]
+            samples = scenario.run_batch(ctx, rngs)
+        _RUNS_TOTAL.inc(runs)
         if narrate:
-            self.bus.publish(
-                obs_bus.RUN_FINISHED,
-                point_index=point_index, run_index=run_index,
-                wall_s=time.perf_counter() - start,
-            )
-        return sample
+            wall_s = (time.perf_counter() - start) / runs
+            for run_index in range(runs):
+                self.bus.publish(
+                    obs_bus.RUN_STARTED,
+                    point_index=point_index, run_index=run_index,
+                )
+                self.bus.publish(
+                    obs_bus.RUN_FINISHED,
+                    point_index=point_index, run_index=run_index,
+                    wall_s=wall_s,
+                )
+        return samples
 
 
 def run_scenario(

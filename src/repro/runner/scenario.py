@@ -5,16 +5,21 @@ Monte-Carlo sweep:
 
 * a **sweep axis** (:meth:`Scenario.sweep`) — the figure's x axis: the
   points the experiment is evaluated at;
-* a pure **kernel** (:meth:`Scenario.run_one`) — one Monte-Carlo repetition
-  at one point, a function of its :class:`RunContext` (which carries the
-  per-run RNG) and nothing else;
+* one **kernel** that evaluates a sweep point's repetitions: either
+  :meth:`Scenario.run_one`, one repetition as a function of its
+  :class:`RunContext` (which carries the per-run RNG), or
+  :meth:`Scenario.run_batch`, every repetition of a point at once from the
+  point's :class:`PointContext` and one RNG per run.  The default
+  ``run_batch`` calls ``run_one`` per run; a scenario whose runs share a
+  store query overrides ``run_batch`` instead and stacks its per-run draws
+  into one ``(runs, k)`` index matrix (:func:`draw_subsets`);
 * a **reduction** (:meth:`Scenario.reduce` / :meth:`Scenario.finalize`) —
   how per-run samples aggregate into the figure's reported rows.
 
-Because the kernel is pure and the per-run RNG is derived
-order-independently (below), the :class:`~repro.runner.monte_carlo.
-MonteCarloRunner` may execute repetitions in any order and produce
-identical results.
+Run *i*'s sample depends only on its own RNG, which is derived
+order-independently (below), so batching changes no sample: the
+:class:`~repro.runner.monte_carlo.MonteCarloRunner` calls ``run_batch``
+once per point and gets the samples a per-run loop would.
 
 Seed derivation
 ---------------
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,19 +62,17 @@ def run_rng(
 
 
 @dataclass
-class RunContext:
-    """Everything one Monte-Carlo repetition may read.
+class PointContext:
+    """Everything one sweep point's kernel may read.
 
     Kernels treat the context as read-only: the runner constructs one per
-    repetition.
+    sweep point.
 
     Attributes:
         config: The experiment configuration.
-        context: The artifact cache (pool + contact store) this run reads.
+        context: The artifact cache (pool + contact store) the runs read.
         point: The sweep-axis value being evaluated.
         point_index: Its index on the sweep axis (part of the RNG seed).
-        run_index: The repetition number (part of the RNG seed).
-        rng: This repetition's private generator.
         pool_seed: Which synthetic pool the scenario samples from.
     """
 
@@ -77,12 +80,10 @@ class RunContext:
     context: ExperimentContext
     point: Any
     point_index: int
-    run_index: int
-    rng: np.random.Generator = field(repr=False)
     pool_seed: int = 0
 
     def store(self):
-        """The context's full-pool contact store for this run's
+        """The context's full-pool contact store for this point's
         configuration (see :meth:`ExperimentContext.store`)."""
         return self.context.store(self.config, self.pool_seed)
 
@@ -90,13 +91,59 @@ class RunContext:
         """Number of satellites in the sampling pool."""
         return len(self.context.pool(self.pool_seed))
 
+    def for_run(self, run_index: int, rng: np.random.Generator) -> "RunContext":
+        """The :class:`RunContext` of one repetition at this point."""
+        return RunContext(
+            config=self.config,
+            context=self.context,
+            point=self.point,
+            point_index=self.point_index,
+            pool_seed=self.pool_seed,
+            run_index=run_index,
+            rng=rng,
+        )
+
+
+@dataclass
+class RunContext(PointContext):
+    """A :class:`PointContext` plus one repetition's coordinates.
+
+    Attributes:
+        run_index: The repetition number (part of the RNG seed).
+        rng: This repetition's private generator.
+    """
+
+    run_index: int = 0
+    rng: Optional[np.random.Generator] = field(default=None, repr=False)
+
+
+def draw_subsets(
+    rngs: Sequence[np.random.Generator],
+    pool_size: int,
+    size: int,
+    permute: bool = False,
+) -> np.ndarray:
+    """One random ``size``-subset of the pool per run, as ``(runs, size)``.
+
+    Row *i* is ``rngs[i].choice(pool_size, size=size, replace=False)``,
+    shuffled by a second draw from the same generator when ``permute``
+    (the ``rng.permutation`` of the subset): exactly the draws a per-run
+    kernel makes, in the same order.
+    """
+    rows = np.empty((len(rngs), size), dtype=np.intp)
+    for row, rng in zip(rows, rngs):
+        row[:] = rng.choice(pool_size, size=size, replace=False)
+        if permute:
+            rng.shuffle(row)
+    return rows
+
 
 class Scenario(abc.ABC):
     """Base class for declarative Monte-Carlo experiments.
 
     Attributes:
         name: Short identifier; names the runner's spans
-            (``analysis.<name>``, ``runner.run.<name>``) and bench entries.
+            (``analysis.<name>``, ``runner.point.<name>``) and bench entries.
         salt: The scenario's RNG stream salt.  Distinct per scenario so two
             scenarios at the same seed never draw correlated samples; the
             values carry over from the old per-figure ``config.rng(salt=N)``
@@ -126,9 +173,27 @@ class Scenario(abc.ABC):
         scenarios return 1)."""
         return config.runs
 
-    @abc.abstractmethod
+    def run_batch(
+        self, ctx: PointContext, rngs: Sequence[np.random.Generator]
+    ) -> List[Any]:
+        """Every repetition at one point: run *i* draws only from
+        ``rngs[i]``.  Returns one sample per run, in run order.
+
+        The default calls :meth:`run_one` once per run.
+        """
+        return [
+            self.run_one(ctx.for_run(run_index, rng), run_index)
+            for run_index, rng in enumerate(rngs)
+        ]
+
     def run_one(self, ctx: RunContext, run_index: int) -> Any:
-        """One Monte-Carlo repetition: a pure function of ``ctx``."""
+        """One Monte-Carlo repetition: a pure function of ``ctx``.
+
+        A scenario implements this or overrides :meth:`run_batch`.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither run_one nor run_batch"
+        )
 
     @abc.abstractmethod
     def reduce(

@@ -512,15 +512,33 @@ class ContactIntervals:
         )
 
     def coverage_fractions(self, sat_indices=None) -> np.ndarray:
-        """Per-site covered fraction: the site-major events of the subset."""
-        sats = self._sat_array(sat_indices)
-        if sats.size == 0 or self.span_s == 0.0:
+        """Per-site covered fraction: the site-major events of the subset.
+
+        A ``(runs, k)`` index matrix is a batch of subsets: the result is
+        ``(runs, S)``, one sweep per row, row *i* equal bit for bit to the
+        call on row *i*.
+        """
+        if sat_indices is None:
+            return self._subset_coverage(None)
+        runs = kernels.checked_index_rows(
+            sat_indices, self.n_satellites, "satellite"
+        )
+        out = np.empty((runs.shape[0], self.n_sites))
+        for row, sats in zip(out, runs):
+            row[:] = self._subset_coverage(sats)
+        return out if np.ndim(sat_indices) == 2 else out[0]
+
+    def _subset_coverage(self, sats: Optional[np.ndarray]) -> np.ndarray:
+        """Covered fraction per site of checked indices (every satellite
+        for None)."""
+        size = self.n_satellites if sats is None else sats.size
+        if size == 0 or self.span_s == 0.0:
             return np.zeros(self.n_sites)
         events = self.event_index()
         times, deltas, groups = (
             events.site_times, events.site_deltas, events.site_groups
         )
-        if sat_indices is not None:
+        if sats is not None:
             member = np.zeros(self.n_satellites, dtype=bool)
             member[sats] = True
             # Positions, not a boolean mask: numpy gathers by position
@@ -540,10 +558,23 @@ class ContactIntervals:
         site-major events: each satellite is coded 0 (absent), 1
         (withdrawn) or 2 (kept).  The base sweeps the events coded ``> 0``
         and the kept tail the base events coded ``== 2``: the events, in
-        the order, that the separate calls keep.
+        the order, that the separate calls keep.  A ``(runs, k)`` matrix
+        of orders gives two ``(runs, S)`` arrays, one sweep pair per row.
         """
-        sats = self._sat_array(order)
-        split = kernels.checked_withdrawn(withdrawn, sats.size)
+        runs = kernels.checked_index_rows(order, self.n_satellites, "satellite")
+        split = kernels.checked_withdrawn(withdrawn, runs.shape[1])
+        base = np.empty((runs.shape[0], self.n_sites))
+        kept = np.empty_like(base)
+        for index, sats in enumerate(runs):
+            base[index], kept[index] = self._withdrawal(sats, split)
+        if np.ndim(order) == 2:
+            return base, kept
+        return base[0], kept[0]
+
+    def _withdrawal(
+        self, sats: np.ndarray, split: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`withdrawal_coverage` of one checked order."""
         if sats.size == 0 or self.span_s == 0.0:
             return np.zeros(self.n_sites), np.zeros(self.n_sites)
         code = np.zeros(self.n_satellites, dtype=np.int8)

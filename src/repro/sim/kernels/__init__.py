@@ -748,6 +748,21 @@ def checked_indices(indices, n: int, axis: str) -> np.ndarray:
     return ids
 
 
+def checked_index_rows(indices, n: int, axis: str) -> np.ndarray:
+    """Index rows as a 2-D intp array; IndexError unless each is in [0, n).
+
+    A ``(rows, k)`` matrix keeps its shape: one subset per row, the
+    batched form of a Monte-Carlo sweep point.  Any other input is
+    flattened into a single row, as :func:`checked_indices` reads it.
+    The whole matrix is checked at once.
+    """
+    ids = np.asarray(indices, dtype=np.intp)
+    if ids.ndim != 2:
+        ids = ids.reshape(1, -1)
+    checked_indices(ids, n, axis)
+    return ids
+
+
 def checked_withdrawn(withdrawn, n: int) -> int:
     """How many of n satellites withdraw, as an int; ValueError unless in [0, n].
 

@@ -235,8 +235,19 @@ def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _row_popcount(packed: np.ndarray) -> np.ndarray:
-    """Set bits per row of a (rows, B) uint8 array, as int64 counts."""
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    """Set bits per row of a (..., B) uint8 array, as int64 counts over
+    the last axis."""
+    return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
+
+
+#: Bytes of satellite rows one batched subset query gathers at a time.
+#: A block holds as many runs as fit (always at least one), so a batch
+#: of small subsets costs one gather per block while a run larger than
+#: the budget peaks exactly as a single-subset query does.  Sized so a
+#: block stays cache-resident while it is OR-ed: on a 2-CPU x86-64 host
+#: 128-512 KiB blocks were fastest, 1 MiB up to 10 % and 4 MiB up to
+#: 2x slower on small subsets.
+BATCH_GATHER_BYTES = 256 * 2**10
 
 
 def satellite_major(packed: np.ndarray) -> np.ndarray:
@@ -334,12 +345,21 @@ class PackedVisibility:
         return np.unpackbits(packed_or, axis=1)[:, : self.n_times].astype(bool)
 
     def coverage_fractions(self, sat_indices=None) -> np.ndarray:
-        """Covered fraction per site (S,) without unpacking full masks."""
-        rows = self._sat_rows(sat_indices)
-        if rows.shape[0] == 0:
-            return np.zeros(self.n_sites)
-        counts = or_popcount(rows, axis=0)
-        return counts / float(self.n_times)
+        """Covered fraction per site (S,) without unpacking full masks.
+
+        A ``(runs, k)`` index matrix is a batch of subsets: the result is
+        ``(runs, S)``, row *i* equal bit for bit to the call on row *i*.
+        """
+        if sat_indices is None:
+            if self.n_satellites == 0:
+                return np.zeros(self.n_sites)
+            return or_popcount(self.by_satellite, axis=0) / float(self.n_times)
+        runs = kernels.checked_index_rows(
+            sat_indices, self.n_satellites, "satellite"
+        )
+        counts, _ = self._subset_counts(runs, 0)
+        fractions = counts / float(self.n_times)
+        return fractions if np.ndim(sat_indices) == 2 else fractions[0]
 
     def withdrawal_coverage(
         self, order, withdrawn: int
@@ -350,15 +370,40 @@ class PackedVisibility:
         coverage_fractions(order[withdrawn:]))`` from one gather of
         ``order``'s rows: the withdrawn head and the kept tail are OR-ed
         separately and the base is their OR (OR is exact in any grouping;
-        an empty part ORs to zero bits).
+        an empty part ORs to zero bits).  A ``(runs, k)`` matrix of orders
+        gives two ``(runs, S)`` arrays, the first ``withdrawn`` of every
+        row withdrawing.
         """
-        sats = kernels.checked_indices(order, self.n_satellites, "satellite")
-        split = kernels.checked_withdrawn(withdrawn, sats.size)
-        rows = self.by_satellite[sats]
-        kept = np.bitwise_or.reduce(rows[split:], axis=0)
-        base = kept | np.bitwise_or.reduce(rows[:split], axis=0)
+        runs = kernels.checked_index_rows(order, self.n_satellites, "satellite")
+        split = kernels.checked_withdrawn(withdrawn, runs.shape[1])
+        base, kept = self._subset_counts(runs, split)
         n_times = float(self.n_times)
-        return _row_popcount(base) / n_times, _row_popcount(kept) / n_times
+        if np.ndim(order) == 2:
+            return base / n_times, kept / n_times
+        return base[0] / n_times, kept[0] / n_times
+
+    def _subset_counts(
+        self, runs: np.ndarray, split: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Covered-sample counts (runs, S) of each checked row and of the
+        row's tail ``[split:]``; one array twice when ``split`` is 0.
+
+        Runs are gathered in blocks of :data:`BATCH_GATHER_BYTES`; each
+        block is OR-ed over its subset axis and popcounted per row.
+        """
+        n_runs, k = runs.shape
+        kept = np.empty((n_runs, self.n_sites), dtype=np.int64)
+        base = np.empty_like(kept) if split else kept
+        run_bytes = max(k * self.n_sites * self.by_satellite.shape[2], 1)
+        block = max(1, BATCH_GATHER_BYTES // run_bytes)
+        for start in range(0, n_runs, block):
+            rows = self.by_satellite[runs[start : start + block]]
+            ored = np.bitwise_or.reduce(rows[:, split:], axis=1)
+            kept[start : start + block] = _row_popcount(ored)
+            if split:
+                ored |= np.bitwise_or.reduce(rows[:, :split], axis=1)
+                base[start : start + block] = _row_popcount(ored)
+        return base, kept
 
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None

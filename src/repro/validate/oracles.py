@@ -18,7 +18,9 @@ depend on against an independent formulation of the same physics:
 * :func:`check_packed_agreement` — every reduction of
   :class:`~repro.sim.visibility.PackedVisibility` (site masks, coverage
   fractions, satellite activity, with and without satellite/site subset
-  restrictions) against plain boolean reductions of the unpacked tensor.
+  restrictions, and the batched ``(runs, k)`` coverage and withdrawal
+  queries row by row) against plain boolean reductions of the unpacked
+  tensor.
   Bit packing is lossless, so agreement is exact, not approximate.
 * :func:`check_fused_agreement` — the streaming kernels of
   :mod:`repro.sim.kernels` (float32 screen with exact near-threshold
@@ -273,6 +275,41 @@ def _unpacked_reductions_match(
     return mismatches
 
 
+def _batched_reductions_match(
+    packed, visible: np.ndarray, orders: np.ndarray
+) -> List[str]:
+    """Names of batched queries whose row *i* disagrees with the boolean
+    reduction of ``orders[i]``.
+
+    ``orders`` is a ``(runs, k)`` matrix: ``coverage_fractions`` answers
+    with one row per order, ``withdrawal_coverage`` with one row per
+    order and per part (whole order, kept tail).
+    """
+
+    def expected(sats: np.ndarray) -> np.ndarray:
+        if sats.size == 0:
+            return np.zeros(visible.shape[0])
+        return visible[:, sats].any(axis=1).mean(axis=1)
+
+    mismatches = []
+    covered = packed.coverage_fractions(orders)
+    for index, order in enumerate(orders):
+        if not np.array_equal(covered[index], expected(order)):
+            mismatches.append(f"coverage_fractions[row={index}]")
+    k = orders.shape[1]
+    for withdrawn in sorted({0, k // 2, k}):
+        base, kept = packed.withdrawal_coverage(orders, withdrawn)
+        for index, order in enumerate(orders):
+            if not (
+                np.array_equal(base[index], expected(order))
+                and np.array_equal(kept[index], expected(order[withdrawn:]))
+            ):
+                mismatches.append(
+                    f"withdrawal_coverage[withdrawn={withdrawn}, row={index}]"
+                )
+    return mismatches
+
+
 def check_packed_agreement(
     seed: int,
     n_satellites: int = 40,
@@ -321,11 +358,21 @@ def check_packed_agreement(
             site_count = "all" if site_indices is None else len(site_indices)
             mismatched.append(f"{name} (sats={sat_count}, sites={site_count})")
 
+    # The batched form: one random order per row, every row checked.
+    orders = np.stack([
+        rng.permutation(n_satellites)[: max(n_satellites // 2, 1)]
+        for _ in range(n_subsets)
+    ])
+    mismatched.extend(
+        f"batched {name}" for name in _batched_reductions_match(packed, visible, orders)
+    )
+
     details = {
         "sites": n_sites,
         "satellites": n_satellites,
         "samples": int(grid.count),
         "selections": len(selections),
+        "batched_rows": int(orders.shape[0]),
         "mismatches": mismatched,
     }
     if mismatched:

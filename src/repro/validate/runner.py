@@ -244,6 +244,7 @@ def _summarize_details(check: CheckResult) -> str:
     if check.name == "oracle.packed" and "selections" in details:
         return (
             f"{details['selections']} selections, "
+            f"{details.get('batched_rows', 0)} batched rows, "
             f"{len(details.get('mismatches', []))} mismatches"
         )
     if check.name == "oracle.fused" and "culled_pairs" in details:

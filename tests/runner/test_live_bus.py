@@ -86,6 +86,9 @@ class TestLiveSerial:
             (point, run) for point in range(3) for run in range(CONFIG.runs)
         ]
         assert all(p["wall_s"] >= 0.0 for p in finished)
+        # One batch per point: its runs share the point's mean wall time.
+        for point in range(3):
+            assert len({p["wall_s"] for p in finished if p["point_index"] == point}) == 1
 
     def test_live_status_renders_progress_lines(self):
         stream = io.StringIO()

@@ -123,12 +123,23 @@ class TestOrderIndependence:
 
 
 class TestTelemetry:
-    def test_records_one_span_per_run(self):
-        name = "runner.run.toy"
+    def test_records_one_span_per_point(self):
+        name = "runner.point.toy"
         before = obs_trace.stats().get(name, {}).get("count", 0)
         run_scenario(ToyScenario(), CONFIG, context=ExperimentContext())
         after = obs_trace.stats()[name]["count"]
-        assert after - before == 3 * CONFIG.runs
+        assert after - before == 3
+
+    def test_more_runs_than_span_records_drops_none(self):
+        """Spans scale with points, not runs: a sweep with more runs than
+        the tracer keeps records for still drops none."""
+        obs_trace.TRACER.reset()
+        config = ExperimentConfig(
+            runs=obs_trace.MAX_RECORDS + 1, step_s=900.0, seed=7
+        )
+        run_scenario(ToyScenario(points=(10,)), config, context=ExperimentContext())
+        assert obs_trace.TRACER.dropped_records == 0
+        assert obs_trace.stats()["runner.point.toy"]["count"] == 1
 
     def test_timeline_events_in_point_run_order(self):
         obs_timeline.reset()

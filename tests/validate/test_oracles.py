@@ -96,6 +96,7 @@ class TestPackedOracle:
         assert check.ok, check.details
         # (None, None) + three empty-selection spellings + 3 * n_subsets.
         assert check.details["selections"] == 13
+        assert check.details["batched_rows"] == 3
         assert check.details["mismatches"] == []
 
     def test_reduction_reference_catches_corruption(self):
@@ -112,6 +113,25 @@ class TestPackedOracle:
         packed.packed[0, 0, 0] ^= 0x80  # Flip the first sample's bit.
         mismatches = oracles._unpacked_reductions_match(packed, visible, None, None)
         assert mismatches
+
+    def test_batched_reference_catches_corruption(self):
+        """A flipped bit of a satellite in one row of a batched query
+        surfaces as that row's mismatch."""
+        rng = gen.trial_rng(13, 3)
+        elements = gen.random_elements(rng, 6, max_eccentricity=0.0)
+        sites = gen.random_sites(rng, 3)
+        grid = gen.random_grid(rng, min_samples=32, max_samples=64)
+
+        from repro.sim.visibility import VisibilityEngine, packed_visibility
+
+        visible = VisibilityEngine(grid).visibility(elements, sites)
+        packed = packed_visibility(elements, sites, grid)
+        orders = np.array([[0, 1, 2], [3, 4, 5]])
+        assert oracles._batched_reductions_match(packed, visible, orders) == []
+        packed.packed[0, 4, 0] ^= 0x80  # Flip satellite 4's first bit.
+        mismatches = oracles._batched_reductions_match(packed, visible, orders)
+        assert "coverage_fractions[row=1]" in mismatches
+        assert "coverage_fractions[row=0]" not in mismatches
 
 
 class TestGenerators:
