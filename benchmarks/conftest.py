@@ -9,56 +9,23 @@ The expensive artifact — packed visibility of the full synthetic Starlink
 pool at the 22 experiment sites over one week — is built once per session
 and shared by every benchmark through :mod:`repro.experiments.common`'s
 module-level cache; each ``benchmark()`` measurement therefore times the
-figure's analysis, not the shared propagation.  The build itself is
-recorded as its own ``setup_pool_visibility`` entry.
+figure's analysis, not the shared propagation.
 
-At session end the harness writes a benchmark record (by default
-``benchmarks/BENCH_PR10.json``; override with the ``REPRO_BENCH_OUT`` env
-var): per-figure wall-clock, the observability layer's span aggregates
-(propagation / visibility / analysis phases), and the full metrics
-snapshot.  The committed ``BENCH_PR*.json`` records are the repo's perf
-trajectory — diff a fresh record against one with
-``python -m repro bench-compare``.
+The session writes no record file.  The repo's cold, repeated timing of
+every figure is ``coldbench/`` (its ``result.json``); compare two of those
+with ``python -m repro obs diff A/result.json B/result.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-import time
-from pathlib import Path
-from typing import Dict
-
 import pytest
 
 from repro.experiments.common import ExperimentConfig
-from repro.obs import metrics as obs_metrics
-from repro.obs import timeline as obs_timeline
-from repro.obs import trace as obs_trace
 
 #: The configuration every figure benchmark runs at.  The paper uses 100
 #: Monte-Carlo runs; 20 runs at 120 s steps reproduces every figure shape in
 #: minutes of wall clock (EXPERIMENTS.md records the resulting numbers).
 BENCH_CONFIG = ExperimentConfig(runs=20, step_s=120.0, seed=2024)
-
-#: Where the machine-readable benchmark record lands.  CI's bench-smoke job
-#: points REPRO_BENCH_OUT elsewhere so the committed records stay put.
-#: BENCH_PR1.json is the frozen pre-runner baseline; BENCH_PR3.json is the
-#: unified-runner record; BENCH_PR5.json the streaming-kernel record;
-#: BENCH_PR8.json the analytic-contact-intervals record; BENCH_PR10.json
-#: is the current record (subset-query kernels).
-BENCH_REPORT_PATH = Path(
-    os.environ.get("REPRO_BENCH_OUT", Path(__file__).parent / "BENCH_PR10.json")
-)
-
-#: Per-test wall-clock, filled by the autouse timer fixture.
-_TEST_SECONDS: Dict[str, float] = {}
-
-#: Extra per-test measurements (e.g. peak traced MiB) merged into the
-#: record's figure entries alongside wall_s.
-_TEST_EXTRAS: Dict[str, Dict[str, float]] = {}
 
 
 @pytest.fixture
@@ -85,89 +52,7 @@ def bench_config() -> ExperimentConfig:
 
 @pytest.fixture(scope="session")
 def shared_pool_visibility(bench_config):
-    """Build the pool visibility once, outside every figure's timed region.
-
-    The build is the session's largest single cost, so it gets its own
-    ``setup_pool_visibility`` record entry instead of vanishing.
-    """
+    """Build the pool visibility once, before any figure's timed region."""
     from repro.experiments.common import pool_visibility
 
-    start = time.perf_counter()
-    visibility = pool_visibility(bench_config)
-    _TEST_SECONDS["setup_pool_visibility"] = time.perf_counter() - start
-    return visibility
-
-
-@pytest.fixture(autouse=True)
-def _time_benchmark(request):
-    """Record each benchmark's wall clock for the session perf report.
-
-    ``setdefault`` so a test that measured a more precise interval itself
-    (via :func:`record_wall`) keeps its own number.
-    """
-    start = time.perf_counter()
-    yield
-    _TEST_SECONDS.setdefault(request.node.name, time.perf_counter() - start)
-
-
-@pytest.fixture
-def record_wall(request):
-    """Record an explicitly measured wall time for this benchmark's entry
-    (e.g. the part of a test that excludes its own setup)."""
-
-    def _record(seconds: float) -> None:
-        _TEST_SECONDS[request.node.name] = seconds
-
-    return _record
-
-
-@pytest.fixture
-def record_extra(request):
-    """Attach extra numeric measurements to this benchmark's record entry
-    (merged next to ``wall_s`` — e.g. ``peak_mib``, ``contacts``)."""
-
-    def _record(**values: float) -> None:
-        _TEST_EXTRAS.setdefault(request.node.name, {}).update(
-            {key: float(value) for key, value in values.items()}
-        )
-
-    return _record
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the benchmark record: per-figure timings + span aggregates."""
-    if not _TEST_SECONDS:
-        return  # Collection-only / empty runs leave no record to write.
-    record = {
-        "schema": 2,
-        "config": {
-            "runs": BENCH_CONFIG.runs,
-            "step_s": BENCH_CONFIG.step_s,
-            "seed": BENCH_CONFIG.seed,
-            "min_elevation_deg": BENCH_CONFIG.min_elevation_deg,
-            "duration_s": BENCH_CONFIG.duration_s,
-        },
-        "exit_status": int(exitstatus),
-        "figures": {
-            name: {"wall_s": seconds, **_TEST_EXTRAS.get(name, {})}
-            for name, seconds in sorted(_TEST_SECONDS.items())
-        },
-        "span_stats": obs_trace.stats(),
-        "metrics": obs_metrics.snapshot(),
-        "dropped": {
-            "spans": obs_trace.TRACER.dropped_records,
-            "timeline_events": obs_timeline.TIMELINE.dropped,
-        },
-        "memory": obs_trace.TRACER.memory_summary(),
-        "meta": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            # Records from hosts with different core counts are not
-            # wall-clock comparable (bench-compare --report-only exists
-            # for exactly that); the count makes the skew diagnosable.
-            "cpus": os.cpu_count(),
-            "created_unix": time.time(),
-        },
-    }
-    BENCH_REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    BENCH_REPORT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    return pool_visibility(bench_config)

@@ -3,7 +3,7 @@
 Runs the :mod:`examples.megaconstellation` workload at full size: 7644
 satellites (Starlink Gen1 + Kuiper), all 22 experiment sites, three
 simulated days.  The dense tensor at this scale would be ~700 M boolean
-elements; the interval engine never allocates it — the benchmark records
+elements; the interval engine never allocates it — the benchmark prints
 wall clock and the tracemalloc peak alongside the contact count, and
 gates that the peak stays an order of magnitude under the dense tensor.
 """
@@ -25,20 +25,11 @@ def _load_example():
     return module
 
 
-def test_megaconstellation_intervals(report, record_wall, record_extra):
+def test_megaconstellation_intervals(report):
     example = _load_example()
+    # The example times the engine itself (tracemalloc included), not the
+    # constellation-construction overhead around it.
     result = example.run_megaconstellation(days=3.0)
-
-    # The example times the engine itself (tracemalloc included); record
-    # that interval, not the constellation-construction overhead around it.
-    record_wall(result["wall_s"])
-    record_extra(
-        peak_mib=result["peak_mib"],
-        contacts=result["contacts"],
-        satellites=result["satellites"],
-        intervals_mib=result["intervals_mib"],
-        dense_tensor_mib=result["dense_tensor_mib"],
-    )
 
     series = Series(
         "Megaconstellation: 7644 sats x 22 sites x 3 days (intervals)",

@@ -135,7 +135,7 @@ def test_streaming_memory_ceiling(bench_config, report):
     )
 
 
-def test_cold_build_peak_rss(bench_config, report, record_extra):
+def test_cold_build_peak_rss(bench_config, report):
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -158,7 +158,6 @@ def test_cold_build_peak_rss(bench_config, report, record_extra):
     )
     series.add_point("packed_visibility", peak_mib)
     report(series)
-    record_extra(peak_rss_mib=peak_mib)
 
     assert peak_mib < MAX_BUILD_RSS_MIB, (
         f"cold build peaked at {peak_mib:.0f} MiB RSS, over the "

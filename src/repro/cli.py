@@ -22,18 +22,15 @@ stderr while the experiment runs, fed by the telemetry bus
 ``--metrics-out`` from the JSON run report to the OpenMetrics text
 exposition (:mod:`repro.obs.expose`).
 
-Beyond the figures there are three utility subcommands::
+Beyond the figures there are two utility subcommands::
 
-    python -m repro bench-compare BENCH_A.json BENCH_B.json [--threshold 1.25]
-    python -m repro bench-compare --history BENCH_PR1.json BENCH_PR3.json ...
     python -m repro obs diff A.json B.json
     python -m repro validate [--quick|--full] [--update-goldens] [--report FILE]
 
-``bench-compare`` diffs two benchmark records (see benchmarks/) and exits
-non-zero on a wall-clock regression past the threshold; with ``--history``
-it renders a chain of records as a per-figure wall-time trajectory table
-instead.  ``obs diff`` compares two ``--metrics-out`` run reports (spans,
-counters, cache/cull ratios, timeline drops; see :mod:`repro.obs.diff`).
+``obs diff`` is the one comparison tool: it compares two ``--metrics-out``
+run reports (spans, counters, cache/cull ratios, timeline drops) or two
+``coldbench/`` ``result.json`` records (per-workload medians with q1-q3,
+layer metrics, failed operations; see :mod:`repro.obs.diff`).
 ``validate`` runs the differential oracle suite, the seeded property-fuzz
 harness, and the golden-figure regression gates (see :mod:`repro.validate`),
 exiting non-zero on any red check; ``--report`` writes the schema'd
@@ -252,15 +249,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n{hint}\n")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (``--runs``, ``--chunk-size``)."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for flags that must be >= 1 (``--runs``, ``--chunk-size``)."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for ``--seed``: numpy seeds must be >= 0."""
+    return _int_at_least(text, 0)
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -274,7 +280,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="time step in seconds (default: 300)",
     )
     parser.add_argument(
-        "--seed", type=int, default=2024, help="random seed (default: 2024)"
+        "--seed", type=_non_negative_int, default=2024,
+        help="random seed, >= 0 (default: 2024)",
     )
     parser.add_argument(
         "--duration", type=float, default=WEEK_S, metavar="SECONDS",
@@ -360,38 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     all_sub = subparsers.add_parser("all", help="run every experiment")
     _add_common_arguments(all_sub)
 
-    bench = subparsers.add_parser(
-        "bench-compare",
-        help="diff two benchmark records and flag wall-clock regressions",
-    )
-    bench.add_argument("bench_a", metavar="BENCH_A.json",
-                       help="baseline benchmark record")
-    bench.add_argument("bench_b", metavar="BENCH_B.json",
-                       help="candidate benchmark record")
-    bench.add_argument(
-        "bench_more", metavar="BENCH_N.json", nargs="*",
-        help="further records for --history (chronological order)",
-    )
-    bench.add_argument(
-        "--history", action="store_true",
-        help="render all records as a per-figure wall-time trajectory "
-        "table (informational, exits 0) instead of the pairwise gate",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=1.25, metavar="RATIO",
-        help="fail when a figure's wall-clock ratio (new/base) exceeds "
-        "this (default: 1.25)",
-    )
-    bench.add_argument(
-        "--min-wall-s", type=float, default=0.01, metavar="SECONDS",
-        help="ignore figures faster than this in the candidate record "
-        "(default: 0.01)",
-    )
-    bench.add_argument(
-        "--report-only", action="store_true",
-        help="print the comparison but always exit 0",
-    )
-
     obs = subparsers.add_parser(
         "obs", help="observability tooling over run-report artifacts"
     )
@@ -399,12 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff = obs_sub.add_parser(
         "diff",
         help="compare two --metrics-out run reports (spans, counters, "
-        "cache/cull ratios, timeline drops)",
+        "cache/cull ratios, timeline drops) or two coldbench result.json "
+        "records (medians with q1-q3, layer metrics, failed operations)",
     )
     obs_diff.add_argument("report_a", metavar="A.json",
-                          help="baseline run report")
+                          help="baseline run report or result.json")
     obs_diff.add_argument("report_b", metavar="B.json",
-                          help="comparison run report")
+                          help="comparison run report or result.json")
 
     validate = subparsers.add_parser(
         "validate",
@@ -426,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(review the JSON diff before committing)",
     )
     validate.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="root seed of the oracle/fuzz streams (default: 2024; the "
+        "--seed", type=_non_negative_int, default=None, metavar="N",
+        help="root seed of the oracle/fuzz streams, >= 0 (default: 2024; the "
         "goldens always use their own committed configuration)",
     )
     validate.add_argument(
@@ -483,7 +459,8 @@ def _run_list() -> int:
         print(f"  {flag:14s}{description}")
     print()
     print(
-        "utility subcommands: bench-compare (perf gate), "
+        "utility subcommands: obs diff A.json B.json (compare two run "
+        "reports or two coldbench result.json records), "
         "validate --quick|--full [--update-goldens] (correctness gate)"
     )
     return 0
@@ -497,31 +474,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "list":
         return _run_list()
 
-    if args.command == "bench-compare":
-        from repro.obs.bench import run_bench_compare, run_bench_history
-
-        configure_logging(getattr(args, "log_level", None))
-        if args.history:
-            return run_bench_history(
-                [args.bench_a, args.bench_b] + list(args.bench_more)
-            )
-        if args.bench_more:
-            parser.error(
-                "bench-compare takes exactly two records unless --history"
-            )
-        return run_bench_compare(
-            args.bench_a,
-            args.bench_b,
-            threshold=args.threshold,
-            min_wall_s=args.min_wall_s,
-            report_only=args.report_only,
-        )
-
     if args.command == "obs":
-        from repro.obs.diff import run_obs_diff
+        from repro.obs.diff import DiffInputError, run_obs_diff
 
         configure_logging(getattr(args, "log_level", None))
-        return run_obs_diff(args.report_a, args.report_b)
+        try:
+            return run_obs_diff(args.report_a, args.report_b)
+        except DiffInputError as error:
+            parser.error(str(error))
 
     if args.command == "validate":
         configure_logging(args.log_level)

@@ -1,6 +1,6 @@
 """repro.obs — the observability layer: logging, metrics, traces, timeline.
 
-Ten stdlib-only pieces, threaded through every package of the simulator:
+Nine stdlib-only pieces, threaded through every package of the simulator:
 
 * :mod:`repro.obs.log` — run-scoped structured logging under the
   ``repro.*`` hierarchy (``--log-level`` / ``REPRO_LOG``).
@@ -16,15 +16,13 @@ Ten stdlib-only pieces, threaded through every package of the simulator:
   (``--trace-out``): spans + timeline as Perfetto-loadable tracks.
 * :mod:`repro.obs.report` — the JSON run-report writer (``--metrics-out``)
   serializing spans, metrics, timeline, memory, config, and seed.
-* :mod:`repro.obs.bench` — the benchmark comparison tool / perf-regression
-  gate (``python -m repro bench-compare``), plus the ``--history``
-  trajectory table over a chain of bench records.
 * :mod:`repro.obs.bus` — the live telemetry bus (``--live-status``):
   streaming scenario/run frames and ETA rendering.
 * :mod:`repro.obs.expose` — OpenMetrics text exposition of the metrics
   registry (``--metrics-format openmetrics``).
-* :mod:`repro.obs.diff` — run-report comparison
-  (``python -m repro obs diff A.json B.json``).
+* :mod:`repro.obs.diff` — the one comparison tool
+  (``python -m repro obs diff A.json B.json``): two run reports, or two
+  ``coldbench/`` ``result.json`` records.
 """
 
 from repro.obs.bus import (

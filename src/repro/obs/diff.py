@@ -1,26 +1,40 @@
-"""Run-report diff tooling: ``python -m repro obs diff A.json B.json``.
+"""The one comparison tool: ``python -m repro obs diff A.json B.json``.
 
-Two ``--metrics-out`` files in, one comparison out: per-span wall-clock
-movement, counter deltas, derived cache/cull ratios, and timeline drop
-accounting — so "the cache made fig2 3x faster" is a rendered table over
-two committed artifacts instead of a memory.  Reports of any supported
-schema are accepted (:func:`repro.obs.report.upgrade_report` runs first),
-so a schema-2 baseline diffs cleanly against a schema-3 run.
+Two files of one kind in, one comparison out.  Two ``--metrics-out`` run
+reports (any supported schema; :func:`repro.obs.report.upgrade_report`
+runs first) give per-span wall-clock movement, counter deltas, derived
+cache/cull ratios and timeline drop accounting.  Two ``coldbench/``
+``result.json`` records (schema 1, recognized by their top-level
+``workloads``) give, per workload, each end-to-end metric's median with
+its q1-q3 spread, the layer metrics and failed out of attempted
+operations, plus one warning line when ``cpus``, ``thread_env`` or
+``seed`` in their ``meta`` differ.
 
-Purely informational: unlike ``bench-compare`` (the perf gate), ``obs
-diff`` always exits 0.
+Purely informational: no threshold, no gate; every valid pair exits 0.
+Inputs that cannot be read or compared raise :class:`DiffInputError`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.report import load_run_report, upgrade_report
+from repro.obs.report import upgrade_report
 
 #: Span rows and counter rows below this relative change are elided from
 #: the rendered tables (the structured diff always carries everything).
 RENDER_MIN_REL_CHANGE = 0.01
+
+#: The ``coldbench/`` ``result.json`` schema this module reads.
+RESULT_SCHEMA = 1
+
+#: ``meta`` keys that must be equal for two results' medians to compare.
+COMPARABLE_META = ("cpus", "thread_env", "seed")
+
+
+class DiffInputError(ValueError):
+    """An input that cannot be read, or two inputs of different kinds."""
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,14 @@ class DiffRow:
     def rel_change(self) -> Optional[float]:
         ratio = self.ratio
         return None if ratio is None else abs(ratio - 1.0)
+
+
+@dataclass(frozen=True)
+class MetricRow(DiffRow):
+    """A repeated end-to-end metric: medians compared, quartiles carried."""
+
+    iqr_a: Optional[Tuple[float, float]] = None
+    iqr_b: Optional[Tuple[float, float]] = None
 
 
 def _rows(
@@ -209,21 +231,180 @@ def render_diff(diff: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def load_document(path: str) -> Dict[str, Any]:
+    """Read a ``result.json`` record as written, or a run report upgraded
+    to the current schema.
+
+    Raises:
+        DiffInputError: Naming ``path``, when it cannot be read, is not a
+            JSON object, or has an unsupported schema.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as error:
+        raise DiffInputError(f"cannot read {path}: {error.strerror or error}") from error
+    except ValueError as error:
+        raise DiffInputError(f"{path} is not JSON: {error}") from error
+    try:
+        if not isinstance(document, dict):
+            raise ValueError("not a JSON object")
+        if "workloads" not in document:
+            return upgrade_report(document)
+        if document.get("schema") != RESULT_SCHEMA:
+            raise ValueError(
+                f"unsupported result schema {document.get('schema')!r} "
+                f"(supported: {RESULT_SCHEMA})"
+            )
+        return document
+    except ValueError as error:
+        raise DiffInputError(f"{path}: {error}") from error
+
+
+def _union(*groups: Iterable[str]) -> List[str]:
+    """Keys of every group in first-seen (document) order."""
+    return list(dict.fromkeys(key for group in groups for key in group))
+
+
+def _median_iqr(
+    stats: Optional[Dict[str, Any]],
+) -> Tuple[Optional[float], Optional[Tuple[float, float]]]:
+    if stats is None:
+        return None, None
+    return float(stats["median"]), (float(stats["q1"]), float(stats["q3"]))
+
+
+def _workload_diff(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
+    """One workload's rows; ``{}`` stands for the record that lacks it."""
+    metrics_a, metrics_b = a.get("metrics", {}), b.get("metrics", {})
+    layers_a, layers_b = a.get("layers", {}), b.get("layers", {})
+    metric_rows = []
+    for name in _union(metrics_a, metrics_b):
+        median_a, iqr_a = _median_iqr(metrics_a.get(name))
+        median_b, iqr_b = _median_iqr(metrics_b.get(name))
+        metric_rows.append(MetricRow(name, median_a, median_b, iqr_a, iqr_b))
+    return {
+        "only_in": None if a and b else ("A" if a else "B"),
+        "metrics": metric_rows,
+        "layers": [
+            DiffRow(
+                name,
+                *(layers[name]["value"] if name in layers else None
+                  for layers in (layers_a, layers_b)),
+            )
+            for name in _union(layers_a, layers_b)
+        ],
+        "ops": tuple(
+            (side["ops"]["failed"], side["ops"]["attempted"]) if side else None
+            for side in (a, b)
+        ),
+    }
+
+
+def diff_results(
+    result_a: Dict[str, Any], result_b: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Structured comparison of two ``result.json`` records.  Every
+    workload of either record is listed, ``None`` on the side lacking it."""
+    meta_a, meta_b = result_a.get("meta", {}), result_b.get("meta", {})
+    workloads_a, workloads_b = result_a["workloads"], result_b["workloads"]
+    return {
+        "heads": (meta_a.get("git_head"), meta_b.get("git_head")),
+        "meta_mismatches": [
+            (key, meta_a.get(key), meta_b.get(key))
+            for key in COMPARABLE_META
+            if meta_a.get(key) != meta_b.get(key)
+        ],
+        "workloads": {
+            name: _workload_diff(workloads_a.get(name, {}), workloads_b.get(name, {}))
+            for name in _union(workloads_a, workloads_b)
+        },
+    }
+
+
+def _meta_value(value: Any) -> str:
+    if isinstance(value, dict):
+        return ",".join(f"{key}={value[key]}" for key in sorted(value))
+    return str(value)
+
+
+def _format_metric(median: Optional[float], iqr: Optional[Tuple[float, float]]) -> str:
+    if median is None or iqr is None:
+        return "-"
+    return f"{_format(median)} [{_format(iqr[0])}-{_format(iqr[1])}]"
+
+
+def render_result_diff(diff: Dict[str, Any]) -> str:
+    """A human-readable per-workload diff of two ``result.json`` records."""
+    head_a, head_b = ((head or "?")[:12] for head in diff["heads"])
+    lines = [f"coldbench diff: {head_a} vs {head_b}"]
+    if diff["meta_mismatches"]:
+        differences = "; ".join(
+            f"{key} {_meta_value(a)} vs {_meta_value(b)}"
+            for key, a, b in diff["meta_mismatches"]
+        )
+        lines.append(f"  warning: medians not comparable, meta differs: {differences}")
+    for name, workload in diff["workloads"].items():
+        only_in = workload["only_in"]
+        lines.append(f"workload {name}" + (f" (only in {only_in}):" if only_in else ":"))
+        cells = [
+            (
+                row.name,
+                _format_metric(row.a, row.iqr_a),
+                _format_metric(row.b, row.iqr_b),
+                f"  x{row.ratio:.2f}" if row.ratio is not None else "",
+            )
+            for row in workload["metrics"]
+        ]
+        if cells:
+            lines.append("  metrics (median [q1-q3]):")
+            widths = [max(len(cell[i]) for cell in cells) for i in range(3)]
+            for metric, a, b, ratio in cells:
+                lines.append(
+                    f"    {metric.ljust(widths[0])}  {a.rjust(widths[1])} -> "
+                    f"{b.rjust(widths[2])}{ratio}"
+                )
+        layer_lines: List[str] = []
+        _render_rows("layers:", workload["layers"], layer_lines)
+        lines.extend("  " + line for line in layer_lines)
+        ops = ["-" if side is None else "%d/%d" % side for side in workload["ops"]]
+        lines.append(f"  ops failed: {ops[0]} -> {ops[1]}")
+    return "\n".join(lines)
+
+
 def run_obs_diff(
     path_a: str,
     path_b: str,
     print_fn: Callable[[str], None] = print,
 ) -> int:
-    """CLI entry: load, diff, render.  Always exits 0 (informational)."""
-    diff = diff_reports(load_run_report(path_a), load_run_report(path_b))
-    print_fn(render_diff(diff))
+    """CLI entry: load, diff, render.  Always returns 0 (informational).
+
+    Raises:
+        DiffInputError: A file cannot be read (see :func:`load_document`),
+            or one is a run report and the other a ``result.json`` record.
+    """
+    document_a, document_b = load_document(path_a), load_document(path_b)
+    if ("workloads" in document_a) != ("workloads" in document_b):
+        result = path_a if "workloads" in document_a else path_b
+        raise DiffInputError(
+            f"cannot diff a coldbench result ({result}) against a run report"
+        )
+    if "workloads" in document_a:
+        print_fn(render_result_diff(diff_results(document_a, document_b)))
+    else:
+        print_fn(render_diff(diff_reports(document_a, document_b)))
     return 0
 
 
 __all__: Tuple[str, ...] = (
+    "DiffInputError",
     "DiffRow",
+    "MetricRow",
     "derived_ratios",
     "diff_reports",
+    "diff_results",
+    "load_document",
     "render_diff",
+    "render_result_diff",
     "run_obs_diff",
 )

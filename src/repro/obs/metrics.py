@@ -115,8 +115,8 @@ def percentile_from_counts(
     """Percentile estimate from histogram buckets (linear interpolation).
 
     Works directly on the ``buckets``/``counts`` lists a snapshot or a JSON
-    run report carries, so ``bench-compare`` can quote p50/p95/p99 span
-    durations without the live :class:`Histogram` objects.
+    run report carries, so p50/p95/p99 span durations can be read back from
+    a report without the live :class:`Histogram` objects.
 
     Observations are assumed non-negative (bucket 0 spans ``(0, buckets[0]]``)
     — true for the duration/size histograms this registry holds.  Ranks that

@@ -21,9 +21,8 @@ Two optional extras on top of the timers:
   nesting: an inner span's peak also counts toward its enclosing spans.
 * **Duration histograms** — the process-global :data:`TRACER` additionally
   feeds each span's duration into a ``trace.span_seconds.<name>`` histogram
-  on the default metrics registry, so run reports and benchmark records
-  carry full duration *distributions* (p50/p95/p99 in ``bench-compare``),
-  not just min/max.
+  on the default metrics registry, so run reports carry full duration
+  *distributions* (p50/p95/p99), not just min/max.
 
 Everything is stdlib-only and cheap enough for per-chunk instrumentation:
 one ``perf_counter`` pair plus a couple of dict operations per span.
