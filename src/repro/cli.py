@@ -467,7 +467,25 @@ def _run_list() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A reader that closes stdout early (``python -m repro list | head -1``)
+    ends the run quietly with status 1, without a traceback.
+    """
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # Raise a closed pipe here, not at exit.
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull: the interpreter's final flush of what
+        # is still buffered would otherwise raise again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 

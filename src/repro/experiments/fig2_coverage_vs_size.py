@@ -146,16 +146,21 @@ def _narrate_run(visibility, indices, mask, grid, pool) -> None:
 
     Gap open/close events come from the union Taipei mask; contact windows
     come from the first :data:`MAX_TRACED_SATELLITES` satellites of the
-    sampled subset that are ever visible from Taipei.
+    sampled subset that are ever visible from Taipei.  Those are found
+    from the packed bytes (padding bits are zero, so a row has a set bit
+    exactly when the satellite is visible at some sample), and only
+    their rows are unpacked: a 2 000-satellite subset's masks are ~10 MB.
     """
     site_name = ALL_SITES[TAIPEI_INDEX].name
     gap_timeline_events(mask, grid.step_s, site=site_name)
-    sat_masks = visibility.satellite_masks(indices, [TAIPEI_INDEX])
-    active = np.flatnonzero(sat_masks.any(axis=1))[:MAX_TRACED_SATELLITES]
+    rows = visibility.by_satellite[indices, TAIPEI_INDEX]  # (n, B) packed
+    active = np.flatnonzero(rows.any(axis=1))[:MAX_TRACED_SATELLITES]
     if active.size == 0:
         return
-    sat_ids = [pool[int(indices[row])].sat_id for row in active]
-    contact_events(sat_masks[active][None, :, :], [site_name], sat_ids, grid)
+    traced = indices[active]
+    sat_masks = visibility.satellite_masks(traced, [TAIPEI_INDEX])
+    sat_ids = [pool[int(sat)].sat_id for sat in traced]
+    contact_events(sat_masks[None, :, :], [site_name], sat_ids, grid)
 
 
 def _narrate_run_intervals(

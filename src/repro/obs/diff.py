@@ -6,9 +6,11 @@ runs first) give per-span wall-clock movement, counter deltas, derived
 cache/cull ratios and timeline drop accounting.  Two ``coldbench/``
 ``result.json`` records (schema 1, recognized by their top-level
 ``workloads``) give, per workload, each end-to-end metric's median with
-its q1-q3 spread, the layer metrics and failed out of attempted
-operations, plus one warning line when ``cpus``, ``thread_env`` or
-``seed`` in their ``meta`` differ.
+its q1-q3 spread and sample count, the ratio of the medians (marked when
+the two q1-q3 ranges overlap, so the ratio is within the runs' own
+spread), the layer metrics and failed out of attempted operations, plus
+one warning line when ``cpus``, ``thread_env`` or ``seed`` in their
+``meta`` differ.
 
 Purely informational: no threshold, no gate; every valid pair exits 0.
 Inputs that cannot be read or compared raise :class:`DiffInputError`.
@@ -65,10 +67,23 @@ class DiffRow:
 
 @dataclass(frozen=True)
 class MetricRow(DiffRow):
-    """A repeated end-to-end metric: medians compared, quartiles carried."""
+    """A repeated end-to-end metric: medians compared, quartiles and
+    sample counts carried."""
 
     iqr_a: Optional[Tuple[float, float]] = None
     iqr_b: Optional[Tuple[float, float]] = None
+    n_a: Optional[int] = None
+    n_b: Optional[int] = None
+
+    @property
+    def iqrs_overlap(self) -> Optional[bool]:
+        """Whether the two q1-q3 ranges share a value (None without both).
+
+        Overlapping ranges mean the medians' ratio is within the runs'
+        own spread: no evidence of a change at these sample counts."""
+        if self.iqr_a is None or self.iqr_b is None:
+            return None
+        return self.iqr_a[0] <= self.iqr_b[1] and self.iqr_b[0] <= self.iqr_a[1]
 
 
 def _rows(
@@ -266,12 +281,17 @@ def _union(*groups: Iterable[str]) -> List[str]:
     return list(dict.fromkeys(key for group in groups for key in group))
 
 
-def _median_iqr(
+def _metric_stats(
     stats: Optional[Dict[str, Any]],
-) -> Tuple[Optional[float], Optional[Tuple[float, float]]]:
+) -> Tuple[Optional[float], Optional[Tuple[float, float]], Optional[int]]:
+    """(median, (q1, q3), n) of one metric; None for what it lacks."""
     if stats is None:
-        return None, None
-    return float(stats["median"]), (float(stats["q1"]), float(stats["q3"]))
+        return None, None, None
+    iqr = None
+    if "q1" in stats and "q3" in stats:
+        iqr = (float(stats["q1"]), float(stats["q3"]))
+    n = stats.get("n")
+    return float(stats["median"]), iqr, None if n is None else int(n)
 
 
 def _workload_diff(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
@@ -280,9 +300,11 @@ def _workload_diff(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     layers_a, layers_b = a.get("layers", {}), b.get("layers", {})
     metric_rows = []
     for name in _union(metrics_a, metrics_b):
-        median_a, iqr_a = _median_iqr(metrics_a.get(name))
-        median_b, iqr_b = _median_iqr(metrics_b.get(name))
-        metric_rows.append(MetricRow(name, median_a, median_b, iqr_a, iqr_b))
+        median_a, iqr_a, n_a = _metric_stats(metrics_a.get(name))
+        median_b, iqr_b, n_b = _metric_stats(metrics_b.get(name))
+        metric_rows.append(
+            MetricRow(name, median_a, median_b, iqr_a, iqr_b, n_a, n_b)
+        )
     return {
         "only_in": None if a and b else ("A" if a else "B"),
         "metrics": metric_rows,
@@ -328,10 +350,22 @@ def _meta_value(value: Any) -> str:
     return str(value)
 
 
-def _format_metric(median: Optional[float], iqr: Optional[Tuple[float, float]]) -> str:
-    if median is None or iqr is None:
+def _format_metric(
+    median: Optional[float], iqr: Optional[Tuple[float, float]], n: Optional[int]
+) -> str:
+    if median is None:
         return "-"
-    return f"{_format(median)} [{_format(iqr[0])}-{_format(iqr[1])}]"
+    text = _format(median)
+    if iqr is not None:
+        text += f" [{_format(iqr[0])}-{_format(iqr[1])}]"
+    return text if n is None else f"{text} n={n}"
+
+
+def _format_ratio(row: MetricRow) -> str:
+    if row.ratio is None:
+        return ""
+    overlap = " (q1-q3 overlap)" if row.iqrs_overlap else ""
+    return f"  x{row.ratio:.2f}{overlap}"
 
 
 def render_result_diff(diff: Dict[str, Any]) -> str:
@@ -350,14 +384,14 @@ def render_result_diff(diff: Dict[str, Any]) -> str:
         cells = [
             (
                 row.name,
-                _format_metric(row.a, row.iqr_a),
-                _format_metric(row.b, row.iqr_b),
-                f"  x{row.ratio:.2f}" if row.ratio is not None else "",
+                _format_metric(row.a, row.iqr_a, row.n_a),
+                _format_metric(row.b, row.iqr_b, row.n_b),
+                _format_ratio(row),
             )
             for row in workload["metrics"]
         ]
         if cells:
-            lines.append("  metrics (median [q1-q3]):")
+            lines.append("  metrics (median [q1-q3] n=samples):")
             widths = [max(len(cell[i]) for cell in cells) for i in range(3)]
             for metric, a, b, ratio in cells:
                 lines.append(

@@ -8,6 +8,10 @@ Two implementations with identical semantics:
   engine uses (a week of 2000 satellites at 60 s steps is ~2e7 state
   evaluations).
 
+:class:`ScreenStepper` serves the visibility kernels' float32 screen: the
+same directions to ~2e-7, stepped by per-satellite phasors rather than
+evaluated per sample.
+
 The force model is Keplerian two-body motion plus the *secular* effects of
 Earth's J2 oblateness: nodal regression (RAAN drift), apsidal rotation
 (argument-of-perigee drift) and the mean-motion correction.  Short-periodic
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,15 +50,6 @@ def _reduced(angle: np.ndarray) -> np.ndarray:
     turns *= _TWO_PI
     angle -= turns
     return angle
-
-
-def _reduced_f32(angle: np.ndarray) -> np.ndarray:
-    """``angle`` reduced to [-pi, pi] in float64 (in place), cast to float32.
-
-    A week of argument of latitude reaches ~700 rad, where one float32 ulp
-    is ~6e-5 rad; reduced first, the cast costs at most ~2e-7 rad.
-    """
-    return _reduced(angle).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -325,54 +320,6 @@ class BatchPropagator:
         _STATE_EVALS.inc(out.shape[0] * out.shape[1])
         return out
 
-    def unit_positions_screen(
-        self, times_s: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Float32 unit ECI directions laid out (T, 3, N), for a cheap screen.
-
-        Returns ``(units32, units64)``.  On the circular fast path the
-        arguments ``u`` and ``raan`` are formed in float64 exactly as in
-        :meth:`unit_positions_eci`, reduced to [-pi, pi] in float64, and
-        only the trig and the rotation run in float32 (~10x cheaper than
-        float64 trig); every component is within ~1e-6 of the float64 one.
-        ``units64`` is None there: callers that need exact directions for
-        a few samples get them from :meth:`unit_positions_at`, which
-        reproduces :meth:`unit_positions_eci` bit for bit.
-
-        Eccentric pools solve Kepler's equation once, in float64, for the
-        whole batch; ``units64`` is that (N, T, 3) solution and ``units32``
-        its cast.  Exact directions must come from ``units64``: a solve
-        over another batch may stop at a different iteration.
-        """
-        times = np.atleast_1d(np.asarray(times_s, dtype=np.float64))
-        if not self.all_circular:
-            exact = self.unit_positions_eci_unspanned(times)
-            return (
-                np.ascontiguousarray(exact.transpose(1, 2, 0), dtype=np.float32),
-                exact,
-            )
-        # In-place where it reads clearly: each (T, N) temporary saved is a
-        # pass over a few MB per chunk.
-        dt = times[:, None] - self.epoch_s  # (T, N)
-        arg = np.multiply(dt, self._u_rate)
-        arg += self._u0
-        u = _reduced_f32(arg)
-        np.multiply(dt, self.raan_rate, out=arg)
-        arg += self.raan_rad
-        raan = _reduced_f32(arg)
-        cos_u, sin_u = np.cos(u), np.sin(u, out=u)
-        cos_o, sin_o = np.cos(raan), np.sin(raan, out=raan)
-        out = np.empty((times.size, 3, self.count), dtype=np.float32)
-        x, y, z = out[:, 0], out[:, 1], out[:, 2]
-        np.multiply(sin_u, self._sin_i.astype(np.float32), out=z)
-        sin_u *= self._cos_i.astype(np.float32)  # now sin u cos i
-        np.multiply(cos_o, cos_u, out=x)
-        x -= sin_o * sin_u
-        np.multiply(sin_o, cos_u, out=y)
-        y += cos_o * sin_u
-        _STATE_EVALS.inc(out.shape[0] * out.shape[2])
-        return out, None
-
     def unit_positions_at(
         self, sat_indices: np.ndarray, times_s: np.ndarray
     ) -> np.ndarray:
@@ -443,3 +390,117 @@ class BatchPropagator:
             setattr(clone, name, getattr(self, name)[indices])
         clone._refresh_derived()
         return clone
+
+
+def _unit_powers(turn: np.ndarray, count: int) -> np.ndarray:
+    """``exp(i·j·turn)`` for ``j < count``, as complex64 (count,) + turn.shape.
+
+    Each row is a product of two float64 phasors, ``exp(i·(w·h)·turn)``
+    times ``exp(i·l·turn)`` for ``j = w·h + l`` with ``w ~ sqrt(count)``,
+    so float64 trig runs on ~2·sqrt(count) rows instead of ``count``
+    (the tables of small pools span whole 2048-sample chunks).  Every
+    entry is within ~3e-16 of its own float64 trig before the cast.
+    """
+    width = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
+    low = np.exp(1j * np.multiply.outer(np.arange(width), turn))
+    high = np.exp(1j * np.multiply.outer(width * np.arange(-(-count // width)), turn))
+    out = np.empty((high.shape[0], width) + turn.shape, dtype=np.complex64)
+    np.multiply(high[:, None], low[None], out=out, casting="same_kind")
+    return out.reshape((-1,) + turn.shape)[:count]
+
+
+class ScreenStepper:
+    """Float32 unit ECI directions of a pool on a uniform grid, block by block.
+
+    The visibility kernels screen every dot product in float32 and decide
+    the few near their threshold exactly (:mod:`repro.sim.kernels`).  A
+    stepper serves that screen: :meth:`chunk` yields a chunk's directions
+    ``block`` samples at a time, laid out (Tb, 3, N) for the matmul.  It
+    only steers; exact directions come from :meth:`BatchPropagator.
+    unit_positions_at` (circular pools) or the chunk's float64 Kepler
+    solve (eccentric pools).
+
+    On a circular pool the argument of latitude ``u`` and the RAAN ``O``
+    are linear in time, and a unit direction is a sum of three phasors::
+
+        x = A cos(u + O) + B cos(u - O)
+        y = A sin(u + O) - B sin(u - O)
+        z = sin i · sin u,        A = (1 + cos i) / 2,  B = (1 - cos i) / 2
+
+    Sample ``j`` of a block is its base phasors times ``exp(i·rate·j·step)``
+    per satellite.  Per chunk, the base angles are formed and reduced to
+    [-pi, pi] in float64 and their trig runs in float64 on (3, N) arrays;
+    between blocks the base advances by one complex128 multiply.  The step
+    tables, ``exp(i·rate·j·step)`` for ``j < block`` in float64
+    (:func:`_unit_powers`), are cast to complex64 once per stepper.  So a
+    block costs one complex64 multiply and three sums: no (T, N) float64
+    array, no reduction and no float32 trig.  Each component is within
+    ~2e-7 of the float64 direction (``SCREEN_MARGIN`` in
+    :mod:`repro.sim.kernels` has the budget).
+
+    Eccentric pools solve Kepler's equation once per chunk, in float64,
+    and the blocks are slices of that solution's cast.
+
+    A yielded block is a reused buffer, valid until the next one.
+    """
+
+    def __init__(self, propagator: BatchPropagator, step_s: float, block: int) -> None:
+        if block <= 0:
+            raise ValueError(f"block must be positive, got {block}")
+        self.propagator = propagator
+        self.block = block
+        if not propagator.all_circular:
+            return
+        cos_i = propagator._cos_i
+        #: (3, N) phasor amplitudes and rates (rad/s): u + O, u - O, u.
+        self._amplitude = np.stack(
+            ((1.0 + cos_i) / 2.0, (1.0 - cos_i) / 2.0, propagator._sin_i)
+        )
+        u_rate, raan_rate = propagator._u_rate, propagator.raan_rate
+        rates = np.stack((u_rate + raan_rate, u_rate - raan_rate, u_rate))
+        turn = step_s * rates  # Phase per sample.
+        self._steps = _unit_powers(turn, block)
+        self._advance = np.exp(1j * block * turn)
+        self._phasors = np.empty(self._steps.shape, dtype=np.complex64)
+        self._out = np.empty(self._steps.shape, dtype=np.float32)
+
+    def chunk(
+        self, times_s: np.ndarray
+    ) -> Tuple[Iterator[Tuple[int, np.ndarray]], Optional[np.ndarray]]:
+        """``(blocks, units64)`` for one chunk of uniformly spaced times.
+
+        ``blocks`` yields ``(begin, units32)``: the float32 (Tb, 3, N)
+        directions of samples ``begin:begin + Tb``.  ``units64`` is None on
+        circular pools; on eccentric ones it is the chunk's (N, Tc, 3)
+        float64 Kepler solution, from which exact directions must come (a
+        solve over another batch may stop at a different iteration).
+        """
+        times = np.atleast_1d(np.asarray(times_s, dtype=np.float64))
+        if self.propagator.all_circular:
+            _STATE_EVALS.inc(times.size * self.propagator.count)
+            return self._stepped(times), None
+        exact = self.propagator.unit_positions_eci_unspanned(times)
+        units = np.ascontiguousarray(exact.transpose(1, 2, 0), dtype=np.float32)
+        return self._sliced(units), exact
+
+    def _sliced(self, units: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        for begin in range(0, units.shape[0], self.block):
+            yield begin, units[begin : begin + self.block]
+
+    def _stepped(self, times: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        prop = self.propagator
+        dt = times[0] - prop.epoch_s
+        u = _reduced(prop._u0 + prop._u_rate * dt)
+        raan = _reduced(prop.raan_rad + prop.raan_rate * dt)
+        base = self._amplitude * np.exp(1j * np.stack((u + raan, u - raan, u)))
+        for begin in range(0, times.size, self.block):
+            size = min(self.block, times.size - begin)
+            phasors = np.multiply(
+                self._steps[:size], base.astype(np.complex64), out=self._phasors[:size]
+            )
+            out = self._out[:size]
+            np.add(phasors.real[:, 0], phasors.real[:, 1], out=out[:, 0])
+            np.subtract(phasors.imag[:, 0], phasors.imag[:, 1], out=out[:, 1])
+            out[:, 2] = phasors.imag[:, 2]
+            yield begin, out
+            base *= self._advance

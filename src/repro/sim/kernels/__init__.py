@@ -21,10 +21,14 @@ moves a coverage fraction by 1/T.  The kernels reach that reference in two
 steps (pinned by tests/sim/test_kernels.py and the ``oracle.fused``
 validation check):
 
-* a float32 *screen* forms every dot product with one batched matmul of
-  float32 unit vectors.  Its error against the float64 dot stays within
-  :data:`SCREEN_MARGIN` (derivation there), so a sample whose screen dot is
-  below ``thr - SCREEN_MARGIN`` is surely not visible and one at or above
+* a float32 *screen* forms every dot product with a batched matmul of
+  float32 unit vectors, one cache-sized block of time samples at a time
+  (:data:`SCREEN_BLOCK_BYTES`).  The satellite vectors come from a
+  :class:`~repro.orbits.propagator.ScreenStepper`: on circular pools,
+  per-satellite phasors stepped across the block by complex64 multiplies.
+  Its error against the float64 dot stays within :data:`SCREEN_MARGIN`
+  (derivation there), so a sample whose screen dot is below
+  ``thr - SCREEN_MARGIN`` is surely not visible and one at or above
   ``thr + SCREEN_MARGIN`` surely is;
 * the rare samples in between (~0.01 % of pair-samples for the full pool)
   are decided exactly: :func:`exact_dots` of float64 directions.  Circular
@@ -35,8 +39,8 @@ validation check):
 
 No decision depends on the operand shapes: the screen only settles samples
 its error cannot flip, and :func:`exact_dots` is elementwise.  Chunking the
-time axis and culling satellites out of the screen are therefore
-bit-neutral.  Satellite culling
+time axis, blocking the screen and culling satellites out of it are
+therefore bit-neutral.  Satellite culling
 still only skips propagation on the all-circular fast path: the general
 Kepler path iterates to a batch-global tolerance, so a subset could
 converge in a different iteration count.
@@ -69,18 +73,17 @@ import numpy as np
 from repro.obs import get_logger, metrics
 from repro.obs.trace import span
 from repro.orbits.frames import gmst_rad
-from repro.orbits.propagator import BatchPropagator
+from repro.orbits.propagator import BatchPropagator, ScreenStepper
 from repro.ground.sites import GroundSite
 from repro.sim.clock import TimeGrid
 
 _LOG = get_logger(__name__)
 
 #: Smallest default streaming chunk (time samples per slab), and the one
-#: the full pool gets.  The float32 screen's dot-product slab is the peak
-#: allocation — (S, N, chunk) · 4 bytes — so at 22 sites × 4408
-#: satellites a 64-sample slab is ~6 MiB of booleans plus a ~25 MiB
-#: float32 dot slab.  Multiple of 8 so packed chunks land on byte
-#: boundaries.
+#: the full pool gets.  At 22 sites × 4408 satellites a 64-sample slab is
+#: ~6 MiB of booleans; the float32 screen dots are held one block of
+#: :data:`SCREEN_BLOCK_BYTES` at a time.  Multiple of 8 so packed chunks
+#: land on byte boundaries.
 DEFAULT_STREAM_CHUNK = 64
 
 #: Largest default streaming chunk.  Small constellations hit per-chunk
@@ -89,9 +92,9 @@ DEFAULT_STREAM_CHUNK = 64
 #: :data:`TARGET_SLAB_BYTES` or this cap.
 MAX_STREAM_CHUNK = 2048
 
-#: Boolean-slab byte budget the adaptive default chunk aims for.  The
-#: accompanying float32 dot slab is 4x this, so the default's transient
-#: peak stays in the tens of megabytes for any population.
+#: Boolean-slab byte budget the adaptive default chunk aims for, so the
+#: default's transient peak stays in the tens of megabytes for any
+#: population.
 TARGET_SLAB_BYTES = 4 * 2**20
 
 
@@ -119,22 +122,39 @@ CULL_COS_MARGIN = 1e-9
 
 #: Half-width of the band around each threshold inside which the float32
 #: screen defers to an exact float64 decision.  Error budget of a screen
-#: dot, for unit vectors (every |component| <= 1):
+#: dot, for unit vectors (every |component| <= 1), with the satellite
+#: directions from :class:`~repro.orbits.propagator.ScreenStepper`:
 #:
-#: * arguments: ``u`` and ``raan`` are reduced to [-pi, pi] in float64
-#:   (error ~1e-13 for a week's ~700 rad) and cast to float32, <= pi·2^-24
-#:   ~ 1.9e-7 rad each;
-#: * float32 sin/cos (<= 4 ulp) and the rotation's products and sums
-#:   (<= 2^-24 relative each) add ~5e-7 per satellite component, so with
-#:   the argument errors a component is off by <= ~1e-6;
+#: * base: per chunk, ``u`` and ``raan`` are formed and reduced to
+#:   [-pi, pi] in float64 (error ~1e-13 rad for a week's ~700 rad) and the
+#:   base phasors take float64 trig; each block advances them by one
+#:   complex128 multiply, ~1e-16 per advance, so < 1e-13 after a 2048-
+#:   sample chunk's advances;
+#: * float64 phasors cast once to complex64: the base per block and the
+#:   step tables per stepper, <= 2^-24 ~ 6e-8 relative per component;
+#: * float32 multiply-adds: the complex64 product's two products and sum
+#:   and the sum of two phasors per component, <= 2^-24 relative each,
+#:   so with the casts a component is off by <= ~4e-7;
 #: * the site track's float32 cast adds <= 6e-8 per component, and the
 #:   matmul's three products and two sums ~2e-7;
 #: * casting ``thr -/+ margin`` to float32 moves the band edge <= 6e-8.
 #:
-#: Together <= ~3e-6 (3·1e-6 plus the smaller terms), 30x under this
-#: margin; the measured worst error over a week of the full pool at 120 s
-#: steps is 3.6e-7.  Without the float64 reduction it is 3.1e-5.
+#: Together <= ~1.6e-6 (3·4e-7 plus the smaller terms), 60x under this
+#: margin.  Measured over a week of the full pool at 120 s and at 300 s
+#: steps: a component is off by <= 1.6e-7 and a dot by <= 2.3e-7, also
+#: for 2048-sample chunks stepped 8 samples at a time.
 SCREEN_MARGIN = 1e-4
+
+#: Bytes of float32 screen dots one time block holds (:func:`iter_slabs`,
+#: :func:`screen_block_size`): 8 samples, 3.1 MB, for the full pool at
+#: 22 sites, so a block's dots are still cache-warm when compared and
+#: scanned.  Measured on a 2-CPU x86-64 host (2 MiB L2 per core), best of
+#: 3 full-pool week builds at 120 s: 3 MiB blocks 1.07 s, 1 MiB 1.24 s,
+#: 12 MiB 1.18 s.  The block scales with S·N, so small pools keep few
+#: per-block Python calls: a fixed 8-sample block made the design
+#: sweeps' 2048-sample chunks so slow that whole ``fig4b``/``fig4c``
+#: commands took 15-30 % longer.
+SCREEN_BLOCK_BYTES = 3 * 2**20
 
 _PAIRS_CULLED = metrics.counter("sim.visibility.culled_pairs")
 _SATS_CULLED = metrics.counter("sim.visibility.culled_satellites")
@@ -512,15 +532,26 @@ def plan_stream(
     )
 
 
+def screen_block_size(plan: StreamPlan) -> int:
+    """Time samples per screen block: :data:`SCREEN_BLOCK_BYTES` of float32
+    dots, at least one sample and at most one chunk or the whole grid."""
+    longest = min(plan.chunk_size, plan.grid.count)
+    sample_bytes = 4 * plan.n_sites * plan.n_satellites
+    if sample_bytes == 0:
+        return longest
+    return max(1, min(longest, SCREEN_BLOCK_BYTES // sample_bytes))
+
+
 def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (time_offset, boolean slab (S, N, Tc)) per chunk, in order.
 
     The slab is freshly computed per chunk and owned by the consumer until
-    the next iteration; only one slab (plus its float32 dot-product slab)
-    is alive at a time.  Each chunk is screened in float32 and its
-    near-threshold samples decided exactly (module docstring).  Culled
-    satellites appear as all-False rows: their screen columns are zero and
-    their pairs' ``screen_lo`` is infinite.
+    the next iteration.  Each chunk is screened in float32 one time block
+    at a time (:func:`screen_block_size`), so the float32 dots never
+    exceed one cache-sized block, and its near-threshold samples, gathered
+    across the blocks, are decided exactly in one pass (module docstring).
+    Culled satellites appear as all-False rows: their screen columns are
+    zero and their pairs' ``screen_lo`` is infinite.
 
     The slab is a time-major view: its memory order is (Tc, S, N), so each
     time sample is one contiguous (S, N) plane.  The all-culled path
@@ -536,61 +567,75 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
             _SLAB_BYTES.inc(slab.nbytes)
             yield offset, slab
         return
+    block = screen_block_size(plan)
+    stepper = ScreenStepper(plan.active_propagator, plan.grid.step_s, block)
+    dots = np.empty((block, plan.n_sites, plan.n_satellites), dtype=np.float32)
+    full = None
+    if plan.active_indices is not None:
+        # Culled columns stay zero across blocks; only active ones are written.
+        full = np.zeros((block, 3, plan.n_satellites), dtype=np.float32)
+    pairs = plan.n_sites * plan.n_satellites
     for offset, chunk_times in _chunk_offsets(plan):
-        sat32, sat64 = plan.active_propagator.unit_positions_screen(chunk_times)
-        if plan.active_indices is not None:
-            full = np.zeros((chunk_times.size, 3, plan.n_satellites), np.float32)
-            full[:, :, plan.active_indices] = sat32
-            sat32 = full
+        blocks, sat64 = stepper.chunk(chunk_times)
         site64, site32 = plan.geometry.screen_chunk(offset, chunk_times)
-        dots = np.matmul(site32, sat32)  # (Tc, S, N)
-        slab = dots >= plan.screen_lo  # C-contiguous: flat views write through
-        _decide_near_threshold(plan, chunk_times, dots, slab, site64, sat64)
-        # Release the float32 slab before yielding: it is 4x the boolean
-        # slab and would otherwise stay alive across the next chunk's
-        # matmul.
-        del dots
+        slab = np.empty((chunk_times.size,) + plan.screen_lo.shape, dtype=bool)
+        near = []
+        for begin, sat32 in blocks:
+            size = sat32.shape[0]
+            if full is not None:
+                full[:size, :, plan.active_indices] = sat32
+                sat32 = full[:size]
+            block_dots = np.matmul(site32[begin : begin + size], sat32, out=dots[:size])
+            passed = np.greater_equal(
+                block_dots, plan.screen_lo, out=slab[begin : begin + size]
+            )
+            in_band = _near_threshold(plan, block_dots, passed)
+            if in_band.size:
+                near.append(in_band + begin * pairs)
+        if near:
+            _decide_exactly(plan, chunk_times, np.concatenate(near), slab, site64, sat64)
         _SLABS_STREAMED.inc()
         _SLAB_BYTES.inc(slab.nbytes)
         yield offset, slab.transpose(1, 2, 0)
 
 
-def _decide_near_threshold(
+def _near_threshold(
+    plan: StreamPlan, dots: np.ndarray, passed: np.ndarray
+) -> np.ndarray:
+    """Flat indices into one block's (Tb, S, N) ``passed = dots >=
+    screen_lo`` of the samples that passed with ``dots < screen_hi``:
+    the ones the screen cannot settle."""
+    candidates = np.flatnonzero(passed)
+    if not candidates.size:
+        return candidates
+    pair = candidates % (plan.n_sites * plan.n_satellites)
+    return candidates[dots.reshape(-1)[candidates] < plan.screen_hi.reshape(-1)[pair]]
+
+
+def _decide_exactly(
     plan: StreamPlan,
     times_s: np.ndarray,
-    dots: np.ndarray,
+    near: np.ndarray,
     slab: np.ndarray,
     site64: np.ndarray,
     sat64: Optional[np.ndarray],
 ) -> None:
-    """Overwrite ``slab``'s screen decisions inside the band exactly.
+    """Overwrite the screen decisions at flat indices ``near`` of one
+    chunk's C-contiguous (Tc, S, N) ``slab`` exactly.
 
-    ``dots`` and ``slab`` are one chunk's (Tc, S, N) screen dots and
-    ``dots >= screen_lo``; of the samples that passed, those with
-    ``dots < screen_hi`` get :func:`exact_dots` of float64 directions
-    compared against the float64 threshold.  ``sat64`` is the chunk's
-    (N, Tc, 3) float64 directions when the propagator returned them
-    (eccentric pools); otherwise they are re-evaluated per sample.
+    Each gets :func:`exact_dots` of float64 directions compared against
+    the float64 threshold.  ``sat64`` is the chunk's (N, Tc, 3) float64
+    directions when the stepper returned them (eccentric pools);
+    otherwise they are re-evaluated per sample, in one call per chunk.
     """
-    flat = slab.reshape(-1)
-    passed = np.flatnonzero(flat)
-    if not passed.size:
-        return
-    pairs = plan.n_sites * plan.n_satellites
-    pair = passed % pairs
-    near = dots.reshape(-1)[passed] < plan.screen_hi.reshape(-1)[pair]
-    if not near.any():
-        return
-    passed = passed[near]
-    pair = pair[near]
-    t = passed // pairs
+    t, pair = np.divmod(near, plan.n_sites * plan.n_satellites)
     s, n = np.divmod(pair, plan.n_satellites)
     if sat64 is None:
         sat_units = plan.propagator.unit_positions_at(n, times_s[t])
     else:
         sat_units = sat64[n, t]
-    flat[passed] = exact_dots(sat_units, site64[s, t]) >= plan.thresholds[s, n]
-    _EXACT_RECHECKS.inc(passed.size)
+    slab.reshape(-1)[near] = exact_dots(sat_units, site64[s, t]) >= plan.thresholds[s, n]
+    _EXACT_RECHECKS.inc(near.size)
 
 
 def _chunk_offsets(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:

@@ -241,10 +241,10 @@ def _row_popcount(packed: np.ndarray) -> np.ndarray:
 
 
 #: Bytes of satellite rows one batched subset query gathers at a time.
-#: A block holds as many runs as fit (always at least one), so a batch
-#: of small subsets costs one gather per block while a run larger than
-#: the budget peaks exactly as a single-subset query does.  Sized so a
-#: block stays cache-resident while it is OR-ed: on a 2-CPU x86-64 host
+#: A block holds as many runs as fit, so a batch of small subsets costs
+#: one gather per block; a run larger than the budget is gathered and
+#: OR-ed in slices of as many satellites as fit (at least one).  Sized so
+#: a block stays cache-resident while it is OR-ed: on a 2-CPU x86-64 host
 #: 128-512 KiB blocks were fastest, 1 MiB up to 10 % and 4 MiB up to
 #: 2x slower on small subsets.
 BATCH_GATHER_BYTES = 256 * 2**10
@@ -389,21 +389,35 @@ class PackedVisibility:
         row's tail ``[split:]``; one array twice when ``split`` is 0.
 
         Runs are gathered in blocks of :data:`BATCH_GATHER_BYTES`; each
-        block is OR-ed over its subset axis and popcounted per row.
+        block is OR-ed over its subset axis and popcounted per row.  A run
+        over the budget is a block of its own, gathered in slices of
+        satellites that fit; the head and the tail are sliced separately,
+        so the split stays exact.
         """
         n_runs, k = runs.shape
         kept = np.empty((n_runs, self.n_sites), dtype=np.int64)
         base = np.empty_like(kept) if split else kept
-        run_bytes = max(k * self.n_sites * self.by_satellite.shape[2], 1)
-        block = max(1, BATCH_GATHER_BYTES // run_bytes)
+        sat_bytes = max(self.n_sites * self.by_satellite.shape[2], 1)
+        block = max(1, BATCH_GATHER_BYTES // (k * sat_bytes or 1))
+        width = max(1, k if block > 1 else BATCH_GATHER_BYTES // sat_bytes)
         for start in range(0, n_runs, block):
-            rows = self.by_satellite[runs[start : start + block]]
-            ored = np.bitwise_or.reduce(rows[:, split:], axis=1)
+            group = runs[start : start + block]
+            ored = self._or_gathered(group[:, split:], width)
             kept[start : start + block] = _row_popcount(ored)
             if split:
-                ored |= np.bitwise_or.reduce(rows[:, :split], axis=1)
+                ored |= self._or_gathered(group[:, :split], width)
                 base[start : start + block] = _row_popcount(ored)
         return base, kept
+
+    def _or_gathered(self, group: np.ndarray, width: int) -> np.ndarray:
+        """(g, S, B) OR of the rows of each row of a (g, m) index matrix,
+        gathering ``width`` satellites per row at a time (zeros if m = 0)."""
+        ored = np.bitwise_or.reduce(self.by_satellite[group[:, :width]], axis=1)
+        for begin in range(width, group.shape[1], width):
+            ored |= np.bitwise_or.reduce(
+                self.by_satellite[group[:, begin : begin + width]], axis=1
+            )
+        return ored
 
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None

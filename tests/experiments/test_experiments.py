@@ -9,7 +9,9 @@ shapes that survive coarse sampling.
 import numpy as np
 import pytest
 
+from repro.analysis.gaps import gap_timeline_events
 from repro.experiments import common
+from repro.experiments import fig2_coverage_vs_size as fig2
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.fig2_coverage_vs_size import run_fig2
 from repro.experiments.fig3_idle_vs_cities import run_fig3
@@ -19,6 +21,8 @@ from repro.experiments.fig4c_design_factors import run_fig4c
 from repro.experiments.fig5_withdrawal import run_fig5
 from repro.experiments.fig6_party_skew import run_fig6
 from repro.experiments.sharing_upside import run_sharing_upside
+from repro.obs import timeline as obs_timeline
+from repro.sim.contacts import contact_events
 
 COARSE = ExperimentConfig(runs=3, step_s=900.0, seed=7)
 
@@ -90,6 +94,52 @@ class TestFig2:
     def test_oversize_rejected(self):
         with pytest.raises(ValueError, match="exceeds pool"):
             run_fig2(COARSE, sizes=(10_000,))
+
+    def test_narration_equals_unpacking_every_sampled_row(self, monkeypatch):
+        """The first run of each size narrates the same timeline events as
+        unpacking every sampled satellite's Taipei mask would.  The packed
+        narration is the grid engine's, so the test runs on it."""
+        monkeypatch.setattr(common.default_context(), "engine", common.ENGINE_GRID)
+        narrate = fig2._narrate_run
+        compared = []
+
+        def events_of(narration, *args):
+            obs_timeline.reset()
+            narration(*args)
+            return [event.to_dict() for event in obs_timeline.events()]
+
+        def both(*args):
+            compared.append(
+                (events_of(narrate, *args), events_of(_narrate_unpacking_all, *args))
+            )
+
+        monkeypatch.setattr(fig2, "_narrate_run", both)
+        try:
+            run_fig2(COARSE, sizes=(1, 10, 100, 1000, 2000))
+        finally:
+            obs_timeline.reset()
+        assert len(compared) == 5
+        for actual, expected in compared:
+            assert actual == expected
+        # The large sizes trace the full quota of satellites.
+        traced = {
+            event["subject"]
+            for event in compared[-1][0]
+            if event["kind"] == obs_timeline.CONTACT_BEGIN
+        }
+        assert len(traced) == fig2.MAX_TRACED_SATELLITES
+
+
+def _narrate_unpacking_all(visibility, indices, mask, grid, pool):
+    """Fig. 2's narration as it read when it unpacked every sampled row."""
+    site_name = common.ALL_SITES[common.TAIPEI_INDEX].name
+    gap_timeline_events(mask, grid.step_s, site=site_name)
+    sat_masks = visibility.satellite_masks(indices, [common.TAIPEI_INDEX])
+    active = np.flatnonzero(sat_masks.any(axis=1))[: fig2.MAX_TRACED_SATELLITES]
+    if active.size == 0:
+        return
+    sat_ids = [pool[int(indices[row])].sat_id for row in active]
+    contact_events(sat_masks[active][None, :, :], [site_name], sat_ids, grid)
 
 
 class TestFig3:

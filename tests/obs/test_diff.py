@@ -297,7 +297,8 @@ class TestResultDiff:
         assert "workload mc-paper:" in lines
         [wall_line] = [line for line in lines if "wall_s" in line]
         assert wall_line.split() == [
-            "wall_s", "2", "[1.800-2.400]", "->", "1", "[0.900-1.200]", "x0.50",
+            "wall_s", "2", "[1.800-2.400]", "n=3", "->", "1", "[0.900-1.200]",
+            "n=3", "x0.50",
         ]
         [analysis_line] = [line for line in lines if "analysis_s" in line]
         assert analysis_line.endswith("x1.50")
@@ -367,6 +368,53 @@ class TestResultDiff:
         assert analysis_line.split()[-2:] == ["->", "-"]
         [store_line] = [line for line in lines if "sim.store.mib" in line]
         assert store_line.split() == ["sim.store.mib", "-", "->", "3.300"]
+
+    def test_overlapping_quartiles_are_marked(self):
+        """Medians x1.10 apart whose q1-q3 ranges overlap: the row says so,
+        and carries each side's sample count."""
+        a = make_workload(1.0)
+        b = make_workload(1.1)
+        b["metrics"]["wall_s"]["n"] = 12
+        diff = diff_results(make_result({"mc-paper": a}), make_result({"mc-paper": b}))
+        wall = diff["workloads"]["mc-paper"]["metrics"][0]
+        assert (wall.n_a, wall.n_b) == (3, 12)
+        assert wall.iqrs_overlap is True
+        [wall_line] = [
+            line for line in render_result_diff(diff).splitlines() if "wall_s" in line
+        ]
+        assert wall_line.split()[3] == "n=3"
+        assert wall_line.split()[7] == "n=12"
+        assert wall_line.endswith("x1.10 (q1-q3 overlap)")
+
+    def test_disjoint_quartiles_are_not_marked(self):
+        diff = diff_results(
+            make_result({"mc-paper": make_workload(1.0)}),
+            make_result({"mc-paper": make_workload(2.0)}),
+        )
+        wall = diff["workloads"]["mc-paper"]["metrics"][0]
+        assert wall.iqrs_overlap is False  # [0.9-1.2] vs [1.8-2.4]
+        [wall_line] = [
+            line for line in render_result_diff(diff).splitlines() if "wall_s" in line
+        ]
+        assert wall_line.endswith("x2.00")
+
+    def test_record_without_quartiles(self):
+        """Stats with a median only: no range, no count, no overlap mark,
+        and the ratio still shows."""
+        a = make_workload(1.0)
+        a["metrics"]["wall_s"] = {"unit": "s", "median": 1.0}
+        diff = diff_results(
+            make_result({"mc-paper": a}), make_result({"mc-paper": make_workload(1.05)})
+        )
+        wall = diff["workloads"]["mc-paper"]["metrics"][0]
+        assert (wall.iqr_a, wall.n_a) == (None, None)
+        assert wall.iqrs_overlap is None
+        [wall_line] = [
+            line for line in render_result_diff(diff).splitlines() if "wall_s" in line
+        ]
+        assert wall_line.split() == [
+            "wall_s", "1", "->", "1.050", "[0.945-1.260]", "n=3", "x1.05",
+        ]
 
     def test_zero_median_base_has_no_ratio(self):
         a = make_result({"mc-paper": make_workload(1.0, import_s=0.0)})

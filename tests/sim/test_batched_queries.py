@@ -99,3 +99,61 @@ class TestBatchValidation:
     def test_bad_withdrawn_raises(self, store, withdrawn):
         with pytest.raises(ValueError, match="withdrawn"):
             store.withdrawal_coverage(_orders(3, 5, store.n_satellites), withdrawn)
+
+
+#: Satellites per slice when a run is over the shrunk gather budget.
+SLICE = 4
+
+
+class TestOverBudgetRunsAreSliced:
+    """A run larger than ``BATCH_GATHER_BYTES`` is gathered and OR-ed in
+    slices of satellites; with the budget shrunk to ``SLICE`` satellites'
+    rows, every answer must equal the one gathered whole."""
+
+    @pytest.fixture(scope="class")
+    def packed(self):
+        walker = walker_delta(40, 8, 1, inclination_deg=53.0, altitude_km=550.0)
+        sites = [city.terminal() for city in CITIES[:5]]
+        return packed_visibility(walker, sites, GRID)
+
+    def _tiny_budget(self, monkeypatch, packed):
+        sat_bytes = packed.n_sites * packed.by_satellite.shape[2]
+        monkeypatch.setattr(visibility, "BATCH_GATHER_BYTES", SLICE * sat_bytes)
+
+    @pytest.mark.parametrize("runs", [None, 1, 3])
+    def test_coverage_fractions(self, monkeypatch, packed, runs):
+        orders = _orders(runs or 1, 38, packed.n_satellites)
+        order = orders if runs else orders[0]
+        whole = packed.coverage_fractions(order)
+        self._tiny_budget(monkeypatch, packed)
+        np.testing.assert_array_equal(packed.coverage_fractions(order), whole)
+
+    @pytest.mark.parametrize("runs", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "withdrawn", [0, 2 * SLICE, 2 * SLICE + 1, 38], ids=["zero", "boundary", "inside", "all"]
+    )
+    def test_withdrawal_coverage(self, monkeypatch, packed, runs, withdrawn):
+        orders = _orders(runs or 1, 38, packed.n_satellites, seed=5)
+        order = orders if runs else orders[0]
+        whole = packed.withdrawal_coverage(order, withdrawn)
+        self._tiny_budget(monkeypatch, packed)
+        sliced = packed.withdrawal_coverage(order, withdrawn)
+        for got, expected in zip(sliced, whole):
+            np.testing.assert_array_equal(got, expected)
+        assert np.shape(sliced[0]) == np.shape(whole[0])
+
+    def test_slices_bound_each_gather(self, monkeypatch, packed):
+        """No gather of an over-budget run holds more than SLICE rows."""
+        self._tiny_budget(monkeypatch, packed)
+        seen = []
+        real = packed.by_satellite
+
+        class Recording(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray):
+                    seen.append(key.shape[-1])
+                return np.ndarray.__getitem__(self, key)
+
+        monkeypatch.setattr(packed, "by_satellite", real.view(Recording))
+        packed.withdrawal_coverage(_orders(1, 38, packed.n_satellites)[0], 9)
+        assert seen and max(seen) <= SLICE

@@ -17,7 +17,7 @@ from repro.experiments.common import ALL_SITES, ExperimentConfig
 from repro.ground.sites import GroundSite
 from repro.obs import metrics
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.propagator import BatchPropagator
+from repro.orbits.propagator import BatchPropagator, ScreenStepper
 from repro.sim import kernels
 from repro.sim.clock import TimeGrid
 from repro.sim.visibility import VisibilityEngine, packed_visibility
@@ -436,6 +436,28 @@ def _chunk_times(geometry, offset):
     return geometry.grid.times_s[offset : offset + WEEK_CHUNK]
 
 
+def _stepper_error(propagator, geometry, offset, size, block):
+    """Worst |screen dot - float64 dot| over one chunk of ``size`` samples
+    from ``offset``, stepped ``block`` samples at a time."""
+    times = geometry.grid.times_s[offset : offset + size]
+    stepper = ScreenStepper(propagator, geometry.grid.step_s, block)
+    blocks, sat64 = stepper.chunk(times)
+    assert sat64 is None  # The pool is circular: the phasor path.
+    site64, site32 = geometry.screen_chunk(offset, times)
+    worst, covered = 0.0, 0
+    for begin, sat32 in blocks:
+        end = begin + sat32.shape[0]
+        screen = np.matmul(site32[begin:end], sat32)  # (Tb, S, N)
+        exact = kernels.exact_dots(
+            propagator.unit_positions_eci(times[begin:end])[None],
+            site64[:, None, begin:end],
+        )  # (S, N, Tb)
+        worst = max(worst, float(np.abs(screen - exact.transpose(2, 0, 1)).max()))
+        covered = end
+    assert covered == size
+    return worst
+
+
 class TestScreenPremises:
     """What the float32 screen's exactness rests on."""
 
@@ -451,18 +473,29 @@ class TestScreenPremises:
             assert np.array_equal(at, grid_units.reshape(-1, 3))
 
     def test_screen_error_far_under_margin(self, full_pool_week):
+        """The phasor stepper at the full pool's own screen block, over
+        chunks spread across the week up to its final sample."""
         propagator, geometry, offsets = full_pool_week
-        worst = 0.0
-        for offset in offsets:
-            times = _chunk_times(geometry, offset)
-            sat32, sat64 = propagator.unit_positions_screen(times)
-            assert sat64 is None  # The pool is circular: float32 trig path.
-            site64, site32 = geometry.screen_chunk(offset, times)
-            screen = np.matmul(site32, sat32).transpose(1, 2, 0)  # (S, N, Tc)
-            exact = kernels.exact_dots(
-                propagator.unit_positions_eci(times)[None], site64[:, None]
-            )
-            worst = max(worst, float(np.abs(screen - exact).max()))
+        plan = kernels.plan_stream(
+            propagator, geometry, geometry.grid, chunk_size=WEEK_CHUNK
+        )
+        block = kernels.screen_block_size(plan)
+        assert block < WEEK_CHUNK  # Each chunk advances the base in-chunk.
+        worst = max(
+            _stepper_error(propagator, geometry, offset, WEEK_CHUNK, block)
+            for offset in offsets
+        )
+        assert worst <= kernels.SCREEN_MARGIN / 10
+
+    def test_screen_error_over_a_long_chunk(self, full_pool_week):
+        """One 2048-sample chunk ending on the week's last sample, stepped
+        8 samples at a time: 255 advances, more than any default plan
+        makes (small pools, the ones given 2048-sample chunks, get blocks
+        of hundreds of samples)."""
+        propagator, geometry, _ = full_pool_week
+        small = propagator.subset(np.arange(0, propagator.count, 16))
+        offset = geometry.grid.count - 2048
+        worst = _stepper_error(small, geometry, offset, 2048, 8)
         assert worst <= kernels.SCREEN_MARGIN / 10
 
     def test_exact_dots_independent_of_shape(self):
@@ -539,6 +572,84 @@ class TestScreenPremises:
                 kernels.stream_packed_bits(_plan(elements, SITES, chunk, pack=True)),
                 np.packbits(visible, axis=2),
             )
+
+
+def _blocked_pools():
+    starlink = starlink_like_constellation(rng=np.random.default_rng(0)).elements
+    # The 10 deg shell is out of every CULL_SITES site's reach, so whole
+    # satellites are culled and the stepper runs on a subset.
+    culled = starlink[::150] + _shell(8, 2, 10.0)
+    eccentric = [
+        OrbitalElements.from_degrees(
+            altitude_km=540.0 + 15.0 * index,
+            inclination_deg=(30.0, 53.0, 70.0, 97.0)[index % 4],
+            raan_deg=27.0 * index,
+            mean_anomaly_deg=33.0 * index,
+            eccentricity=0.005 * (index % 3),
+        )
+        for index in range(12)
+    ]
+    return {"culled": culled, "eccentric": eccentric}
+
+
+BLOCKED_POOLS = _blocked_pools()
+
+
+@pytest.fixture(scope="module")
+def blocked_reference():
+    """Exact (S, N, T) tensors over one week, per (pool, step), cached."""
+    cache = {}
+
+    def get(pool, step_s):
+        if (pool, step_s) not in cache:
+            grid = TimeGrid.one_week(step_s)
+            cache[pool, step_s] = _exact(BLOCKED_POOLS[pool], CULL_SITES, grid)
+        return cache[pool, step_s]
+
+    return get
+
+
+class TestBlockedScreen:
+    """Screening a chunk in time blocks is bit-neutral: the packed store
+    and the site coverage equal the exact reference whether a chunk is
+    one block or many, on a culled circular pool (phasor stepper on the
+    active subset) and an eccentric one (slices of the Kepler solve)."""
+
+    @pytest.mark.parametrize("pool", sorted(BLOCKED_POOLS))
+    @pytest.mark.parametrize("step_s", (60.0, 120.0, 300.0))
+    @pytest.mark.parametrize("chunk", (13, 64, 2048))
+    @pytest.mark.parametrize("block", (None, 5))
+    def test_streams_equal_exact(
+        self, blocked_reference, monkeypatch, pool, step_s, chunk, block
+    ):
+        elements = BLOCKED_POOLS[pool]
+        grid = TimeGrid.one_week(step_s)
+        if block is not None:
+            # A budget of exactly `block` samples: most chunks split into
+            # several blocks, the last one short.
+            sample_bytes = 4 * len(CULL_SITES) * len(elements)
+            monkeypatch.setattr(kernels, "SCREEN_BLOCK_BYTES", block * sample_bytes)
+        expected = blocked_reference(pool, step_s)
+
+        def plan(pack=False):
+            return kernels.plan_stream(
+                BatchPropagator(list(elements)),
+                kernels.SiteGeometry(CULL_SITES, grid),
+                grid,
+                chunk_size=chunk,
+                pack=pack,
+            )
+
+        coverage_plan = plan()
+        assert coverage_plan.cull_applied == (pool == "culled")
+        if block is not None:
+            assert kernels.screen_block_size(coverage_plan) == min(block, chunk)
+        assert np.array_equal(
+            kernels.stream_site_coverage(coverage_plan), expected.any(axis=1)
+        )
+        assert np.array_equal(
+            kernels.stream_packed_bits(plan(pack=True)), np.packbits(expected, axis=2)
+        )
 
 
 class TestPropagatorDerived:

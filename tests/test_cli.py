@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -477,3 +480,46 @@ class TestTraceOut:
             e["name"] for e in events if e["ph"] == "X" and e["pid"] == SPAN_PID
         }
         assert "experiment.fig2" in span_names
+
+
+def _module_run(stdout):
+    """``python -m repro list`` in a child interpreter that imports this
+    checkout's sources, writing to ``stdout``; stderr is captured."""
+    import repro
+
+    env = dict(os.environ)
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "list"],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def _assert_quiet(stderr: bytes) -> None:
+    text = stderr.decode()
+    assert "Traceback" not in text
+    assert "BrokenPipeError" not in text
+    assert "Exception ignored" not in text
+
+
+class TestClosedStdout:
+    def test_reader_taking_one_line(self):
+        child = _module_run(subprocess.PIPE)
+        assert child.stdout.readline().strip() == b"fig1a"
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=60)
+        _assert_quiet(stderr)
+        assert child.returncode in (0, 1)
+
+    def test_pipe_closed_before_any_output(self):
+        """Deterministic: the very first write hits a closed pipe."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = _module_run(write_end)
+        finally:
+            os.close(write_end)
+        _, stderr = child.communicate(timeout=60)
+        _assert_quiet(stderr)
+        assert child.returncode == 1
