@@ -58,8 +58,13 @@ from repro.sim.clock import TimeGrid
 #: Default width to which each rise/set edge is narrowed (seconds).
 DEFAULT_EDGE_TOLERANCE_S = 1e-2
 
-#: Edges refined per batch; bounds the temporary (K,) arrays.
-REFINE_BATCH = 1 << 16
+#: Edges refined per batch; bounds the temporary (K,) arrays.  At
+#: 1 << 16 the temporaries a batch frees were handed back to the OS and
+#: faulted in again by the next batch: ~19 k minor faults inside the
+#: refine of a full-pool 1-day build at 300 s.  At 1 << 14 they are
+#: reused (2.8 k faults) and that refine's median fell 0.53 -> 0.47 s
+#: over 8 runs on a 2-CPU x86-64 host; over 7 days it is unchanged.
+REFINE_BATCH = 1 << 14
 
 #: Newton steps behind each edge estimate (:func:`_newton_edges`).
 NEWTON_STEPS = 5
