@@ -106,7 +106,7 @@ def conjunction_analysis(
         raise ValueError("need at least two satellites")
 
     if propagator is None:
-        propagator = BatchPropagator(constellation.elements)
+        propagator = BatchPropagator.from_columns(constellation.columns)
     events = 0
     min_separation = math.inf
     nearest_samples: List[float] = []

@@ -18,18 +18,24 @@ Shell parameters:
 To avoid the perfectly regular lattice artifacts of ideal Walker patterns
 (real catalogs contain spares, drift, and partially filled planes),
 :func:`build_shell` can jitter RAAN and phase with a seeded RNG.
+
+Pools are built as :class:`~repro.orbits.elements.ElementColumns` and
+wrapped by :meth:`Constellation.from_columns`, which creates a
+:class:`Satellite` only where a caller reads one: the experiments draw
+subsets by index and propagate from the columns, so a 4 408-satellite
+pool costs a few milliseconds, not one object pair per satellite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.constellation.satellite import Constellation, Satellite
-from repro.orbits.elements import OrbitalElements
-from repro.constellation.walker import walker_delta, walker_star
+from repro.constellation.satellite import Constellation
+from repro.constellation.walker import walker_columns
+from repro.orbits.elements import ElementColumns, OrbitalElements, wrap_angles
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,13 @@ ONEWEB_SHELLS: Sequence[ShellSpec] = (
 )
 
 
-def build_shell(
+def shell_columns(
     spec: ShellSpec,
     rng: Optional[np.random.Generator] = None,
     raan_jitter_deg: float = 0.0,
     phase_jitter_deg: float = 0.0,
-) -> List[OrbitalElements]:
-    """Generate the orbital elements of one shell.
+) -> ElementColumns:
+    """The orbital elements of one shell, as columns.
 
     Args:
         spec: Shell parameters.
@@ -81,32 +87,50 @@ def build_shell(
             the mean anomaly.
 
     Returns:
-        ``spec.total_satellites`` orbital elements.
+        ``spec.total_satellites`` rows.  The jitter is drawn satellite by
+        satellite, RAAN before phase (one ``(n, 2)`` draw, or ``n`` draws
+        when only one is non-zero), and applied as
+        :meth:`OrbitalElements.with_raan_deg` and
+        :meth:`~OrbitalElements.with_phase_shift` would apply it, so a
+        seed gives the same elements whatever builds them.
     """
-    generator = walker_star if spec.star else walker_delta
-    elements = generator(
+    columns = walker_columns(
         spec.total_satellites,
         spec.planes,
         spec.phasing_factor,
         spec.inclination_deg,
         spec.altitude_km,
+        star=spec.star,
     )
     if raan_jitter_deg == 0.0 and phase_jitter_deg == 0.0:
-        return elements
+        return columns
     if rng is None:
         raise ValueError("jitter requested but no rng provided")
-    jittered: List[OrbitalElements] = []
-    for element in elements:
-        raan_delta = float(rng.normal(0.0, raan_jitter_deg)) if raan_jitter_deg else 0.0
-        phase_delta = (
-            float(rng.normal(0.0, phase_jitter_deg)) if phase_jitter_deg else 0.0
-        )
-        jittered.append(
-            element.with_raan_deg(element.raan_deg + raan_delta).with_phase_shift(
-                phase_delta
-            )
-        )
-    return jittered
+    count = len(columns)
+    raan_delta = np.zeros(count)
+    phase_delta = np.zeros(count)
+    if raan_jitter_deg and phase_jitter_deg:
+        draws = rng.normal(0.0, [raan_jitter_deg, phase_jitter_deg], size=(count, 2))
+        raan_delta, phase_delta = draws[:, 0], draws[:, 1]
+    elif raan_jitter_deg:
+        raan_delta = rng.normal(0.0, raan_jitter_deg, size=count)
+    else:
+        phase_delta = rng.normal(0.0, phase_jitter_deg, size=count)
+    return replace(
+        columns,
+        raan_rad=wrap_angles(np.radians(np.degrees(columns.raan_rad) + raan_delta)),
+        mean_anomaly_rad=wrap_angles(columns.mean_anomaly_rad + np.radians(phase_delta)),
+    )
+
+
+def build_shell(
+    spec: ShellSpec,
+    rng: Optional[np.random.Generator] = None,
+    raan_jitter_deg: float = 0.0,
+    phase_jitter_deg: float = 0.0,
+) -> List[OrbitalElements]:
+    """Generate the orbital elements of one shell (see :func:`shell_columns`)."""
+    return shell_columns(spec, rng, raan_jitter_deg, phase_jitter_deg).to_elements()
 
 
 def _build_constellation(
@@ -117,18 +141,16 @@ def _build_constellation(
     raan_jitter_deg: float,
     phase_jitter_deg: float,
 ) -> Constellation:
-    satellites: List[Satellite] = []
+    parts: List[ElementColumns] = []
+    sat_ids: List[str] = []
     for shell in shells:
-        elements = build_shell(
-            shell,
-            rng=rng,
-            raan_jitter_deg=raan_jitter_deg,
-            phase_jitter_deg=phase_jitter_deg,
+        parts.append(shell_columns(shell, rng, raan_jitter_deg, phase_jitter_deg))
+        sat_ids.extend(
+            map(f"{prefix}-{shell.name}-{{:04d}}".format, range(shell.total_satellites))
         )
-        for index, element in enumerate(elements):
-            sat_id = f"{prefix}-{shell.name}-{index:04d}"
-            satellites.append(Satellite(sat_id=sat_id, elements=element, name=sat_id))
-    return Constellation(satellites, name=name)
+    return Constellation.from_columns(
+        ElementColumns.concatenate(parts), sat_ids, name=name
+    )
 
 
 def starlink_like_constellation(

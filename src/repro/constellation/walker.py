@@ -13,23 +13,35 @@ inter-plane phase offset controlled by the phasing factor ``F``
 
 from __future__ import annotations
 
+import math
 from typing import List
 
-from repro.orbits.elements import OrbitalElements
+import numpy as np
+
+from repro.constants import EARTH_RADIUS_M
+from repro.orbits.elements import ElementColumns, OrbitalElements, wrap_angles
 
 
-def _walker(
-    *,
+def walker_columns(
     total_satellites: int,
     planes: int,
     phasing_factor: int,
     inclination_deg: float,
     altitude_km: float,
-    node_spread_deg: float,
-    raan_offset_deg: float,
-    phase_offset_deg: float,
-    eccentricity: float,
-) -> List[OrbitalElements]:
+    *,
+    star: bool = False,
+    raan_offset_deg: float = 0.0,
+    phase_offset_deg: float = 0.0,
+    eccentricity: float = 0.0,
+) -> ElementColumns:
+    """A Walker delta (or, with ``star``, Walker star) pattern as columns.
+
+    Satellites are ordered plane by plane, slot by slot.  Every angle is
+    formed with the scalar generator's operations in its order (degrees,
+    reduced mod 360, then to wrapped radians), so :meth:`ElementColumns.
+    to_elements` of the result is what :func:`walker_delta` /
+    :func:`walker_star` return.
+    """
     if total_satellites <= 0:
         raise ValueError(f"total_satellites must be positive, got {total_satellites}")
     if planes <= 0:
@@ -44,25 +56,25 @@ def _walker(
             f"phasing_factor must be in [0, planes), got {phasing_factor}"
         )
     per_plane = total_satellites // planes
-    elements: List[OrbitalElements] = []
-    for plane in range(planes):
-        raan_deg = raan_offset_deg + node_spread_deg * plane / planes
-        for slot in range(per_plane):
-            mean_anomaly_deg = (
-                phase_offset_deg
-                + 360.0 * slot / per_plane
-                + 360.0 * phasing_factor * plane / total_satellites
-            )
-            elements.append(
-                OrbitalElements.from_degrees(
-                    altitude_km=altitude_km,
-                    inclination_deg=inclination_deg,
-                    raan_deg=raan_deg % 360.0,
-                    mean_anomaly_deg=mean_anomaly_deg % 360.0,
-                    eccentricity=eccentricity,
-                )
-            )
-    return elements
+    node_spread_deg = 180.0 if star else 360.0
+    plane = np.repeat(np.arange(planes, dtype=np.float64), per_plane)
+    slot = np.tile(np.arange(per_plane, dtype=np.float64), planes)
+    raan_deg = raan_offset_deg + node_spread_deg * plane / planes
+    mean_anomaly_deg = (
+        phase_offset_deg
+        + 360.0 * slot / per_plane
+        + 360.0 * phasing_factor * plane / total_satellites
+    )
+    # OrbitalElements.from_degrees, elementwise.
+    return ElementColumns(
+        semi_major_axis_m=np.full(total_satellites, EARTH_RADIUS_M + altitude_km * 1000.0),
+        eccentricity=np.full(total_satellites, eccentricity),
+        inclination_rad=np.full(total_satellites, math.radians(inclination_deg)),
+        raan_rad=wrap_angles(np.radians(np.mod(raan_deg, 360.0))),
+        arg_perigee_rad=np.zeros(total_satellites),
+        mean_anomaly_rad=wrap_angles(np.radians(np.mod(mean_anomaly_deg, 360.0))),
+        epoch_s=np.zeros(total_satellites),
+    )
 
 
 def walker_delta(
@@ -82,17 +94,16 @@ def walker_delta(
         >>> len(shell)
         1584
     """
-    return _walker(
-        total_satellites=total_satellites,
-        planes=planes,
-        phasing_factor=phasing_factor,
-        inclination_deg=inclination_deg,
-        altitude_km=altitude_km,
-        node_spread_deg=360.0,
+    return walker_columns(
+        total_satellites,
+        planes,
+        phasing_factor,
+        inclination_deg,
+        altitude_km,
         raan_offset_deg=raan_offset_deg,
         phase_offset_deg=phase_offset_deg,
         eccentricity=eccentricity,
-    )
+    ).to_elements()
 
 
 def walker_star(
@@ -106,17 +117,17 @@ def walker_star(
     eccentricity: float = 0.0,
 ) -> List[OrbitalElements]:
     """Generate a Walker star pattern (nodes spread over 180 degrees)."""
-    return _walker(
-        total_satellites=total_satellites,
-        planes=planes,
-        phasing_factor=phasing_factor,
-        inclination_deg=inclination_deg,
-        altitude_km=altitude_km,
-        node_spread_deg=180.0,
+    return walker_columns(
+        total_satellites,
+        planes,
+        phasing_factor,
+        inclination_deg,
+        altitude_km,
+        star=True,
         raan_offset_deg=raan_offset_deg,
         phase_offset_deg=phase_offset_deg,
         eccentricity=eccentricity,
-    )
+    ).to_elements()
 
 
 def single_plane(

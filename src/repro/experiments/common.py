@@ -192,7 +192,12 @@ class ExperimentContext:
         self._activity: Dict[tuple, np.ndarray] = {}
 
     def pool(self, seed: int = 0) -> Constellation:
-        """The cached synthetic Starlink-like pool (4408 satellites)."""
+        """The cached synthetic Starlink-like pool (4408 satellites).
+
+        Column-backed (:meth:`Constellation.from_columns`): building it
+        creates no :class:`Satellite`, and the figure paths read only its
+        length, columns and ids.
+        """
         if seed not in self._pools:
             _POOL_MISSES.inc()
             _LOG.info("building starlink-like pool (seed=%d)", seed)
@@ -211,7 +216,9 @@ class ExperimentContext:
         threshold table only depends on the pool's radii and the sites).
         """
         if seed not in self._propagators:
-            self._propagators[seed] = BatchPropagator(self.pool(seed).elements)
+            self._propagators[seed] = BatchPropagator.from_columns(
+                self.pool(seed).columns
+            )
         return self._propagators[seed]
 
     def site_geometry(

@@ -159,7 +159,7 @@ def _narrate_run(visibility, indices, mask, grid, pool) -> None:
         return
     traced = indices[active]
     sat_masks = visibility.satellite_masks(traced, [TAIPEI_INDEX])
-    sat_ids = [pool[int(sat)].sat_id for sat in traced]
+    sat_ids = [pool.sat_ids[int(sat)] for sat in traced]
     contact_events(sat_masks[None, :, :], [site_name], sat_ids, grid)
 
 
@@ -190,7 +190,7 @@ def contact_events_from_intervals_subset(
     events = []
     for sat in sat_indices:
         rises, falls, t_start, t_end = contacts.pair_windows(TAIPEI_INDEX, sat)
-        sat_id = pool[int(sat)].sat_id
+        sat_id = pool.sat_ids[int(sat)]
         events.extend(
             ContactEvent(
                 site_name, sat_id, float(rise), float(fall),

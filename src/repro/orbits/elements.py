@@ -4,12 +4,17 @@ The :class:`OrbitalElements` dataclass is the library's canonical description
 of an orbit at an epoch.  Angles are stored in **radians** internally; the
 constructor helpers accept degrees because constellation design parameters
 (inclination 53°, phases 30° apart, …) are naturally quoted in degrees.
+:class:`ElementColumns` holds the same seven fields for a whole fleet as
+float64 arrays, the form the batch propagator and the synthetic pools use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, List, Sequence
+
+import numpy as np
 
 from repro.constants import EARTH_RADIUS_M, MU_EARTH, mean_motion_rad_s
 
@@ -24,6 +29,13 @@ def wrap_angle(angle_rad: float) -> float:
     if wrapped >= TWO_PI:  # Tiny negatives round up to exactly 2*pi.
         wrapped = 0.0
     return wrapped
+
+
+def wrap_angles(angles_rad: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of every element of a float64 array (a new array)."""
+    wrapped = np.fmod(angles_rad, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
 @dataclass(frozen=True)
@@ -152,6 +164,86 @@ class OrbitalElements:
     def with_raan_deg(self, raan_deg: float) -> "OrbitalElements":
         """Return a copy in a plane rotated to a different RAAN."""
         return replace(self, raan_rad=wrap_angle(math.radians(raan_deg)))
+
+
+@dataclass(frozen=True, eq=False)
+class ElementColumns:
+    """The orbital elements of many satellites, one float64 column per field.
+
+    Row ``i`` of the seven columns is satellite ``i``'s
+    :class:`OrbitalElements`; :meth:`element` builds that object on demand
+    and :meth:`from_elements` goes the other way, both exactly (a float64
+    holds a Python float unchanged).  Construction copies the columns,
+    makes them read-only and checks them as :class:`OrbitalElements` checks
+    one orbit, so a fleet built here never needs per-satellite objects to be
+    propagated.
+    """
+
+    semi_major_axis_m: np.ndarray
+    eccentricity: np.ndarray
+    inclination_rad: np.ndarray
+    raan_rad: np.ndarray
+    arg_perigee_rad: np.ndarray
+    mean_anomaly_rad: np.ndarray
+    epoch_s: np.ndarray
+
+    def __post_init__(self) -> None:
+        size = None
+        for name in (field.name for field in fields(self)):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            if column.ndim != 1 or (size is not None and column.size != size):
+                raise ValueError("element columns must be 1-D and of equal length")
+            size = column.size
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if np.any(~(self.semi_major_axis_m > 0.0)):
+            raise ValueError("semi-major axes must be positive")
+        if np.any(~((self.eccentricity >= 0.0) & (self.eccentricity < 1.0))):
+            raise ValueError("eccentricities must be in [0, 1)")
+        if np.any(~((self.inclination_rad >= 0.0) & (self.inclination_rad <= math.pi))):
+            raise ValueError("inclinations must be in [0, pi]")
+
+    @classmethod
+    def from_elements(cls, elements: Iterable[OrbitalElements]) -> "ElementColumns":
+        """Columns of an element sequence, in order."""
+        elements = list(elements)
+        return cls(
+            *(
+                np.array([getattr(element, field.name) for element in elements])
+                for field in fields(cls)
+            )
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["ElementColumns"]) -> "ElementColumns":
+        """The rows of ``parts``, one after another."""
+        return cls(
+            *(
+                np.concatenate([getattr(part, field.name) for part in parts])
+                for field in fields(cls)
+            )
+        )
+
+    def __len__(self) -> int:
+        return self.semi_major_axis_m.size
+
+    def element(self, index: int) -> OrbitalElements:
+        """Row ``index`` as an :class:`OrbitalElements`."""
+        return OrbitalElements(
+            *(float(getattr(self, field.name)[index]) for field in fields(self))
+        )
+
+    def to_elements(self) -> List[OrbitalElements]:
+        """Every row as an :class:`OrbitalElements`, in order."""
+        rows = zip(*(getattr(self, field.name).tolist() for field in fields(self)))
+        return [OrbitalElements(*row) for row in rows]
+
+    def take(self, indices) -> "ElementColumns":
+        """The rows at positional ``indices``, in that order."""
+        index = np.asarray(indices, dtype=np.intp)
+        return ElementColumns(
+            *(getattr(self, field.name)[index] for field in fields(self))
+        )
 
 
 def mean_to_eccentric_anomaly(mean_anomaly_rad: float, eccentricity: float) -> float:

@@ -32,6 +32,7 @@ from repro.constants import EARTH_RADIUS_M, J2, MU_EARTH
 from repro.obs import metrics
 from repro.obs.trace import span
 from repro.orbits.elements import (
+    ElementColumns,
     OrbitalElements,
     eccentric_to_true_anomaly,
     wrap_angle,
@@ -164,23 +165,39 @@ class J2Propagator:
 class BatchPropagator:
     """Vectorized propagation of many satellites over a time grid.
 
-    All per-satellite elements are stored as flat numpy arrays; propagation to
+    All per-satellite elements are stored as flat numpy arrays, taken from
+    :class:`~repro.orbits.elements.ElementColumns` (:meth:`from_columns`;
+    the element-list constructor converts and delegates).  Propagation to
     a time grid of T instants returns an (N, T, 3) ECI position array (or the
     caller can ask for time chunks to bound memory — the visibility engine
     does).
     """
 
     def __init__(self, elements: Sequence[OrbitalElements]) -> None:
-        if not elements:
+        self._set_columns(ElementColumns.from_elements(elements))
+
+    @classmethod
+    def from_columns(cls, columns: ElementColumns) -> "BatchPropagator":
+        """A propagator over element columns, with no per-satellite objects.
+
+        Bit-identical to ``BatchPropagator(elements)`` for the elements
+        those columns hold.
+        """
+        propagator = cls.__new__(cls)
+        propagator._set_columns(columns)
+        return propagator
+
+    def _set_columns(self, columns: ElementColumns) -> None:
+        if not len(columns):
             raise ValueError("BatchPropagator needs at least one satellite")
-        self.count = len(elements)
-        self.semi_major_axis_m = np.array([e.semi_major_axis_m for e in elements])
-        self.eccentricity = np.array([e.eccentricity for e in elements])
-        self.inclination_rad = np.array([e.inclination_rad for e in elements])
-        self.raan_rad = np.array([e.raan_rad for e in elements])
-        self.arg_perigee_rad = np.array([e.arg_perigee_rad for e in elements])
-        self.mean_anomaly_rad = np.array([e.mean_anomaly_rad for e in elements])
-        self.epoch_s = np.array([e.epoch_s for e in elements])
+        self.count = len(columns)
+        self.semi_major_axis_m = columns.semi_major_axis_m
+        self.eccentricity = columns.eccentricity
+        self.inclination_rad = columns.inclination_rad
+        self.raan_rad = columns.raan_rad
+        self.arg_perigee_rad = columns.arg_perigee_rad
+        self.mean_anomaly_rad = columns.mean_anomaly_rad
+        self.epoch_s = columns.epoch_s
 
         n = np.sqrt(MU_EARTH / self.semi_major_axis_m**3)
         p = self.semi_major_axis_m * (1.0 - self.eccentricity**2)

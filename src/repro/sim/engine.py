@@ -181,7 +181,7 @@ class BentPipeSimulator:
         """
         if self.link is None:
             return None
-        propagator = BatchPropagator(self.constellation.elements)
+        propagator = BatchPropagator.from_columns(self.constellation.columns)
         sat_positions = propagator.positions_eci(self.grid.times_s)  # (N, T, 3)
 
         station_vis = self._engine.visibility(self.constellation, self.stations)

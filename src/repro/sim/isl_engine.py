@@ -94,7 +94,7 @@ class IslBentPipeSimulator(BentPipeSimulator):
                 per_party_station_vis[party] = station_vis[member].any(axis=0)
 
         n_times = terminal_vis.shape[2]
-        propagator = BatchPropagator(self.constellation.elements)
+        propagator = BatchPropagator.from_columns(self.constellation.columns)
         positions = propagator.positions_eci(self.grid.times_s)  # (N, T, 3)
 
         # Satellite "can reach a party's station" per step, with forwarding.

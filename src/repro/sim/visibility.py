@@ -71,7 +71,7 @@ def _as_propagator(constellation: ConstellationLike) -> BatchPropagator:
     if isinstance(constellation, BatchPropagator):
         return constellation
     if isinstance(constellation, Constellation):
-        return BatchPropagator(constellation.elements)
+        return BatchPropagator.from_columns(constellation.columns)
     return BatchPropagator(list(constellation))
 
 

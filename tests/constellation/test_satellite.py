@@ -1,5 +1,6 @@
 """Tests for Satellite and Constellation containers."""
 
+import numpy as np
 import pytest
 
 from repro.constellation.satellite import (
@@ -8,7 +9,15 @@ from repro.constellation.satellite import (
     UNASSIGNED_PARTY,
     from_elements,
 )
-from repro.orbits.elements import OrbitalElements
+from repro.constellation.shells import (
+    KUIPER_SHELLS,
+    ONEWEB_SHELLS,
+    build_shell,
+    kuiper_like_constellation,
+    oneweb_like_constellation,
+)
+from repro.orbits.elements import ElementColumns, OrbitalElements
+from repro.orbits.propagator import BatchPropagator
 
 
 def _sat(sat_id, party=UNASSIGNED_PARTY):
@@ -153,3 +162,213 @@ class TestFromElements:
         ]
         constellation = from_elements(elements, party="korea")
         assert constellation[0].party == "korea"
+
+
+def _eager(shells, prefix, name, seed, raan_jitter_deg, phase_jitter_deg):
+    """A pool built one Satellite at a time from the element-list API."""
+    rng = np.random.default_rng(seed)
+    satellites = []
+    for shell in shells:
+        elements = build_shell(shell, rng, raan_jitter_deg, phase_jitter_deg)
+        for index, element in enumerate(elements):
+            sat_id = f"{prefix}-{shell.name}-{index:04d}"
+            satellites.append(Satellite(sat_id=sat_id, elements=element, name=sat_id))
+    return Constellation(satellites, name=name)
+
+
+@pytest.fixture
+def oneweb_pair():
+    """(column-backed, eager) builds of one OneWeb-like pool."""
+    lazy = oneweb_like_constellation(np.random.default_rng(5))
+    eager = _eager(ONEWEB_SHELLS, "OWB", "oneweb-like", 5, 0.5, 1.0)
+    return lazy, eager
+
+
+@pytest.fixture
+def kuiper_pair():
+    lazy = kuiper_like_constellation(np.random.default_rng(9))
+    eager = _eager(KUIPER_SHELLS, "KPR", "kuiper-like", 9, 1.0, 2.0)
+    return lazy, eager
+
+
+def _same(left, right):
+    assert left.name == right.name
+    assert len(left) == len(right)
+    assert list(left) == list(right)
+
+
+class TestColumnBackedConstellation:
+    """A column-backed pool behaves exactly like the same satellites held
+    as objects, and creates objects only where they are read."""
+
+    def test_iteration_matches(self, oneweb_pair):
+        _same(*oneweb_pair)
+
+    def test_indexing_matches(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        for index in (0, 1, 17, 587, -1, -588):
+            assert lazy[index] == eager[index]
+        assert lazy[3:9] == eager[3:9]
+        for index in (588, -589):
+            with pytest.raises(IndexError):
+                lazy[index]
+
+    def test_get_and_contains_match(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        sat_id = eager[42].sat_id
+        assert sat_id in lazy
+        assert lazy.get(sat_id) == eager.get(sat_id)
+        assert "missing" not in lazy
+        with pytest.raises(KeyError):
+            lazy.get("missing")
+
+    def test_take_matches(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        indices = np.array([500, 3, 3 + 1, 0, -1])
+        _same(lazy.take(indices), eager.take(indices))
+        _same(lazy.take(indices, name="sub"), eager.take(indices, name="sub"))
+        _same(lazy.take([]), eager.take([]))
+        for bad in ([588], [-589]):
+            with pytest.raises(IndexError):
+                eager.take(bad)
+            with pytest.raises(IndexError):
+                lazy.take(bad)
+
+    def test_union_matches(self, oneweb_pair, kuiper_pair):
+        lazy_a, eager_a = oneweb_pair
+        lazy_b, eager_b = kuiper_pair
+        expected = eager_a.union(eager_b, name="both")
+        _same(lazy_a.union(lazy_b, name="both"), expected)
+        _same(lazy_a.union(eager_b, name="both"), expected)
+        _same(eager_a.union(lazy_b, name="both"), expected)
+
+    def test_union_collision_message_matches(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        with pytest.raises(ValueError) as expected:
+            eager.union(eager)
+        with pytest.raises(ValueError) as actual:
+            lazy.union(lazy)
+        assert str(actual.value) == str(expected.value)
+        with pytest.raises(ValueError) as mixed:
+            lazy.union(eager)
+        assert str(mixed.value) == str(expected.value)
+
+    def test_duplicate_id_message_matches(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        ids = list(lazy.sat_ids)
+        ids[40] = ids[7]
+        with pytest.raises(ValueError) as actual:
+            Constellation.from_columns(lazy.columns, ids)
+        satellites = list(eager)
+        satellites[40] = satellites[7]
+        with pytest.raises(ValueError) as expected:
+            Constellation(satellites)
+        assert str(actual.value) == str(expected.value)
+        assert "positions 7 and 40" in str(actual.value)
+
+    def test_ids_must_match_rows(self, oneweb_pair):
+        lazy, _ = oneweb_pair
+        with pytest.raises(ValueError, match="ids for"):
+            Constellation.from_columns(lazy.columns, lazy.sat_ids[:-1])
+
+    def test_assign_parties_matches(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+
+        def party_of(index, satellite):
+            return f"party-{index % 3}-{satellite.sat_id[-1]}"
+
+        _same(lazy.assign_parties(party_of), eager.assign_parties(party_of))
+        assert lazy.assign_parties(party_of).party_counts() == (
+            eager.assign_parties(party_of).party_counts()
+        )
+
+    def test_remove_ids_and_parties_match(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        removal = [eager[index].sat_id for index in (0, 9, 300)]
+        _same(lazy.remove_ids(removal), eager.remove_ids(removal))
+        with pytest.raises(KeyError, match="unknown"):
+            lazy.remove_ids(["missing"])
+        assert lazy.parties == eager.parties == [UNASSIGNED_PARTY]
+        assert lazy.party_counts() == eager.party_counts()
+        _same(lazy.without_party(UNASSIGNED_PARTY), eager.without_party(UNASSIGNED_PARTY))
+
+    def test_add_matches(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        _same(lazy.add(_sat("extra")), eager.add(_sat("extra")))
+
+    def test_columns_and_propagator_match(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        for name in ("semi_major_axis_m", "raan_rad", "mean_anomaly_rad", "epoch_s"):
+            assert np.array_equal(
+                getattr(lazy.columns, name), getattr(eager.columns, name)
+            )
+        times = np.arange(0.0, 86_400.0, 3_600.0)
+        assert np.array_equal(
+            BatchPropagator.from_columns(lazy.columns).positions_eci(times),
+            BatchPropagator(eager.elements).positions_eci(times),
+        )
+
+    def test_objects_created_only_where_read(self, monkeypatch):
+        created = []
+        init = Satellite.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(kwargs.get("sat_id", args[0] if args else None))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Satellite, "__init__", counting_init)
+        pool = kuiper_like_constellation(np.random.default_rng(0))
+        subset = pool.take(np.arange(0, 3236, 10)).union(pool.take([1, 2]))
+        assert len(pool) == 3236 and len(subset) == 326
+        assert pool.get(pool.sat_ids[5]).sat_id == pool.sat_ids[5]
+        assert BatchPropagator.from_columns(subset.columns).count == 326
+        assert created == [pool.sat_ids[5]]
+        assert pool[5] is pool[5] is pool.get(pool.sat_ids[5])
+        assert len(created) == 1
+        assert list(pool)[5] is pool[5]
+        assert len(created) == 3236
+
+
+class TestElementColumns:
+    def test_rows_round_trip(self, oneweb_pair):
+        _, eager = oneweb_pair
+        columns = ElementColumns.from_elements(eager.elements)
+        assert columns.to_elements() == eager.elements
+        assert columns.element(-1) == eager.elements[-1]
+        assert columns.take([4, 2]).to_elements() == [eager.elements[4], eager.elements[2]]
+
+    def test_columns_are_read_only_copies(self):
+        raan = np.zeros(2)
+        columns = ElementColumns(
+            np.full(2, 7e6), np.zeros(2), np.ones(2), raan, np.zeros(2),
+            np.zeros(2), np.zeros(2),
+        )
+        raan[0] = 1.0
+        assert columns.raan_rad[0] == 0.0
+        with pytest.raises(ValueError):
+            columns.raan_rad[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            (0, 0.0, "semi-major"),
+            (1, 1.0, "eccentricit"),
+            (2, 4.0, "inclination"),
+            (2, np.nan, "inclination"),
+        ],
+    )
+    def test_rejects_what_orbital_elements_rejects(self, field, value, match):
+        values = [np.full(2, 7e6)] + [np.zeros(2) for _ in range(6)]
+        values[field] = np.array([values[field][0], value])
+        with pytest.raises(ValueError, match=match):
+            ElementColumns(*values)
+
+    def test_rejects_ragged_columns(self):
+        values = [np.full(2, 7e6)] + [np.zeros(2) for _ in range(6)]
+        values[3] = np.zeros(3)
+        with pytest.raises(ValueError, match="equal length"):
+            ElementColumns(*values)
+
+    def test_empty_propagator_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            BatchPropagator.from_columns(ElementColumns.from_elements([]))

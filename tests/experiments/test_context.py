@@ -220,3 +220,39 @@ class TestSatelliteActivity:
         assert len(context._activity) == 2
         context.clear()
         assert context._activity == {}
+
+
+class TestPoolStaysColumnar:
+    def test_figure_paths_create_at_most_eight_satellites(self, monkeypatch):
+        """The pool, its propagator and a fig2 sweep with its narration
+        read the pool's columns and ids; only narration may index rows,
+        at most MAX_TRACED_SATELLITES of them."""
+        from repro.constellation.satellite import Satellite
+        from repro.experiments import fig2_coverage_vs_size as fig2
+        from repro.obs import timeline as obs_timeline
+        from repro.runner import run_scenario
+
+        created = []
+        init = Satellite.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(kwargs.get("sat_id"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Satellite, "__init__", counting_init)
+        context = ExperimentContext(engine=common.default_context().engine)
+        assert len(context.pool()) == 4408
+        assert context.pool_propagator().count == 4408
+        obs_timeline.reset()
+        try:
+            config = ExperimentConfig(runs=2, step_s=900.0, duration_s=86400.0)
+            run_scenario(fig2.Fig2Scenario(sizes=(500,)), config, context=context)
+            narrated = {
+                event.to_dict()["subject"]
+                for event in obs_timeline.events()
+                if event.to_dict()["kind"] == obs_timeline.CONTACT_BEGIN
+            }
+        finally:
+            obs_timeline.reset()
+        assert len(narrated) == fig2.MAX_TRACED_SATELLITES
+        assert len(created) <= fig2.MAX_TRACED_SATELLITES
