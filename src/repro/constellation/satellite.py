@@ -75,8 +75,7 @@ class Constellation:
     built by :meth:`from_columns`, only element columns and ids.  A
     column-backed one creates a satellite the first time it is indexed,
     and all of them the first time it is iterated or composed by party;
-    ``len``, ids, :attr:`columns`, :meth:`take` and :meth:`union` of two
-    column-backed constellations stay on the columns.
+    ``len``, ids, :attr:`columns` and :meth:`take` stay on the columns.
     """
 
     def __init__(self, satellites: Iterable[Satellite], name: str = "") -> None:
@@ -206,12 +205,6 @@ class Constellation:
 
     def union(self, other: "Constellation", name: str = "") -> "Constellation":
         """Combine two constellations (ids must not collide)."""
-        if self._satellites is None and other._satellites is None:
-            return Constellation.from_columns(
-                ElementColumns.concatenate([self._columns, other._columns]),
-                self._ids + other._ids,
-                name=name or self.name,
-            )
         return Constellation(
             self.satellites + other.satellites, name=name or self.name
         )

@@ -408,15 +408,14 @@ class StreamPlan:
     propagates (culling off, not applicable, or nothing to cull).
     ``screen_lo``/``screen_hi`` are the float32 (S, N) screen band edges,
     ``thresholds -/+ SCREEN_MARGIN``; infeasible pairs get ``screen_lo =
-    inf``, so they never pass the screen.  ``buffers`` is what
-    :func:`iter_slabs` keeps for the next pass over a single-chunk plan.
+    inf``, so they never pass the screen.
     """
 
     __slots__ = (
         "propagator", "geometry", "grid", "chunk_size", "thresholds",
         "screen_lo", "screen_hi", "feasible", "active_indices",
         "active_propagator", "culled_pairs", "culled_satellites",
-        "cull_applied", "buffers",
+        "cull_applied",
     )
 
     def __init__(self, propagator, geometry, grid, chunk_size, thresholds,
@@ -437,7 +436,6 @@ class StreamPlan:
         self.culled_pairs = culled_pairs
         self.culled_satellites = culled_satellites
         self.cull_applied = cull_applied
-        self.buffers: Optional[_ScreenBuffers] = None
 
     @property
     def n_sites(self) -> int:
@@ -559,10 +557,6 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
     time sample is one contiguous (S, N) plane.  The all-culled path
     yields C-ordered zeros instead.  Consumers must not assume either
     layout; see :func:`stream_packed_bits` for one that reads along it.
-
-    A plan whose grid is one chunk keeps its stepper, dots block and
-    slab (:class:`_ScreenBuffers`): a second pass reuses them, and so
-    overwrites the slab the first pass yielded.
     """
     if plan.nothing_visible:
         for offset, chunk_times in _chunk_offsets(plan):
@@ -573,17 +567,18 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
             _SLAB_BYTES.inc(slab.nbytes)
             yield offset, slab
         return
-    buffers = plan.buffers or _ScreenBuffers(plan)
-    if buffers.slab is not None:
-        plan.buffers = buffers
-    stepper, dots, full = buffers.stepper, buffers.dots, buffers.full
+    block = screen_block_size(plan)
+    stepper = ScreenStepper(plan.active_propagator, plan.grid.step_s, block)
+    dots = np.empty((block, plan.n_sites, plan.n_satellites), dtype=np.float32)
+    full = None
+    if plan.active_indices is not None:
+        # Culled columns stay zero across blocks; only active ones are written.
+        full = np.zeros((block, 3, plan.n_satellites), dtype=np.float32)
     pairs = plan.n_sites * plan.n_satellites
     for offset, chunk_times in _chunk_offsets(plan):
         blocks, sat64 = stepper.chunk(chunk_times)
         site64, site32 = plan.geometry.screen_chunk(offset, chunk_times)
-        slab = buffers.slab
-        if slab is None:
-            slab = np.empty((chunk_times.size,) + plan.screen_lo.shape, dtype=bool)
+        slab = np.empty((chunk_times.size,) + plan.screen_lo.shape, dtype=bool)
         near = []
         for begin, sat32 in blocks:
             size = sat32.shape[0]
@@ -602,33 +597,6 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
         _SLABS_STREAMED.inc()
         _SLAB_BYTES.inc(slab.nbytes)
         yield offset, slab.transpose(1, 2, 0)
-
-
-class _ScreenBuffers:
-    """One pass's screen stepper and scratch buffers.
-
-    A single-chunk plan keeps them, its one slab included, for the next
-    pass: mapping them afresh made every pass over a small plan
-    page-fault (fig4b's 21-site x 29-satellite, 2 016-sample plan took
-    ~1 600 minor faults, twice its compute time).  Multi-chunk plans
-    drop them after the pass, as their slabs are fresh per chunk.
-    """
-
-    __slots__ = ("stepper", "dots", "full", "slab")
-
-    def __init__(self, plan: StreamPlan) -> None:
-        block = screen_block_size(plan)
-        self.stepper = ScreenStepper(plan.active_propagator, plan.grid.step_s, block)
-        self.dots = np.empty((block, plan.n_sites, plan.n_satellites), dtype=np.float32)
-        self.full = None
-        if plan.active_indices is not None:
-            # Culled columns stay zero across blocks; only active ones are written.
-            self.full = np.zeros((block, 3, plan.n_satellites), dtype=np.float32)
-        self.slab = None
-        if plan.grid.count <= plan.chunk_size:
-            self.slab = np.empty(
-                (plan.grid.count,) + plan.screen_lo.shape, dtype=bool
-            )
 
 
 def _near_threshold(

@@ -674,68 +674,3 @@ class TestPropagatorDerived:
             ]
         )
         assert not eccentric.all_circular
-
-
-#: One fig4b-sized plan (21 cities x 29 phase candidates, one week at
-#: 300 s: 2 016 samples, one chunk) streamed twice in a fresh interpreter,
-#: so the allocator starts cold as in a one-figure CLI run.  Prints the
-#: minor faults of each pass and whether the second pass's slab is the
-#: first's buffer holding the same bits.
-_TWO_PASS_SCRIPT = """
-import resource
-import numpy as np
-from repro.constellation.design import fig4b_base_constellation, phase_sweep_candidates
-from repro.experiments.common import ExperimentConfig
-from repro.ground.cities import CITIES, terminals_for_cities
-from repro.orbits.propagator import BatchPropagator
-from repro.sim import kernels
-
-grid = ExperimentConfig(step_s=300.0).grid()
-base = fig4b_base_constellation()
-candidates = phase_sweep_candidates(base[0].elements, gap_deg=30.0, positions=29)
-propagator = BatchPropagator([candidate.elements for candidate in candidates])
-geometry = kernels.SiteGeometry(terminals_for_cities(CITIES), grid)
-geometry.prime_track()
-plan = kernels.plan_stream(propagator, geometry, grid)
-assert plan.chunk_size >= grid.count
-
-def one_pass():
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    (slab,) = [slab for _, slab in kernels.iter_slabs(plan)]
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, slab
-
-first_faults, first = one_pass()
-first_bits = first.copy()
-second_faults, second = one_pass()
-exact = np.array_equal(second, kernels.exact_visibility(propagator, geometry))
-print(first_faults, second_faults, np.shares_memory(first, second),
-      np.array_equal(first_bits, second), exact)
-"""
-
-
-class TestPlanBufferReuse:
-    def test_second_pass_over_a_small_plan_reuses_its_buffers(self):
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        env = dict(os.environ)
-        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _TWO_PASS_SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout.split()
-        first_faults, second_faults = int(out[0]), int(out[1])
-        assert out[2:] == ["True", "True", "True"]
-        # ~1 600 faults on the first pass, none on the second.
-        assert first_faults > 200
-        assert second_faults * 10 < first_faults
-
-    def test_multi_chunk_plans_keep_no_buffers(self, mixed_pool):
-        plan = _plan(mixed_pool, SITES, 13)
-        slabs = [slab.copy() for _, slab in kernels.iter_slabs(plan)]
-        assert plan.buffers is None
-        assert np.array_equal(np.concatenate(slabs, axis=2), _exact(mixed_pool, SITES))
