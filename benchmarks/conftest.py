@@ -8,12 +8,12 @@ capture (no ``-s`` needed).
 The expensive artifact — packed visibility of the full synthetic Starlink
 pool at the 22 experiment sites over one week — is built once per session
 and shared by every benchmark through :mod:`repro.experiments.common`'s
-module-level cache; each ``benchmark()`` measurement therefore times the
-figure's analysis, not the shared propagation.
+module-level cache, so each figure runs its analysis on the shared store.
 
-The session writes no record file.  The repo's cold, repeated timing of
-every figure is ``coldbench/`` (its ``result.json``); compare two of those
-with ``python -m repro obs diff A/result.json B/result.json``.
+The session times nothing and writes no record file.  The repo's cold,
+repeated timing of every figure is ``coldbench/`` (its ``result.json``);
+compare two of those with ``python -m repro obs diff A/result.json
+B/result.json``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def bench_config() -> ExperimentConfig:
 
 @pytest.fixture(scope="session")
 def shared_pool_visibility(bench_config):
-    """Build the pool visibility once, before any figure's timed region."""
+    """Build the pool visibility once, before any figure runs."""
     from repro.experiments.common import pool_visibility
 
     return pool_visibility(bench_config)

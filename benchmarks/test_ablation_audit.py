@@ -72,10 +72,8 @@ def _run(config):
     return reports, slashes
 
 
-def test_ablation_audit(benchmark, bench_config, report):
-    reports, slashes = benchmark.pedantic(
-        lambda: _run(bench_config), rounds=1, iterations=1
-    )
+def test_ablation_audit(bench_config, report):
+    reports, slashes = _run(bench_config)
 
     table = Table(
         "Ablation: service-denial audit after a simulated denial attack (24 h)",

@@ -40,8 +40,8 @@ def _run(config):
     return rows
 
 
-def test_ablation_elevation_mask(benchmark, bench_config, report):
-    rows = benchmark.pedantic(lambda: _run(bench_config), rounds=1, iterations=1)
+def test_ablation_elevation_mask(bench_config, report):
+    rows = _run(bench_config)
 
     table = Table(
         f"Ablation: uncovered % at Taipei vs elevation mask "

@@ -58,10 +58,8 @@ def _run(config):
     return trajectories
 
 
-def test_ablation_failures(benchmark, bench_config, report):
-    trajectories = benchmark.pedantic(
-        lambda: _run(bench_config), rounds=1, iterations=1
-    )
+def test_ablation_failures(bench_config, report):
+    trajectories = _run(bench_config)
 
     for label, rows in trajectories.items():
         table = Table(

@@ -63,8 +63,8 @@ def _run(config):
     }
 
 
-def test_ablation_isl(benchmark, bench_config, report):
-    coverage = benchmark.pedantic(lambda: _run(bench_config), rounds=1, iterations=1)
+def test_ablation_isl(bench_config, report):
+    coverage = _run(bench_config)
 
     table = Table(
         f"Ablation: bent pipe vs ISL forwarding at Taipei "

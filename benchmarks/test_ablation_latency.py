@@ -24,8 +24,8 @@ def _run():
     return rows
 
 
-def test_ablation_latency(benchmark, bench_config, report):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_latency(bench_config, report):
+    rows = _run()
 
     table = Table(
         "Ablation: bent-pipe latency by altitude (25 deg mask)",

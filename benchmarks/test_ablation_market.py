@@ -94,8 +94,8 @@ def _run(config):
     return outcomes
 
 
-def test_ablation_market(benchmark, bench_config, report):
-    outcomes = benchmark.pedantic(lambda: _run(bench_config), rounds=1, iterations=1)
+def test_ablation_market(bench_config, report):
+    outcomes = _run(bench_config)
 
     table = Table(
         "Ablation: market outcomes by pricing policy (2-party MP-LEO, 24 h)",

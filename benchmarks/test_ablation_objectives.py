@@ -25,8 +25,8 @@ def _run(config):
     return results
 
 
-def test_ablation_objectives(benchmark, bench_config, report):
-    results = benchmark.pedantic(lambda: _run(bench_config), rounds=1, iterations=1)
+def test_ablation_objectives(bench_config, report):
+    results = _run(bench_config)
 
     table = Table(
         f"Ablation: regional vs global placement objectives "

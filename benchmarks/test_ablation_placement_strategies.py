@@ -46,8 +46,8 @@ def _run(config):
     return coverages
 
 
-def test_ablation_placement_strategies(benchmark, bench_config, report):
-    coverages = benchmark.pedantic(lambda: _run(bench_config), rounds=1, iterations=1)
+def test_ablation_placement_strategies(bench_config, report):
+    coverages = _run(bench_config)
 
     table = Table(
         f"Ablation: weighted city coverage by placement strategy "

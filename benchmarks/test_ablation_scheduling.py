@@ -35,8 +35,8 @@ def _run(config):
     )
 
 
-def test_ablation_scheduling(benchmark, bench_config, report):
-    outcomes = benchmark.pedantic(lambda: _run(bench_config), rounds=1, iterations=1)
+def test_ablation_scheduling(bench_config, report):
+    outcomes = _run(bench_config)
 
     table = Table(
         f"Ablation: downlink scheduling ({FLEET} satellites, "

@@ -71,11 +71,9 @@ def _run(config):
     return shared_report, independent_report, counts, economics, peak_density
 
 
-def test_ablation_sustainability(benchmark, bench_config, report):
+def test_ablation_sustainability(bench_config, report):
     (shared_report, independent_report, counts,
-     economics, peak_density) = benchmark.pedantic(
-        lambda: _run(bench_config), rounds=1, iterations=1
-    )
+     economics, peak_density) = _run(bench_config)
 
     table = Table(
         "Ablation: orbital environment — shared MP-LEO vs independent "

@@ -19,8 +19,8 @@ def _run():
     return elements, track, nodes
 
 
-def test_fig1a_ground_track(benchmark, report):
-    elements, track, nodes = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig1a_ground_track(report):
+    elements, track, nodes = _run()
 
     table = Table(
         "Fig. 1a: 3-hour ground track of one 53 deg / 546 km satellite",

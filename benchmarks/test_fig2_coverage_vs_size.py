@@ -10,12 +10,8 @@ from repro.analysis.reporting import Table
 from repro.experiments.fig2_coverage_vs_size import DEFAULT_SIZES, run_fig2
 
 
-def test_fig2_coverage_vs_size(benchmark, bench_config, shared_pool_visibility, report):
-    result = benchmark.pedantic(
-        lambda: run_fig2(bench_config, sizes=DEFAULT_SIZES),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig2_coverage_vs_size(bench_config, shared_pool_visibility, report):
+    result = run_fig2(bench_config, sizes=DEFAULT_SIZES)
 
     table = Table(
         "Fig. 2: % time without coverage at Taipei (1 week)",

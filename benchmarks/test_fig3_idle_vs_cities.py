@@ -10,13 +10,9 @@ from repro.analysis.reporting import Series
 from repro.experiments.fig3_idle_vs_cities import run_fig3
 
 
-def test_fig3_idle_vs_cities(benchmark, bench_config, shared_pool_visibility, report):
+def test_fig3_idle_vs_cities(bench_config, shared_pool_visibility, report):
     city_counts = tuple(range(1, 22))
-    result = benchmark.pedantic(
-        lambda: run_fig3(bench_config, city_counts=city_counts),
-        rounds=1,
-        iterations=1,
-    )
+    result = run_fig3(bench_config, city_counts=city_counts)
 
     series = Series(
         "Fig. 3: satellite idle time vs cities served (1 week)",

@@ -10,12 +10,8 @@ from repro.analysis.reporting import Table
 from repro.experiments.fig4a_single_addition import run_fig4a
 
 
-def test_fig4a_single_addition(benchmark, bench_config, shared_pool_visibility, report):
-    result = benchmark.pedantic(
-        lambda: run_fig4a(bench_config, base_sizes=(1, 100, 500)),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig4a_single_addition(bench_config, shared_pool_visibility, report):
+    result = run_fig4a(bench_config, base_sizes=(1, 100, 500))
 
     table = Table(
         "Fig. 4a: weighted coverage gain from one added satellite (1 week)",

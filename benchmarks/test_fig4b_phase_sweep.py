@@ -11,10 +11,8 @@ from repro.analysis.reporting import Series
 from repro.experiments.fig4b_phase_sweep import run_fig4b
 
 
-def test_fig4b_phase_sweep(benchmark, bench_config, report):
-    result = benchmark.pedantic(
-        lambda: run_fig4b(bench_config), rounds=1, iterations=1
-    )
+def test_fig4b_phase_sweep(bench_config, report):
+    result = run_fig4b(bench_config)
 
     series = Series(
         "Fig. 4b: coverage gain vs phase offset (12-sat plane, 53 deg / 546 km)",

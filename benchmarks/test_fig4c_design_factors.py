@@ -11,10 +11,8 @@ from repro.analysis.reporting import Table
 from repro.experiments.fig4c_design_factors import run_fig4c
 
 
-def test_fig4c_design_factors(benchmark, bench_config, report):
-    result = benchmark.pedantic(
-        lambda: run_fig4c(bench_config), rounds=1, iterations=1
-    )
+def test_fig4c_design_factors(bench_config, report):
+    result = run_fig4c(bench_config)
 
     table = Table(
         "Fig. 4c: coverage gain by design factor (base: 4 sats, 53 deg / 546 km)",

@@ -10,12 +10,8 @@ from repro.analysis.reporting import Table
 from repro.experiments.fig5_withdrawal import DEFAULT_SIZES, run_fig5
 
 
-def test_fig5_withdrawal(benchmark, bench_config, shared_pool_visibility, report):
-    result = benchmark.pedantic(
-        lambda: run_fig5(bench_config, sizes=DEFAULT_SIZES),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig5_withdrawal(bench_config, shared_pool_visibility, report):
+    result = run_fig5(bench_config, sizes=DEFAULT_SIZES)
 
     table = Table(
         "Fig. 5: weighted coverage loss when L/2 of L satellites withdraw",

@@ -11,12 +11,8 @@ from repro.analysis.reporting import Table
 from repro.experiments.fig6_party_skew import DEFAULT_SKEWS, run_fig6
 
 
-def test_fig6_party_skew(benchmark, bench_config, shared_pool_visibility, report):
-    result = benchmark.pedantic(
-        lambda: run_fig6(bench_config, skews=DEFAULT_SKEWS),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_party_skew(bench_config, shared_pool_visibility, report):
+    result = run_fig6(bench_config, skews=DEFAULT_SKEWS)
 
     table = Table(
         "Fig. 6: weighted coverage loss when the largest of 11 parties exits "

@@ -8,12 +8,8 @@ from repro.analysis.reporting import Table
 from repro.experiments.sharing_upside import run_sharing_upside
 
 
-def test_sharing_upside(benchmark, bench_config, shared_pool_visibility, report):
-    result = benchmark.pedantic(
-        lambda: run_sharing_upside(bench_config, contributed=50, network_size=1000),
-        rounds=1,
-        iterations=1,
-    )
+def test_sharing_upside(bench_config, shared_pool_visibility, report):
+    result = run_sharing_upside(bench_config, contributed=50, network_size=1000)
 
     table = Table(
         "Sec. 2 claim: coverage worth of a 50-satellite contribution in a "

@@ -11,10 +11,6 @@ Run:
 """
 
 from repro.analysis.reporting import Table
-from repro.core.availability import (
-    AVAILABILITY_CLASSES,
-    mp_leo_contribution_plan,
-)
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.fig2_coverage_vs_size import run_fig2
 from repro.experiments.sharing_upside import run_sharing_upside
@@ -51,23 +47,6 @@ def main() -> None:
     print(f"  equivalent go-it-alone constellation: "
           f">= {upside.equivalent_alone_satellites} satellites "
           f"({upside.satellite_multiplier:.0f}x the contribution)")
-
-    # Availability planning from the measured curve (the §2 five-nines note).
-    curve = [
-        (point.satellites, 1.0 - point.mean_uncovered_percent / 100.0)
-        for point in result.points
-    ]
-    print("\nAvailability planning from the measured curve (11 equal parties):")
-    for label in ("two-nines", "three-nines", "five-nines"):
-        target = AVAILABILITY_CLASSES[label]
-        try:
-            plan = mp_leo_contribution_plan(target, curve, party_count=11)
-        except ValueError:
-            print(f"  {label:>12s}: curve too coarse to extrapolate")
-            continue
-        print(f"  {label:>12s} ({100 * target:.3f}%): network of "
-              f"{plan.network_size} satellites -> "
-              f"{plan.contribution_per_party} per party")
 
 
 if __name__ == "__main__":

@@ -22,14 +22,14 @@ Quickstart::
 
 Packages:
 
-* :mod:`repro.orbits` — orbital mechanics (elements, Kepler, J2, TLE, frames).
+* :mod:`repro.orbits` — orbital mechanics (elements, Kepler, J2, frames).
 * :mod:`repro.constellation` — Walker patterns, synthetic megaconstellations.
 * :mod:`repro.ground` — terminals, stations, the 21-city database, GSaaS.
 * :mod:`repro.links` — link budgets, MODCOD capacity, the bent-pipe model.
 * :mod:`repro.sim` — time grids, vectorized visibility, coverage statistics,
   the bent-pipe session engine.
 * :mod:`repro.core` — MP-LEO itself: parties, registry, placement,
-  incentives, market, ledger, sharing, robustness, governance, bootstrap.
+  incentives, market, ledger, sharing, robustness, governance.
 * :mod:`repro.experiments` — one module per paper figure.
 * :mod:`repro.analysis` — gap/idle analytics and report rendering.
 """
@@ -43,7 +43,7 @@ from repro.constellation import (
     walker_star,
 )
 from repro.core import MultiPartyConstellation, Party
-from repro.orbits import BatchPropagator, J2Propagator, OrbitalElements, TLE
+from repro.orbits import BatchPropagator, J2Propagator, OrbitalElements
 from repro.sim import (
     CoverageStats,
     TimeGrid,
@@ -59,7 +59,6 @@ __all__ = [
     "OrbitalElements",
     "J2Propagator",
     "BatchPropagator",
-    "TLE",
     "Satellite",
     "Constellation",
     "walker_delta",

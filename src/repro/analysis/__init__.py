@@ -2,13 +2,8 @@
 
 * :mod:`repro.analysis.gaps` — gap-distribution analytics over coverage masks.
 * :mod:`repro.analysis.population` — population-weighted metrics over city sets.
-* :mod:`repro.analysis.utilization` — idle-time distribution analytics.
 * :mod:`repro.analysis.reporting` — plain-text table/series rendering used by
   the benchmark harness to print paper-style rows.
-* :mod:`repro.analysis.stats` — Monte-Carlo confidence intervals and
-  sample-size planning.
-* :mod:`repro.analysis.heatmap` — area-weighted global coverage grids and
-  coverage-equity metrics.
 """
 
 from repro.analysis.population import weighted_city_coverage

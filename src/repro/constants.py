@@ -69,10 +69,3 @@ def mean_motion_rad_s(semi_major_axis_m: float) -> float:
     if semi_major_axis_m <= 0.0:
         raise ValueError(f"semi-major axis must be positive, got {semi_major_axis_m}")
     return math.sqrt(MU_EARTH / semi_major_axis_m**3)
-
-
-def semi_major_axis_from_period_s(period_s: float) -> float:
-    """Return the semi-major axis (meters) for a Keplerian period in seconds."""
-    if period_s <= 0.0:
-        raise ValueError(f"period must be positive, got {period_s}")
-    return (MU_EARTH * (period_s / (2.0 * math.pi)) ** 2) ** (1.0 / 3.0)

@@ -12,9 +12,6 @@
   "coverage worth" metric behind the paper's 50-vs-1000 claim.
 * :mod:`repro.core.robustness` — withdrawal/robustness analysis (§3.4).
 * :mod:`repro.core.governance` — multi-party control votes (§4).
-* :mod:`repro.core.bootstrap` — delay-tolerant early-deployment analysis (§4).
-* :mod:`repro.core.availability` — availability planning (the "five-nines"
-  sizing question of §2).
 * :mod:`repro.core.failures` — satellite failure/attrition models (§3.4).
 * :mod:`repro.core.objectives` — regional vs profit placement objectives
   (§3.2) and their rank correlation.

@@ -5,15 +5,10 @@
 * :mod:`repro.links.bentpipe` — the paper's transparent bent-pipe
   architecture: the satellite repeats the uplink waveform on the downlink
   without decoding, so end-to-end quality composes the two hops' noise.
-* :mod:`repro.links.spectrum` — band plans and the ground-managed spectrum
-  coordination the paper's §4 design delegates to terminals/stations.
 * :mod:`repro.links.isl` — inter-satellite links and multi-hop relay (the
   §4 future-work extension, implemented so the trade-off is measurable).
 * :mod:`repro.links.latency` — bent-pipe propagation latency, including the
   §2 LEO-vs-GEO comparison.
-* :mod:`repro.links.fading` — rain attenuation (ITU-style power law) and
-  fade margining; fades matter doubly for transparent pipes, which amplify
-  uplink fades into the downlink.
 """
 
 from repro.links.budget import LinkBudget, free_space_path_loss_db

@@ -13,7 +13,6 @@ This package implements everything the simulator needs to know about orbits:
   coverage engine.
 * :mod:`repro.orbits.topocentric` — azimuth / elevation / range from a ground
   site.
-* :mod:`repro.orbits.tle` — Two-Line Element parsing and formatting.
 * :mod:`repro.orbits.groundtrack` — ground tracks and revisit analysis.
 """
 
@@ -27,15 +26,12 @@ from repro.orbits.frames import (
 )
 from repro.orbits.kepler import solve_kepler, solve_kepler_batch
 from repro.orbits.propagator import BatchPropagator, J2Propagator
-from repro.orbits.tle import TLE, tle_checksum
 from repro.orbits.topocentric import elevation_deg, look_angles
 
 __all__ = [
     "OrbitalElements",
     "J2Propagator",
     "BatchPropagator",
-    "TLE",
-    "tle_checksum",
     "solve_kepler",
     "solve_kepler_batch",
     "gmst_rad",

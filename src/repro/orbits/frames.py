@@ -12,7 +12,7 @@ Simulation time is measured in seconds from a simulation epoch; the epoch's
 absolute Earth orientation is captured by ``gmst_at_epoch_rad``.  For
 statistical coverage experiments the epoch GMST only rotates the constellation
 in longitude, so the default of 0 is fine; :func:`gmst_from_jd` supports
-anchoring a simulation to a real UTC instant when TLE work needs it.
+anchoring a simulation to a real UTC instant.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@
   the interval algebra behind the event-driven engine.
 * :mod:`repro.sim.scheduling` — satellite-to-ground downlink scheduling
   with pluggable antenna-assignment policies.
-* :mod:`repro.sim.isl_engine` — the bent-pipe engine with inter-satellite
-  forwarding (§4 variant).
 """
 
 from repro.sim.clock import TimeGrid

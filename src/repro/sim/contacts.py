@@ -10,7 +10,7 @@ offer few (less than ten) minutes of coverage per day to a given region").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.ground.sites import GroundSite
 from repro.obs import timeline as obs_timeline
 from repro.sim.clock import TimeGrid
 from repro.sim.events import ContactEvent, intervals_from_mask
-from repro.sim.intervals import ContactIntervals, find_contact_intervals
 from repro.sim.visibility import VisibilityEngine
 
 
@@ -103,49 +102,6 @@ def contact_events(
     return events
 
 
-def contact_events_from_intervals(
-    contacts: ContactIntervals,
-    site_names: Sequence[str],
-    sat_ids: Sequence[str],
-) -> List[ContactEvent]:
-    """Contact events straight from analytic intervals — no grid replay.
-
-    Same ordering, narration, and truncation semantics as
-    :func:`contact_events`, but edges carry root-found rise/set times
-    instead of sample-quantized ones.  Horizon-truncated windows (either
-    edge) are flagged ``truncated``.
-    """
-    if contacts.n_sites != len(site_names):
-        raise ValueError(
-            f"need {contacts.n_sites} site names, got {len(site_names)}"
-        )
-    if contacts.n_satellites != len(sat_ids):
-        raise ValueError(
-            f"need {contacts.n_satellites} sat ids, got {len(sat_ids)}"
-        )
-    events: List[ContactEvent] = []
-    for site_index, site_name in enumerate(site_names):
-        for sat_index, sat_id in enumerate(sat_ids):
-            rises, falls, trunc_start, trunc_end = contacts.pair_windows(
-                site_index, sat_index
-            )
-            for rise, fall, t_start, t_end in zip(
-                rises, falls, trunc_start, trunc_end
-            ):
-                events.append(
-                    ContactEvent(
-                        site_name,
-                        sat_id,
-                        float(rise),
-                        float(fall),
-                        truncated=bool(t_start or t_end),
-                    )
-                )
-    events.sort(key=lambda event: (event.start_s, event.site_name, event.sat_id))
-    _narrate_events(events)
-    return events
-
-
 @dataclass(frozen=True)
 class PassStatistics:
     """Summary of the contact windows of one (site, satellite set) pair."""
@@ -204,28 +160,6 @@ def contact_plan(
         [site.name for site in sites],
         [satellite.sat_id for satellite in constellation],
         grid,
-    )
-
-
-def contact_plan_intervals(
-    constellation: Constellation,
-    sites: Sequence[GroundSite],
-    grid: TimeGrid,
-    *,
-    tolerance_s: Optional[float] = None,
-) -> List[ContactEvent]:
-    """Event-driven :func:`contact_plan`: analytic windows, no dense tensor.
-
-    ``grid`` sets the coarse scan; edges are refined by root-finding, so
-    the returned start/stop times are sharp to the edge tolerance instead
-    of quantized to the sample step.
-    """
-    kwargs = {} if tolerance_s is None else {"tolerance_s": tolerance_s}
-    contacts = find_contact_intervals(constellation, sites, grid, **kwargs)
-    return contact_events_from_intervals(
-        contacts,
-        [site.name for site in sites],
-        [satellite.sat_id for satellite in constellation],
     )
 
 

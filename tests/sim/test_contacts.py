@@ -100,37 +100,6 @@ class TestTruncatedPasses:
         assert events[0].duration_s == pytest.approx(90.0)
 
 
-class TestContactEventsFromIntervals:
-    def test_matches_grid_events(self, small_walker):
-        from repro.sim.contacts import contact_plan_intervals
-
-        grid = TimeGrid.hours(3.0, step_s=60.0)
-        grid_events = contact_plan(small_walker, [TAIPEI.terminal()], grid)
-        interval_events = contact_plan_intervals(
-            small_walker, [TAIPEI.terminal()], grid
-        )
-        assert len(interval_events) == len(grid_events)
-        for grid_event, interval_event in zip(grid_events, interval_events):
-            assert interval_event.sat_id == grid_event.sat_id
-            assert interval_event.truncated == grid_event.truncated
-            # Analytic edges stay within one scan step of the grid edges.
-            assert abs(interval_event.start_s - grid_event.start_s) <= 60.0
-            assert abs(interval_event.stop_s - grid_event.stop_s) <= 60.0
-
-    def test_shape_validation(self, small_walker):
-        from repro.sim.contacts import contact_events_from_intervals
-        from repro.sim.intervals import find_contact_intervals
-
-        grid = TimeGrid.hours(1.0, step_s=60.0)
-        contacts = find_contact_intervals(
-            small_walker, [TAIPEI.terminal()], grid
-        )
-        with pytest.raises(ValueError, match="site names"):
-            contact_events_from_intervals(contacts, [], ["x"] * 40)
-        with pytest.raises(ValueError, match="sat ids"):
-            contact_events_from_intervals(contacts, ["taipei"], ["x"])
-
-
 class TestPassStatistics:
     def test_empty(self, grid):
         stats = pass_statistics([], grid)

@@ -68,6 +68,23 @@ class TestBasicOperation:
         result = BentPipeSimulator(constellation, [terminal], [station], grid).run(rng)
         assert result.served_mbps.sum() == 0.0
 
+    def test_split_geometry_no_service(self, rng):
+        """Bent pipe rule: one satellite must see terminal and station at once.
+
+        The station sits ~49 deg east of the terminal; satellites at 16-degree
+        phase spacing see one or the other, never both.
+        """
+        terminal = UserTerminal(
+            "ut", 0.0, 0.0, min_elevation_deg=25.0, party="p1", demand_mbps=100.0
+        )
+        station = GroundStation("gs", 0.0, 49.0, min_elevation_deg=25.0, party="p1")
+        constellation = Constellation(
+            [_overhead_sat(f"S{i}", mean_anomaly_deg=float(16 * i)) for i in range(4)]
+        )
+        grid = TimeGrid(duration_s=120.0, step_s=60.0)
+        result = BentPipeSimulator(constellation, [terminal], [station], grid).run(rng)
+        assert result.served_mbps.sum() == 0.0
+
     def test_served_never_exceeds_demand(self, equator_setup, rng):
         terminal, station = equator_setup
         constellation = Constellation([_overhead_sat("S1")])
