@@ -10,6 +10,7 @@ from repro.analysis.gaps import (
     survival_curve,
 )
 from repro.obs import timeline as obs_timeline
+from repro.sim.intervals import IntervalSet
 
 
 class TestGapDistribution:
@@ -35,6 +36,36 @@ class TestGapDistribution:
         dist = GapDistribution.from_mask(mask, 60.0)
         assert dist.count == 2
         assert dist.total_s == 180.0
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            "0110011100",
+            "1001100011",
+            "0000000000",
+            "1111111111",
+            "1010101010",
+        ],
+        ids=["edge-gaps", "edge-contacts", "never-covered", "always-covered",
+             "alternating"],
+    )
+    def test_from_intervals_matches_mask_on_sample_edges(self, bits):
+        """Coverage whose edges sit on samples yields the grid's gaps."""
+        mask = np.array([bit == "1" for bit in bits])
+        coverage = IntervalSet.from_pairs(
+            [(i * 60.0, (i + 1) * 60.0) for i in np.flatnonzero(mask)],
+            0.0, mask.size * 60.0,
+        )
+        assert GapDistribution.from_intervals(coverage) == GapDistribution.from_mask(
+            mask, 60.0
+        )
+
+    def test_from_intervals_keeps_exact_gap_lengths(self):
+        coverage = IntervalSet.from_pairs([(12.5, 40.0), (47.25, 90.0)], 0.0, 100.0)
+        dist = GapDistribution.from_intervals(coverage)
+        assert dist.count == 3
+        assert dist.total_s == pytest.approx(12.5 + 7.25 + 10.0)
+        assert dist.max_s == 12.5
 
     def test_pooled(self):
         masks = [

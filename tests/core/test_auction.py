@@ -104,6 +104,18 @@ class TestClearing:
             result.traded_quantity
         )
 
+    def test_trades_are_valued_at_the_clearing_price(self):
+        bids = [Bid(f"b{i}", 7.0, 10.0 - i) for i in range(5)]
+        asks = [Ask(f"s{i}", 5.0, 1.0 + i) for i in range(5)]
+        result = clear_double_auction(bids, asks)
+        assert result.trades
+        for trade in result.trades:
+            assert trade.price == result.clearing_price
+            assert trade.value == pytest.approx(trade.quantity * result.clearing_price)
+        assert sum(t.value for t in result.trades) == pytest.approx(
+            result.traded_quantity * result.clearing_price
+        )
+
     @given(
         st.lists(
             st.tuples(st.floats(1.0, 50.0), st.floats(0.0, 20.0)),

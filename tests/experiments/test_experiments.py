@@ -58,6 +58,13 @@ class TestCommon:
         assert config.grid().duration_s == 2 * 86400.0
         assert config.grid().count == 192
 
+    def test_config_rng_streams_are_seed_plus_salt(self):
+        config = ExperimentConfig(seed=11)
+        draw = config.rng(salt=3).uniform(size=4)
+        assert np.array_equal(draw, np.random.default_rng(14).uniform(size=4))
+        assert np.array_equal(draw, config.rng(salt=3).uniform(size=4))
+        assert not np.array_equal(draw, config.rng().uniform(size=4))
+
     def test_duration_in_visibility_cache_key(self):
         """Regression: two configs differing only in horizon must not alias
         to one cached tensor (the key once omitted duration_s)."""
@@ -160,6 +167,13 @@ class TestFig3:
         with pytest.raises(ValueError, match="sample_size"):
             run_fig3(COARSE, sample_size=10_000)
 
+    def test_series_accessor(self):
+        result = run_fig3(COARSE, city_counts=(1, 21), sample_size=200)
+        assert result.idle_percent_series() == [
+            (p.cities, p.mean_idle_percent) for p in result.points
+        ]
+        assert [x for x, _ in result.idle_percent_series()] == [1, 21]
+
 
 class TestFig4a:
     def test_diminishing_returns(self):
@@ -175,6 +189,13 @@ class TestFig4a:
         result = run_fig4a(COARSE, base_sizes=(100,))
         point = result.points[0]
         assert point.max_gain_hours >= point.mean_gain_hours
+
+    def test_series_accessor(self):
+        result = run_fig4a(COARSE, base_sizes=(1, 100))
+        assert result.mean_gain_series() == [
+            (p.base_satellites, p.mean_gain_hours) for p in result.points
+        ]
+        assert [x for x, _ in result.mean_gain_series()] == [1, 100]
 
 
 class TestFig4b:
@@ -223,6 +244,13 @@ class TestFig5:
         with pytest.raises(ValueError, match="fraction"):
             run_fig5(COARSE, withdraw_fraction=1.0)
 
+    def test_series_accessor(self):
+        result = run_fig5(COARSE, sizes=(200, 2000))
+        assert result.reduction_series() == [
+            (p.satellites, p.mean_reduction_percent) for p in result.points
+        ]
+        assert [x for x, _ in result.reduction_series()] == [200, 2000]
+
 
 class TestFig6:
     def test_skew_increases_loss(self):
@@ -240,6 +268,13 @@ class TestFig6:
         """Paper: even at 10:1 the network remains service-able."""
         result = run_fig6(COARSE, skews=(10,))
         assert result.points[0].mean_reduction_percent < 15.0
+
+    def test_series_accessor(self):
+        result = run_fig6(COARSE, skews=(1, 10))
+        assert result.reduction_series() == [
+            (p.skew, p.mean_reduction_percent) for p in result.points
+        ]
+        assert [x for x, _ in result.reduction_series()] == [1, 10]
 
 
 class TestSharingUpside:

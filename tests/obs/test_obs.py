@@ -184,6 +184,29 @@ class TestSpans:
         assert work() == 42
         assert tracer.stats()["named"]["count"] == 1
 
+    def test_timed_decorator_defaults_to_qualname(self):
+        tracer = Tracer()
+
+        @tracer.timed()
+        def work(value):
+            return value + 1
+
+        assert work(1) == 2
+        assert work.__name__ == "work"
+        name = "TestSpans.test_timed_decorator_defaults_to_qualname.<locals>.work"
+        assert tracer.stats()[name]["count"] == 1
+
+    def test_module_timed_uses_the_default_tracer(self):
+        obs_trace.reset()
+
+        @obs_trace.timed("module.level")
+        def work():
+            return "done"
+
+        assert work() == "done"
+        assert obs_trace.stats()["module.level"]["count"] == 1
+        obs_trace.reset()
+
     def test_span_survives_exceptions(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):

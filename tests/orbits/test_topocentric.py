@@ -115,6 +115,27 @@ class TestCoverageGeometry:
         fraction = footprint_area_fraction(EARTH_MEAN_RADIUS_M + 550_000.0, 25.0)
         assert 0.002 < fraction < 0.01
 
+    @pytest.mark.parametrize(
+        "altitude_km, mask_deg",
+        [(340.0, 40.0), (550.0, 25.0), (630.0, 35.0), (1_200.0, 45.0),
+         (35_786.0, 5.0)],
+        ids=["vleo", "starlink", "kuiper", "oneweb", "geo"],
+    )
+    def test_footprint_edge_sits_on_the_mask(self, altitude_km, mask_deg):
+        """A satellite exactly psi away from the site is seen at the mask
+        elevation, at the slant range the closed form gives."""
+        radius = EARTH_MEAN_RADIUS_M + altitude_km * 1000.0
+        psi = coverage_central_angle_rad(radius, mask_deg)
+        site = np.array([EARTH_MEAN_RADIUS_M, 0.0, 0.0])
+        satellite = radius * np.array([math.cos(psi), math.sin(psi), 0.0])
+        assert float(elevation_deg(site, satellite)) == pytest.approx(mask_deg, abs=1e-9)
+        assert np.linalg.norm(satellite - site) == pytest.approx(
+            slant_range_m(radius, mask_deg, EARTH_MEAN_RADIUS_M), rel=1e-12
+        )
+        assert footprint_area_fraction(radius, mask_deg) == pytest.approx(
+            (1.0 - math.cos(psi)) / 2.0
+        )
+
     def test_equivalence_with_elevation(self):
         """The fast path's defining property: el >= mask <=> angle <= psi."""
         radius = EARTH_MEAN_RADIUS_M + 550_000.0

@@ -97,6 +97,12 @@ class TestCoverageStats:
         with pytest.raises(ValueError, match="non-empty"):
             coverage_stats(np.array([], dtype=bool), 60.0)
 
+    def test_percentages_split_the_horizon(self):
+        mask = np.array([True, True, True, False])
+        stats = coverage_stats(mask, 60.0)
+        assert stats.covered_percent == 75.0
+        assert stats.covered_percent + stats.uncovered_percent == 100.0
+
 
 class TestCoverageTimeline:
     def test_stats_roundtrip(self):

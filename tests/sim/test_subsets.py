@@ -215,3 +215,17 @@ class TestIntervalSubsetQuery:
         _, _, _, _, contacts = world
         with pytest.raises(ValueError):
             IntervalSubsetQuery.from_contacts(contacts, np.array([0, 0]))
+
+
+class TestQueryShapes:
+    """Both engines report the same (sites, fleet) extent for one fleet."""
+
+    @pytest.mark.parametrize("fleet_size", [None, 5])
+    def test_grid_and_interval_queries_agree_on_extent(self, world, fleet_size):
+        _, _, _, visibility, contacts = world
+        fleet = None if fleet_size is None else np.arange(fleet_size) * 2
+        grid = SubsetQuery.from_visibility(visibility, fleet)
+        analytic = IntervalSubsetQuery.from_contacts(contacts, fleet)
+        expected = N_SATELLITES if fleet is None else fleet_size
+        assert grid.n_satellites == analytic.n_satellites == expected
+        assert grid.n_sites == analytic.n_sites == N_SITES

@@ -7,9 +7,22 @@ import sys
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, OBSERVABILITY_FLAGS, build_parser, main
 from repro.obs.export import SIM_PID, SPAN_PID, validate_chrome_trace
 
+
+#: The table title each experiment subcommand prints.
+EXPERIMENT_TITLES = {
+    "fig1a": "Fig. 1a: 3-hour ground track of one 53 deg / 546 km satellite",
+    "fig2": "Fig. 2: % time without coverage at Taipei (1 week)",
+    "fig3": "Fig. 3: satellite idle time vs cities served (1 week)",
+    "fig4a": "Fig. 4a: weighted coverage gain from one added satellite",
+    "fig4b": "Fig. 4b: coverage gain vs phase offset",
+    "fig4c": "Fig. 4c: coverage gain by design factor",
+    "fig5": "Fig. 5: coverage loss when half the satellites withdraw",
+    "fig6": "Fig. 6: coverage loss when the largest of 11 parties exits",
+    "sharing": "Sec. 2 claim: the MP-LEO sharing upside",
+}
 
 class TestParser:
     def test_list_command(self):
@@ -184,6 +197,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("name", list(EXPERIMENTS) + ["all"])
+    def test_every_experiment_help_lists_the_shared_flags(self, name, capsys):
+        """``list`` promises the common and observability flags on every
+        experiment; each subcommand's help must carry them all."""
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args([name, "--help"])
+        assert exc_info.value.code == 0
+        out = capsys.readouterr().out
+        common = ["--runs", "--step", "--seed", "--duration", "--chunk-size", "--engine"]
+        for flag in common + [flag for flag, _ in OBSERVABILITY_FLAGS]:
+            assert flag in out, flag
+
     def test_version_flag(self, capsys):
         from repro import __version__
 
@@ -237,6 +262,37 @@ class TestMain:
         assert message in err
         assert "python -m repro list" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_every_experiment_prints_its_table(self, name, capsys):
+        """Each figure subcommand runs end to end on a one-day grid and
+        prints exactly one titled table, to stdout only."""
+        assert main(
+            [name, "--runs", "1", "--step", "3600", "--duration", "86400"]
+        ) == 0
+        captured = capsys.readouterr()
+        titles = [line for line in captured.out.splitlines() if line.startswith("== ")]
+        assert titles == [f"== {EXPERIMENT_TITLES[name]} =="]
+        assert "Traceback" not in captured.err
+
+    def test_all_runs_every_experiment_in_order(self, capsys):
+        assert main(["all", "--runs", "1", "--step", "3600", "--duration", "86400"]) == 0
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines() if line.startswith("### ")]
+        assert headers == [f"### {name} ###" for name in EXPERIMENTS]
+        for title in EXPERIMENT_TITLES.values():
+            assert f"== {title} ==" in out
+
+    def test_fig1a_reports_the_orbit_it_names(self, capsys):
+        """A 546 km circular orbit has a ~95.6 min period and a 53 deg
+        inclination bounds the ground track's latitude."""
+        assert main(["fig1a", "--step", "600"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = dict(line.strip().rsplit(None, 1) for line in lines[3:])
+        assert float(rows["orbital period (min)"]) == pytest.approx(95.6, abs=0.1)
+        assert 52.0 < float(rows["max |latitude| (deg)"]) <= 53.0
+        # Earth turns ~24 deg under one ~95.6 min orbit.
+        assert 23.0 < float(rows["westward node shift per orbit (deg)"]) < 25.0
 
     def test_fig4c_runs(self, capsys):
         """fig4c is the cheapest experiment (no pool propagation)."""

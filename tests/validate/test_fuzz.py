@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.validate import fuzz
+from repro.validate import DEFAULT_SEED, fuzz
 
 
 class TestInvariantsPass:
@@ -15,6 +15,15 @@ class TestInvariantsPass:
         assert check.name == f"fuzz.{name}"
         assert check.details["trials"] == 2
         assert check.details["seed"] == 5
+
+    @pytest.mark.parametrize("seed", [0, DEFAULT_SEED])
+    @pytest.mark.parametrize("name", sorted(fuzz.INVARIANTS))
+    def test_invariant_green_at_other_root_seeds(self, name, seed):
+        """The gate's default root seed and the zero seed draw streams the
+        seed-5 run above never sees; both must be green too."""
+        check = fuzz.run_invariant(seed=seed, name=name, trials=4)
+        assert check.ok, check.details["failures"]
+        assert check.details["seed"] == seed
 
 
 class TestHarnessMechanics:

@@ -84,6 +84,28 @@ class TestCommittedSnapshots:
         assert check.details["fields_compared"] == 6
 
 
+    @pytest.mark.parametrize(
+        "name", sorted(set(goldens.GOLDEN_EXPERIMENTS) - {"fig1a"})
+    )
+    def test_every_figure_matches_committed_golden(self, name):
+        """Each figure reproduces its committed snapshot at GOLDEN_CONFIG,
+        the same gate ``repro validate`` applies."""
+        check = goldens.check_golden(name)
+        assert check.ok, check.details
+        assert check.name == f"golden.{name}"
+        assert check.details["mismatches"] == []
+        assert check.details["fields_compared"] == goldens._count_leaves(
+            goldens.load_snapshot(name)["values"]
+        )
+
+    def test_check_all_goldens_runs_the_registry_in_order(self):
+        checks = goldens.check_all_goldens()
+        assert [c.name for c in checks] == [
+            f"golden.{name}" for name in goldens.GOLDEN_EXPERIMENTS
+        ]
+        assert all(c.ok for c in checks), [c.details for c in checks if not c.ok]
+
+
 class TestCheckGolden:
     """check_golden behaviors, isolated from the committed files."""
 

@@ -231,3 +231,56 @@ class TestIntervalOracle:
         assert not check.ok
         assert check.details["contacts"] == 0
         assert any("vacuous" in m for m in check.details["mismatches"])
+
+
+class TestFusedOracle:
+    SMALL = dict(
+        n_satellites=12, n_sites=3, duration_s=3_600.0, chunk_sizes=(1, 13, 1_000_000)
+    )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_passes_with_cull_and_exact_path_exercised(self, seed):
+        check = oracles.check_fused_agreement(seed, **self.SMALL)
+        assert check.ok, check.details
+        # 12 random + 4 injected low-inclination satellites; 3 random
+        # sites + the polar cull site + the near-threshold site.
+        assert check.details["satellites"] == 16
+        assert check.details["sites"] == 5
+        assert check.details["culled_pairs"] > 0
+        assert check.details["culled_satellites"] > 0
+        assert check.details["exact_rechecks"] > 0
+
+    @pytest.mark.parametrize(
+        "reduction, label",
+        [
+            ("stream_site_coverage", "site_coverage"),
+            ("stream_satellite_activity", "satellite_activity"),
+            ("stream_visible_counts", "visible_counts"),
+        ],
+    )
+    def test_catches_a_corrupted_stream_reduction(self, reduction, label, monkeypatch):
+        real = getattr(oracles.kernels, reduction)
+
+        def corrupted(plan):
+            out = np.array(real(plan))
+            out.flat[0] = not out.flat[0] if out.dtype == bool else out.flat[0] + 1
+            return out
+
+        monkeypatch.setattr(oracles.kernels, reduction, corrupted)
+        check = oracles.check_fused_agreement(3, **self.SMALL)
+        assert not check.ok
+        # Every chunk size, primed and unprimed, reports the fault.
+        assert sum(m.startswith(f"{label} (") for m in check.details["mismatches"]) == 6
+
+    def test_catches_corrupted_packed_bits(self, monkeypatch):
+        real = oracles.packed_visibility
+
+        def corrupted(*args, **kwargs):
+            packed = real(*args, **kwargs)
+            packed.packed[0, 0, 0] ^= 0x80
+            return packed
+
+        monkeypatch.setattr(oracles, "packed_visibility", corrupted)
+        check = oracles.check_fused_agreement(3, **self.SMALL)
+        assert not check.ok
+        assert any(m.startswith("packed_bits (") for m in check.details["mismatches"])
