@@ -258,8 +258,9 @@ class ExperimentContext:
         """Packed visibility of the full pool at every experiment site.
 
         This is the one expensive computation (a week of the full pool
-        takes ~1.2 s at 120 s steps and ~1.8 s at 60 s on a 2-CPU x86-64
-        host); everything downstream is boolean reductions.
+        takes ~0.8-1.1 s at 120 s steps and ~1.7 s at 60 s on a 2-CPU
+        x86-64 host, on both CPUs; 1.1-1.5 s and 2.4-2.9 s on one);
+        everything downstream is boolean reductions.
         Cached per (pool seed, step, elevation mask, horizon).
         """
         return self._cached_store(ENGINE_GRID, config, pool_seed)

@@ -327,15 +327,26 @@ class BatchPropagator:
     def unit_positions_eci_unspanned(self, times_s: np.ndarray) -> np.ndarray:
         """:meth:`unit_positions_eci` without the span record.
 
-        The streaming visibility kernels propagate in ~64-sample chunks — a
-        week-long reduction is ~80 calls, and a span record per chunk would
-        flood the tracer's record ring (the kernels' own ``visibility.*``
-        span wraps the whole loop instead).  State evaluations still count.
+        For callers that propagate chunk by chunk, where a span record per
+        chunk would flood the tracer's record ring.  State evaluations
+        still count.  The streaming visibility kernels use the uncounted
+        :meth:`_unit_positions_eci` instead.
         """
-        _, cos_u, sin_u, raan = self._latitude_args(times_s)
-        out = self._assemble_eci(cos_u, sin_u, raan)
+        out = self._unit_positions_eci(times_s)
         _STATE_EVALS.inc(out.shape[0] * out.shape[1])
         return out
+
+    def _unit_positions_eci(self, times_s: np.ndarray) -> np.ndarray:
+        """:meth:`unit_positions_eci_unspanned`, uncounted.
+
+        The visibility kernels' worker threads call this and
+        :meth:`_unit_positions_at` rather than the public methods: the
+        state counter's increment is not atomic, and benchmark tracers
+        wrap the public methods with one span stack for all threads.  The
+        kernels count the evaluations on their calling thread.
+        """
+        _, cos_u, sin_u, raan = self._latitude_args(times_s)
+        return self._assemble_eci(cos_u, sin_u, raan)
 
     def unit_positions_at(
         self, sat_indices: np.ndarray, times_s: np.ndarray
@@ -348,6 +359,14 @@ class BatchPropagator:
         root-finder, where each rise/set edge refines one (pair, time)
         bracket.  Returns a (K, 3) array of unit vectors.
         """
+        out = self._unit_positions_at(sat_indices, times_s)
+        _STATE_EVALS.inc(out.size // 3)
+        return out
+
+    def _unit_positions_at(
+        self, sat_indices: np.ndarray, times_s: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`unit_positions_at`, uncounted (see :meth:`_unit_positions_eci`)."""
         idx = np.asarray(sat_indices, dtype=np.intp)
         times = np.asarray(times_s, dtype=np.float64)
         if idx.shape != times.shape:
@@ -383,7 +402,6 @@ class BatchPropagator:
         out[..., 0] = cos_o * cos_u - sin_o * sin_u_cos_i
         out[..., 1] = sin_o * cos_u + cos_o * sin_u_cos_i
         out[..., 2] = sin_u * sin_i
-        _STATE_EVALS.inc(times.size)
         return out
 
     def subset(self, indices: np.ndarray) -> "BatchPropagator":
@@ -491,12 +509,14 @@ class ScreenStepper:
         circular pools; on eccentric ones it is the chunk's (N, Tc, 3)
         float64 Kepler solution, from which exact directions must come (a
         solve over another batch may stop at a different iteration).
+        Uncounted: the caller accounts the chunk's ``Tc · N`` state
+        evaluations on its own thread, as the kernels run steppers on
+        worker threads.
         """
         times = np.atleast_1d(np.asarray(times_s, dtype=np.float64))
         if self.propagator.all_circular:
-            _STATE_EVALS.inc(times.size * self.propagator.count)
             return self._stepped(times), None
-        exact = self.propagator.unit_positions_eci_unspanned(times)
+        exact = self.propagator._unit_positions_eci(times)
         units = np.ascontiguousarray(exact.transpose(1, 2, 0), dtype=np.float32)
         return self._sliced(units), exact
 

@@ -902,17 +902,18 @@ def _newton_edges(
 
 def _estimate_edges(
     propagator, geometry, thresholds, site_idx, sat_idx, hi, state, step, iters
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_bisect_edges`' result, steered by a Newton estimate.
 
     Replays bisection's float updates with ``mid < t_est`` standing in for
     each visibility test, then checks the final cell exactly: its lo end
     (where it moved) must show the old state and its hi end (where it
-    moved) the new one.  Edges that fail are bisected.  Every kept decision
-    comes from the same exact evaluator, and a bracket's dyadic cells are
-    disjoint, so a cell that passes is the one bisection ends in whenever
-    the state changes once inside the bracket, as it does on one flank of
-    a pass.  Returns the refined edges and the number bisected.
+    moved) the new one.  Every kept decision comes from the same exact
+    evaluator, and a bracket's dyadic cells are disjoint, so a cell that
+    passes is the one bisection ends in whenever the state changes once
+    inside the bracket, as it does on one flank of a pass.  Returns the
+    estimated edges and the sorted indices of the edges that failed the
+    check, which the caller must bisect.
     """
     t_est = _newton_edges(
         propagator, geometry, thresholds, site_idx, sat_idx, hi, state, step
@@ -936,20 +937,7 @@ def _estimate_edges(
         thresholds,
     )
     want = np.concatenate([state[lo_moved], ~state[hi_moved]])
-    failed = np.unique(at[vis != want])
-    if failed.size:
-        cell_hi[failed] = _bisect_edges(
-            propagator,
-            geometry,
-            thresholds,
-            site_idx[failed],
-            sat_idx[failed],
-            hi[failed],
-            state[failed],
-            step,
-            iters,
-        )
-    return cell_hi, int(failed.size)
+    return cell_hi, np.unique(at[vis != want])
 
 
 def _refine_windows(
@@ -970,7 +958,12 @@ def _refine_windows(
     its bracket.  Circular pools take :func:`_estimate_edges`; eccentric
     pools, and every edge when ``estimate`` is false, take
     :func:`_bisect_edges` — the reference the estimate path must equal bit
-    for bit.  Returns ``(edges, bisected)``.
+    for bit.  The estimates that fail their check are collected over every
+    batch and bisected together after the loop, in batches of
+    :data:`REFINE_BATCH`: each halving is one :func:`_edge_visibility` call
+    over all of them, not one per batch.  Bisection is elementwise, so
+    grouping the edges does not change them.  Returns ``(edges,
+    bisected)``.
     """
     thresholds = geometry.thresholds(propagator)
     n_sats = propagator.count
@@ -984,29 +977,36 @@ def _refine_windows(
         [np.zeros(n_rise, dtype=bool), np.ones(edge_pair.size - n_rise, dtype=bool)]
     )
     estimate = estimate and propagator.all_circular
-    refined = np.empty(edge_pair.size, dtype=np.float64)
-    bisected = 0
-    for lo_idx in range(0, edge_pair.size, REFINE_BATCH):
-        sl = slice(lo_idx, min(lo_idx + REFINE_BATCH, edge_pair.size))
-        args = (
+
+    def args(edges):
+        return (
             propagator,
             geometry,
             thresholds,
-            (edge_pair[sl] // n_sats).astype(np.intp),
-            (edge_pair[sl] % n_sats).astype(np.intp),
-            edge_hi[sl],
-            lo_state[sl],
+            (edge_pair[edges] // n_sats).astype(np.intp),
+            (edge_pair[edges] % n_sats).astype(np.intp),
+            edge_hi[edges],
+            lo_state[edges],
             step,
             iters,
         )
+
+    refined = np.empty(edge_pair.size, dtype=np.float64)
+    failed = [np.empty(0, dtype=np.intp)]
+    for lo_idx in range(0, edge_pair.size, REFINE_BATCH):
+        sl = slice(lo_idx, min(lo_idx + REFINE_BATCH, edge_pair.size))
         if estimate:
-            refined[sl], failed = _estimate_edges(*args)
+            refined[sl], batch_failed = _estimate_edges(*args(sl))
+            failed.append(batch_failed + lo_idx)
         else:
-            refined[sl], failed = _bisect_edges(*args), sl.stop - sl.start
-        bisected += failed
+            refined[sl] = _bisect_edges(*args(sl))
+    failed = np.concatenate(failed)
+    for lo_idx in range(0, failed.size, REFINE_BATCH):
+        batch = failed[lo_idx : lo_idx + REFINE_BATCH]
+        refined[batch] = _bisect_edges(*args(batch))
     rise_s[rises] = refined[:n_rise]
     set_s[sets] = refined[n_rise:]
-    return int(edge_pair.size), bisected
+    return int(edge_pair.size), int(failed.size if estimate else edge_pair.size)
 
 
 def _bisect_windows(

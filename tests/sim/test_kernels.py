@@ -8,6 +8,11 @@ the exact decision; these tests are the gate, together with the screen's
 premises (bit-equal exact re-evaluation, error far under the margin).
 """
 
+import concurrent.futures
+import functools
+import inspect
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,7 @@ from repro.ground.sites import GroundSite
 from repro.obs import metrics
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.propagator import BatchPropagator, ScreenStepper
-from repro.sim import kernels
+from repro.sim import intervals, kernels, visibility
 from repro.sim.clock import TimeGrid
 from repro.sim.visibility import VisibilityEngine, packed_visibility
 
@@ -50,6 +55,19 @@ def _shell(count, planes, inclination_deg, altitude_km=550.0):
         inclination_deg=inclination_deg,
         altitude_km=altitude_km,
     )
+
+
+def _eccentric_pool(count=12):
+    return [
+        OrbitalElements.from_degrees(
+            altitude_km=540.0 + 15.0 * index,
+            inclination_deg=(30.0, 53.0, 70.0, 97.0)[index % 4],
+            raan_deg=27.0 * index,
+            mean_anomaly_deg=33.0 * index,
+            eccentricity=0.005 * (index % 3),
+        )
+        for index in range(count)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -552,16 +570,7 @@ class TestScreenPremises:
             )
 
     def test_eccentric_pool_streams_exact_reference(self):
-        elements = [
-            OrbitalElements.from_degrees(
-                altitude_km=540.0 + 15.0 * index,
-                inclination_deg=(30.0, 53.0, 70.0, 97.0)[index % 4],
-                raan_deg=27.0 * index,
-                mean_anomaly_deg=33.0 * index,
-                eccentricity=0.005 * (index % 3),
-            )
-            for index in range(12)
-        ]
+        elements = _eccentric_pool()
         visible = _exact(elements, SITES)
         for chunk in (13, 64):
             assert np.array_equal(
@@ -579,17 +588,7 @@ def _blocked_pools():
     # The 10 deg shell is out of every CULL_SITES site's reach, so whole
     # satellites are culled and the stepper runs on a subset.
     culled = starlink[::150] + _shell(8, 2, 10.0)
-    eccentric = [
-        OrbitalElements.from_degrees(
-            altitude_km=540.0 + 15.0 * index,
-            inclination_deg=(30.0, 53.0, 70.0, 97.0)[index % 4],
-            raan_deg=27.0 * index,
-            mean_anomaly_deg=33.0 * index,
-            eccentricity=0.005 * (index % 3),
-        )
-        for index in range(12)
-    ]
-    return {"culled": culled, "eccentric": eccentric}
+    return {"culled": culled, "eccentric": _eccentric_pool()}
 
 
 BLOCKED_POOLS = _blocked_pools()
@@ -650,6 +649,187 @@ class TestBlockedScreen:
         assert np.array_equal(
             kernels.stream_packed_bits(plan(pack=True)), np.packbits(expected, axis=2)
         )
+
+
+#: (elements, sites, grid) per threaded-build case.  GRID's 125 samples
+#: are not a multiple of 8; the short grid is under one task at every
+#: worker count; CULL_SITES culls the 10 deg shell (an active subset);
+#: the 5 deg shell is out of the polar site's reach (nothing visible).
+#: The culled and eccentric pools are large enough for exact rechecks.
+THREADED_CASES = {
+    "unaligned": (_shell(24, 3, 10.0) + _shell(24, 3, 53.0), SITES, GRID),
+    "short_grid": (
+        _shell(24, 3, 53.0), SITES, TimeGrid(duration_s=1_200.0, step_s=60.0)
+    ),
+    "culled": (_shell(24, 3, 10.0) + _shell(200, 10, 53.0), CULL_SITES, GRID),
+    "eccentric": (_eccentric_pool(60), SITES, GRID),
+    "nothing_visible": (_shell(16, 2, 5.0), SITES[3:], GRID),
+}
+
+#: Counters a packed build's worker threads must leave to the caller.
+THREAD_COUNTERS = (
+    "sim.kernels.slabs_streamed",
+    "sim.kernels.slab_bytes",
+    "sim.kernels.exact_rechecks",
+    "orbits.propagator.state_evaluations",
+)
+
+
+def _threaded_plan(case, chunk):
+    elements, sites, grid = THREADED_CASES[case]
+    return kernels.plan_stream(
+        BatchPropagator(list(elements)), kernels.SiteGeometry(sites, grid),
+        grid, chunk_size=chunk, pack=True,
+    )
+
+
+class TestThreadedPack:
+    """``stream_packed_bits`` splits each chunk into tasks on one worker
+    thread per available CPU.  The store must be the same bytes for any
+    worker count, and the workers must leave the counters and every
+    traced callable to the calling thread."""
+
+    @pytest.mark.parametrize("case", sorted(THREADED_CASES))
+    @pytest.mark.parametrize("chunk", (64, 136))
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_store_identical_for_any_worker_count(
+        self, monkeypatch, case, chunk, cpus
+    ):
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: cpus)
+        plan = _threaded_plan(case, chunk)
+        assert kernels._pack_workers(plan) == cpus
+        assert plan.nothing_visible == (case == "nothing_visible")
+        assert (plan.active_indices is not None) == (case == "culled")
+        elements, sites, grid = THREADED_CASES[case]
+        expected = np.packbits(_exact(elements, sites, grid), axis=2)
+        packed = kernels.stream_packed_bits(plan)
+        assert packed.transpose(1, 0, 2).flags.c_contiguous
+        assert np.array_equal(packed, expected)
+
+    @pytest.mark.parametrize("cpus", (2, 3))
+    def test_one_sample_screen_blocks(self, monkeypatch, cpus):
+        """A block budget under one sample per worker still screens."""
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "SCREEN_BLOCK_BYTES", 1)
+        elements, sites, grid = THREADED_CASES["culled"]
+        assert np.array_equal(
+            kernels.stream_packed_bits(_threaded_plan("culled", 64)),
+            np.packbits(_exact(elements, sites, grid), axis=2),
+        )
+
+    @pytest.mark.parametrize("case", ("culled", "eccentric", "nothing_visible"))
+    def test_counters_equal_a_one_worker_build(self, monkeypatch, case):
+        def deltas(cpus):
+            monkeypatch.setattr(kernels, "_available_cpus", lambda: cpus)
+            plan = _threaded_plan(case, 64)
+            before = [metrics.counter(name).value for name in THREAD_COUNTERS]
+            kernels.stream_packed_bits(plan)
+            return [
+                metrics.counter(name).value - value
+                for name, value in zip(THREAD_COUNTERS, before)
+            ]
+
+        one = deltas(1)
+        plan = _threaded_plan(case, 64)
+        slabs, slab_bytes, rechecks, evaluations = one
+        assert slabs == -(-GRID.count // 64)  # One slab per plan chunk.
+        assert slab_bytes == plan.n_sites * plan.n_satellites * GRID.count
+        if case == "nothing_visible":
+            assert rechecks == evaluations == 0
+        else:
+            assert rechecks > 0  # The exact path ran.
+            # Circular pools re-evaluate each recheck's direction.
+            refreshed = rechecks if case == "culled" else 0
+            active = plan.active_propagator.count
+            assert evaluations == GRID.count * active + refreshed
+        assert deltas(2) == one
+        assert deltas(3) == one
+
+    def test_one_cpu_builds_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU build started a thread pool")
+
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        elements, sites, grid = THREADED_CASES["unaligned"]
+        assert np.array_equal(
+            kernels.stream_packed_bits(_threaded_plan("unaligned", 64)),
+            np.packbits(_exact(elements, sites, grid), axis=2),
+        )
+
+    @pytest.mark.parametrize("failing_offset", (0, 32, 96))
+    def test_a_failed_task_raises_its_own_error(self, monkeypatch, failing_offset):
+        """A worker that fails mid-build must not leave the other waiting
+        at a stage barrier, and its error, not the broken barrier, is what
+        the caller sees.  With two workers and 32-sample tasks, worker 0
+        screens offsets 0, 64, ... and worker 1 offsets 32, 96, ..."""
+        screen = kernels._screen_chunk
+
+        def failing(plan, buffers, offset, times):
+            if offset == failing_offset:
+                raise ValueError("screen failed")
+            return screen(plan, buffers, offset, times)
+
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(kernels, "_screen_chunk", failing)
+        with pytest.raises(ValueError, match="screen failed"):
+            kernels.stream_packed_bits(_threaded_plan("unaligned", 64))
+
+    def test_workers_keep_eight_samples_a_task(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 16)
+        assert kernels._pack_workers(_threaded_plan("unaligned", 64)) == 8
+        assert kernels._pack_workers(_threaded_plan("unaligned", 8)) == 1
+
+    def test_traced_callables_stay_on_the_calling_thread(self, monkeypatch):
+        """Benchmark tracers wrap these callables and keep one unlocked
+        span stack, so a call from a worker thread would corrupt it."""
+        calls = []
+
+        def record(fn):
+            name = fn.__name__
+            if inspect.isgeneratorfunction(fn):
+
+                @functools.wraps(fn)
+                def wrapper(*args, **kwargs):
+                    for item in fn(*args, **kwargs):
+                        calls.append((name, threading.get_ident()))
+                        yield item
+
+                return wrapper
+
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (kernels, "iter_slabs"),
+            (kernels, "plan_stream"),
+            (kernels, "stream_packed_bits"),
+            (visibility, "packed_visibility"),
+            (intervals, "find_contact_intervals"),
+        ):
+            monkeypatch.setattr(module, name, record(getattr(module, name)))
+        for name in ("unit_positions_at", "unit_positions_eci_unspanned"):
+            monkeypatch.setattr(
+                BatchPropagator, name, record(getattr(BatchPropagator, name))
+            )
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 2)
+        rechecks = metrics.counter("sim.kernels.exact_rechecks")
+        before = rechecks.value
+        # Circular pools re-evaluate near-threshold samples; eccentric
+        # ones solve Kepler's equation per task.
+        for case in ("culled", "eccentric"):
+            elements, sites, grid = THREADED_CASES[case]
+            visibility.packed_visibility(elements, sites, grid, chunk_size=64)
+            intervals.find_contact_intervals(elements, sites, grid, chunk_size=64)
+        assert rechecks.value > before
+        assert {"packed_visibility", "plan_stream", "stream_packed_bits"} <= {
+            name for name, _ in calls
+        }
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 class TestPropagatorDerived:
