@@ -6,13 +6,9 @@ pricing shifts revenue toward satellites that actually carry load; total
 traded volume is identical (pricing does not change the physics).
 """
 
-import numpy as np
-
-
 from repro.analysis.reporting import Table
 from repro.constellation.satellite import Constellation, Satellite
 from repro.constellation.walker import walker_delta
-from repro.core.auction import Bid, asks_from_spare_capacity, clear_double_auction
 from repro.core.market import CongestionPricing, DataMarket, FlatPricing
 from repro.ground.cities import TAIPEI
 from repro.ground.sites import GroundStation, UserTerminal
@@ -72,25 +68,6 @@ def _run(config):
             "revenue": sum(invoice.tokens for invoice in invoices),
         }
     outcomes["traded_megabits"] = result.spare_capacity_megabits()
-
-    # Dynamic price discovery (§4): auction next-day spare capacity.  Supply
-    # is each party's measured spare-capacity rate; demand is two buyers
-    # with different willingness to pay.
-    spare_rate_by_party = {}
-    for session in result.sessions:
-        if session.is_spare_capacity:
-            spare_rate_by_party[session.sat_party] = (
-                spare_rate_by_party.get(session.sat_party, 0.0)
-                + session.rate_mbps * session.duration_s / grid.duration_s
-            )
-    auction = clear_double_auction(
-        bids=[
-            Bid("alpha", quantity=30.0, price=0.004),
-            Bid("beta", quantity=30.0, price=0.002),
-        ],
-        asks=asks_from_spare_capacity(spare_rate_by_party, reserve_price=0.001),
-    )
-    outcomes["auction"] = auction
     return outcomes
 
 
@@ -110,19 +87,3 @@ def test_ablation_market(bench_config, report):
     assert outcomes["flat"]["invoices"] == outcomes["congestion"]["invoices"]
     # Congestion pricing charges at least the flat base, more under load.
     assert outcomes["congestion"]["revenue"] >= outcomes["flat"]["revenue"]
-
-    auction = outcomes["auction"]
-    auction_table = Table(
-        "Ablation: spot-auction price discovery for spare capacity",
-        ["metric", "value"],
-        precision=4,
-    )
-    auction_table.add_row("cleared", str(auction.cleared))
-    if auction.cleared:
-        auction_table.add_row("clearing price (tokens/Mb)", auction.clearing_price)
-        auction_table.add_row("traded rate (Mbps)", auction.traded_quantity)
-        auction_table.add_row("trades", len(auction.trades))
-    report(auction_table)
-    assert auction.cleared
-    # Uniform price sits between the reserve and the top bid.
-    assert 0.001 <= auction.clearing_price <= 0.004

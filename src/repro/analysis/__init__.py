@@ -1,6 +1,6 @@
 """Analysis and reporting helpers.
 
-* :mod:`repro.analysis.gaps` — gap-distribution analytics over coverage masks.
+* :mod:`repro.analysis.gaps` — coverage gaps as timeline events.
 * :mod:`repro.analysis.population` — population-weighted metrics over city sets.
 * :mod:`repro.analysis.reporting` — plain-text table/series rendering used by
   the benchmark harness to print paper-style rows.

@@ -1,74 +1,21 @@
-"""Gap-distribution analytics.
+"""Coverage gaps as timeline events.
 
 Fig. 2's qualitative claims ("continuous gaps of up to over an hour") are
-about the *distribution* of gaps, not just their total.  These helpers
-summarize gap populations across Monte-Carlo runs.
+about individual gaps, not just their total.  These helpers narrate each
+gap of a coverage timeline onto the shared simulation timeline, from a
+sampled mask or from an analytic interval set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.obs import timeline as obs_timeline
 from repro.obs.timeline import TimelineEvent
-from repro.sim.coverage import gap_lengths_s
 from repro.sim.events import intervals_from_mask
 from repro.sim.intervals import IntervalSet
-
-
-@dataclass(frozen=True)
-class GapDistribution:
-    """Summary of a population of coverage gaps (seconds)."""
-
-    count: int
-    total_s: float
-    mean_s: float
-    median_s: float
-    p90_s: float
-    p99_s: float
-    max_s: float
-
-    @classmethod
-    def from_gaps(cls, gaps_s: np.ndarray) -> "GapDistribution":
-        gaps = np.asarray(gaps_s, dtype=np.float64)
-        if gaps.size == 0:
-            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return cls(
-            count=int(gaps.size),
-            total_s=float(gaps.sum()),
-            mean_s=float(gaps.mean()),
-            median_s=float(np.median(gaps)),
-            p90_s=float(np.percentile(gaps, 90)),
-            p99_s=float(np.percentile(gaps, 99)),
-            max_s=float(gaps.max()),
-        )
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, step_s: float) -> "GapDistribution":
-        return cls.from_gaps(gap_lengths_s(mask, step_s))
-
-    @classmethod
-    def from_intervals(cls, coverage: IntervalSet) -> "GapDistribution":
-        """Gap distribution from an analytic coverage interval set.
-
-        Same semantics as :meth:`from_mask` — uncovered runs at the
-        horizon edges count as gaps — but gap lengths are exact interval
-        complements, not multiples of a sample step.
-        """
-        return cls.from_gaps(coverage.gap_lengths_s())
-
-
-def pooled_gap_distribution(
-    masks: Iterable[np.ndarray], step_s: float
-) -> GapDistribution:
-    """Gap distribution pooled over multiple runs' coverage masks."""
-    pooled: List[np.ndarray] = [gap_lengths_s(mask, step_s) for mask in masks]
-    if not pooled:
-        raise ValueError("at least one mask is required")
-    return GapDistribution.from_gaps(np.concatenate(pooled))
 
 
 def gap_timeline_events(
@@ -173,13 +120,3 @@ def gap_timeline_events_from_intervals(
     if emit:
         obs_timeline.extend(events)
     return events
-
-
-def survival_curve(
-    gaps_s: Sequence[float], thresholds_s: Sequence[float]
-) -> List[float]:
-    """P(gap >= threshold) for each threshold — a gap CCDF at chosen points."""
-    gaps = np.asarray(list(gaps_s), dtype=np.float64)
-    if gaps.size == 0:
-        return [0.0 for _ in thresholds_s]
-    return [float((gaps >= threshold).mean()) for threshold in thresholds_s]

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.constants import DEFAULT_MIN_ELEVATION_DEG
 from repro.ground.cities import CITIES, City, population_weights, terminals_for_cities
 from repro.sim.clock import TimeGrid
@@ -42,18 +40,3 @@ def weighted_city_coverage(
     terminals = terminals_for_cities(cities, min_elevation_deg=min_elevation_deg)
     masks = engine.site_coverage(constellation, terminals)
     return population_weighted_coverage_fraction(masks, population_weights(cities))
-
-
-def weighted_coverage_from_masks(
-    masks: np.ndarray, cities: Sequence[City] = CITIES
-) -> float:
-    """Weighted coverage fraction from precomputed per-city masks (S, T)."""
-    return population_weighted_coverage_fraction(masks, population_weights(cities))
-
-
-def unweighted_city_coverage(masks: np.ndarray) -> float:
-    """Mean per-city coverage fraction (equal weights)."""
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 2:
-        raise ValueError(f"masks must be (S, T), got {masks.shape}")
-    return float(masks.mean())

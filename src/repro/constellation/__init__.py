@@ -23,7 +23,7 @@ from repro.constellation.shells import (
     starlink_like_constellation,
 )
 from repro.constellation.walker import walker_delta, walker_star
-from repro.constellation.sampling import sample_constellation, sample_elements
+from repro.constellation.sampling import sample_constellation
 
 __all__ = [
     "Satellite",
@@ -37,5 +37,4 @@ __all__ = [
     "walker_delta",
     "walker_star",
     "sample_constellation",
-    "sample_elements",
 ]

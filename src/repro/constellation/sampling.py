@@ -8,12 +8,9 @@ reproducible and independent runs differ only in their seed.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.constellation.satellite import Constellation
-from repro.orbits.elements import OrbitalElements
 
 
 def sample_constellation(
@@ -55,36 +52,3 @@ def sample_indices(
             f"cannot sample {count} satellites from a constellation of {len(source)}"
         )
     return np.sort(rng.choice(len(source), size=count, replace=False))
-
-
-def sample_elements(
-    source: Constellation,
-    count: int,
-    rng: np.random.Generator,
-) -> List[OrbitalElements]:
-    """Like :func:`sample_constellation` but returning bare orbital elements."""
-    return sample_constellation(source, count, rng).elements
-
-
-def split_randomly(
-    source: Constellation,
-    fraction: float,
-    rng: np.random.Generator,
-) -> tuple:
-    """Split a constellation into two random disjoint parts.
-
-    Returns:
-        (kept, withdrawn) where ``withdrawn`` holds ``round(fraction * N)``
-        satellites — the paper's Fig. 5 withdrawal model with fraction 0.5.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    total = len(source)
-    withdraw_count = int(round(fraction * total))
-    permutation = rng.permutation(total)
-    withdrawn_indices = np.sort(permutation[:withdraw_count])
-    kept_indices = np.sort(permutation[withdraw_count:])
-    return (
-        source.take(kept_indices, name=f"{source.name}-kept"),
-        source.take(withdrawn_indices, name=f"{source.name}-withdrawn"),
-    )

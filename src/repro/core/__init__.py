@@ -12,12 +12,8 @@
   "coverage worth" metric behind the paper's 50-vs-1000 claim.
 * :mod:`repro.core.robustness` — withdrawal/robustness analysis (§3.4).
 * :mod:`repro.core.governance` — multi-party control votes (§4).
-* :mod:`repro.core.failures` — satellite failure/attrition models (§3.4).
 * :mod:`repro.core.objectives` — regional vs profit placement objectives
   (§3.2) and their rank correlation.
-* :mod:`repro.core.audit` — service-denial detection and slashing (§4).
-* :mod:`repro.core.auction` — uniform-price double-auction clearing for the
-  spot capacity market (§4's market-design question).
 * :mod:`repro.core.economics` — constellation cost models and the
   go-it-alone vs MP-LEO comparison (§1-§2).
 """
@@ -28,12 +24,10 @@ from repro.core.placement import (
     PlacementCandidate,
     best_candidate,
     gap_filling_candidates,
-    score_candidates,
 )
 from repro.core.robustness import (
     WithdrawalImpact,
     largest_party_withdrawal,
-    random_withdrawal_impact,
 )
 
 __all__ = [
@@ -41,9 +35,7 @@ __all__ = [
     "MultiPartyConstellation",
     "PlacementCandidate",
     "gap_filling_candidates",
-    "score_candidates",
     "best_candidate",
     "WithdrawalImpact",
-    "random_withdrawal_impact",
     "largest_party_withdrawal",
 ]

@@ -12,9 +12,7 @@ satellite unit cost); every knob is a parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -128,35 +126,3 @@ def compare_deployments(
         go_it_alone_cost=model.total_cost(go_it_alone_satellites, horizon_years),
         mp_leo_cost=model.total_cost(mp_leo_contribution, horizon_years),
     )
-
-
-def cost_per_delivered_gbps_hour(
-    satellite_count: int,
-    mean_utilization: float,
-    per_satellite_capacity_gbps: float,
-    model: CostModel = CostModel(),
-    horizon_years: float = 10.0,
-) -> float:
-    """Lifecycle cost per delivered Gbps-hour (the waste metric, priced).
-
-    A constellation that is idle 99% of the time (Fig. 3's one-city case)
-    delivers 1% of its capacity-hours; this converts that waste into
-    dollars.
-
-    Raises:
-        ValueError: On out-of-range utilization or non-positive capacity.
-    """
-    if not 0.0 < mean_utilization <= 1.0:
-        raise ValueError("utilization must be in (0, 1]")
-    if per_satellite_capacity_gbps <= 0.0:
-        raise ValueError("capacity must be positive")
-    total_cost = model.total_cost(satellite_count, horizon_years)
-    delivered_gbps_hours = (
-        satellite_count
-        * per_satellite_capacity_gbps
-        * mean_utilization
-        * horizon_years
-        * 365.0
-        * 24.0
-    )
-    return total_cost / delivered_gbps_hours

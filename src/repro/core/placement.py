@@ -119,18 +119,6 @@ class PlacementScorer:
         self.base_fraction = float(self.weights @ self.base_masks.mean(axis=1))
 
 
-def score_candidates(
-    base: Optional[Constellation],
-    candidates: Sequence[Satellite],
-    grid: TimeGrid,
-    cities: Sequence[City] = CITIES,
-    min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG,
-) -> List[PlacementCandidate]:
-    """One-shot candidate scoring (see :class:`PlacementScorer`)."""
-    scorer = PlacementScorer(base, grid, cities, min_elevation_deg)
-    return scorer.score(candidates)
-
-
 def best_candidate(
     scored: Sequence[PlacementCandidate],
 ) -> PlacementCandidate:

@@ -12,13 +12,10 @@ satellites, with what stake.  It enforces the paper's structural rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
-import numpy as np
-
-from repro.constellation.satellite import Constellation, Satellite, UNASSIGNED_PARTY
-from repro.core.party import Party, contribution_ratio_split, stake_shares
+from repro.constellation.satellite import Constellation, Satellite
+from repro.core.party import Party, stake_shares
 from repro.obs import timeline as obs_timeline
 
 
@@ -172,35 +169,3 @@ class MultiPartyConstellation:
 
     def __len__(self) -> int:
         return len(self._satellites)
-
-
-def registry_with_ratio_split(
-    pool: Constellation,
-    ratios: Sequence[float],
-    rng: np.random.Generator,
-    party_prefix: str = "party",
-) -> MultiPartyConstellation:
-    """Build a registry by splitting a satellite pool among parties by ratio.
-
-    The Fig. 6 construction: a 1000-satellite constellation whose satellites
-    are randomly attributed to 11 parties in a given contribution ratio.
-
-    Args:
-        pool: Satellites to distribute (all of them are used).
-        ratios: Per-party contribution ratios, e.g. ``[10] + [1] * 10``.
-        rng: Seeded generator for the random attribution.
-        party_prefix: Party names are ``f"{prefix}-{index}"``.
-    """
-    counts = contribution_ratio_split(len(pool), ratios)
-    registry = MultiPartyConstellation()
-    permutation = rng.permutation(len(pool))
-    cursor = 0
-    for index, count in enumerate(counts):
-        name = f"{party_prefix}-{index}"
-        registry.join(Party(name))
-        member_indices = permutation[cursor : cursor + count]
-        cursor += count
-        registry.contribute(
-            name, [pool[int(position)] for position in member_indices]
-        )
-    return registry

@@ -7,17 +7,16 @@ deny service or back out:
 * Fig. 6: withdraw the *largest* of 11 parties under varying contribution
   skew.
 
-Two API layers: constellation-level convenience functions (self-contained),
-and mask-level functions over a precomputed
-:class:`~repro.sim.visibility.PackedVisibility` for Monte-Carlo loops.
+The figures run their Monte-Carlo loops over the experiment context's
+shared contact store (:mod:`repro.experiments`); this module keeps the
+self-contained, constellation-level primitive the marketplace example
+uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.constants import DEFAULT_MIN_ELEVATION_DEG
 from repro.constellation.satellite import Constellation
@@ -25,7 +24,7 @@ from repro.core.registry import MultiPartyConstellation
 from repro.ground.cities import CITIES, City, population_weights, terminals_for_cities
 from repro.sim.clock import TimeGrid
 from repro.sim.coverage import population_weighted_coverage_fraction
-from repro.sim.visibility import PackedVisibility, VisibilityEngine
+from repro.sim.visibility import VisibilityEngine
 
 
 @dataclass(frozen=True)
@@ -52,31 +51,6 @@ class WithdrawalImpact:
         return self.reduction_fraction * self.horizon_s
 
 
-def impact_from_packed(
-    visibility: PackedVisibility,
-    weights: Sequence[float],
-    base_indices: np.ndarray,
-    kept_indices: np.ndarray,
-) -> WithdrawalImpact:
-    """Withdrawal impact from a precomputed packed visibility pool.
-
-    Args:
-        visibility: Packed pool visibility (sites must match ``weights``).
-        weights: Per-site population weights.
-        base_indices: Pool indices of the full constellation.
-        kept_indices: Pool indices remaining after withdrawal.
-    """
-    weight_array = np.asarray(list(weights), dtype=np.float64)
-    weight_array = weight_array / weight_array.sum()
-    base = float(weight_array @ visibility.coverage_fractions(base_indices))
-    kept = float(weight_array @ visibility.coverage_fractions(kept_indices))
-    return WithdrawalImpact(
-        base_fraction=base,
-        reduced_fraction=kept,
-        horizon_s=visibility.grid.duration_s,
-    )
-
-
 def coverage_fraction_of(
     constellation: Constellation,
     grid: TimeGrid,
@@ -88,24 +62,6 @@ def coverage_fraction_of(
     terminals = terminals_for_cities(cities, min_elevation_deg=min_elevation_deg)
     masks = engine.site_coverage(constellation, terminals)
     return population_weighted_coverage_fraction(masks, population_weights(cities))
-
-
-def random_withdrawal_impact(
-    constellation: Constellation,
-    fraction: float,
-    grid: TimeGrid,
-    rng: np.random.Generator,
-    cities: Sequence[City] = CITIES,
-) -> WithdrawalImpact:
-    """Fig. 5 primitive: withdraw a random ``fraction`` of the satellites."""
-    from repro.constellation.sampling import split_randomly
-
-    kept, _ = split_randomly(constellation, fraction, rng)
-    base = coverage_fraction_of(constellation, grid, cities)
-    reduced = (
-        coverage_fraction_of(kept, grid, cities) if len(kept) else 0.0
-    )
-    return WithdrawalImpact(base, reduced, grid.duration_s)
 
 
 def largest_party_withdrawal(
@@ -122,21 +78,3 @@ def largest_party_withdrawal(
         coverage_fraction_of(remaining, grid, cities) if len(remaining) else 0.0
     )
     return WithdrawalImpact(base, reduced, grid.duration_s)
-
-
-def proportionality_gap(
-    impact: WithdrawalImpact, stake: float
-) -> float:
-    """How far a withdrawal's damage exceeds the withdrawing party's stake.
-
-    The paper's robustness goal: "Any degradation should be proportional to
-    their stake in the network."  Positive values mean super-proportional
-    damage (bad); zero or negative means the network absorbed the exit.
-    Measured on *relative* coverage loss: (base - reduced) / base vs stake.
-    """
-    if not 0.0 < stake <= 1.0:
-        raise ValueError(f"stake must be in (0, 1], got {stake}")
-    if impact.base_fraction <= 0.0:
-        return 0.0
-    relative_loss = impact.reduction_fraction / impact.base_fraction
-    return relative_loss - stake

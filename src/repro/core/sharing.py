@@ -4,8 +4,8 @@ The paper's §2 headline: "a participant contributing just 50 satellites can
 get coverage worth over 1000 satellites by trading off their spare
 capacities with others."  This module quantifies that trade:
 
-* :func:`coverage_worth_multiplier` — how many go-it-alone satellites a
-  party's *shared* coverage is worth.
+* :class:`SharingUpside` — how many go-it-alone satellites a party's
+  *shared* coverage is worth.
 * :func:`exchange_matrix` — who serves whom: the party-by-party matrix of
   traded capacity derived from engine sessions.
 """
@@ -13,7 +13,7 @@ capacities with others."  This module quantifies that trade:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -92,20 +92,6 @@ def sharing_upside(
         equivalent_alone_satellites=equivalent_satellite_count(
             shared_coverage_fraction, coverage_by_count
         ),
-    )
-
-
-def coverage_worth_multiplier(
-    contributed: int,
-    shared_coverage_fraction: float,
-    coverage_by_count: Sequence[Tuple[int, float]],
-) -> float:
-    """The paper's multiplier: equivalent satellites / contributed satellites."""
-    if contributed <= 0:
-        raise ValueError(f"contributed must be positive, got {contributed}")
-    return (
-        equivalent_satellite_count(shared_coverage_fraction, coverage_by_count)
-        / contributed
     )
 
 

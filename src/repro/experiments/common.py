@@ -16,8 +16,8 @@ call sites keep working.
 
 Cache traffic and build time are accounted through :mod:`repro.obs`
 (counters ``experiments.visibility_cache.*``, ``experiments.interval_cache.*``
-and ``experiments.pool_cache.*``; spans ``visibility.build``,
-``intervals.build`` and ``subsets.build``).
+and ``experiments.pool_cache.*``; spans ``visibility.build`` and
+``intervals.build``).
 """
 
 from __future__ import annotations
@@ -43,13 +43,8 @@ from repro.obs.trace import span
 from repro.orbits.propagator import BatchPropagator
 from repro.sim import kernels
 from repro.sim.clock import TimeGrid
-from repro.sim.intervals import (
-    ContactIntervals,
-    IntervalSubsetQuery,
-    find_contact_intervals,
-)
+from repro.sim.intervals import ContactIntervals, find_contact_intervals
 from repro.sim.kernels import SiteGeometry
-from repro.sim.kernels.subsets import SubsetQuery, as_sorted_fleet
 from repro.sim.visibility import PackedVisibility, packed_visibility
 
 _LOG = get_logger(__name__)
@@ -70,8 +65,6 @@ _INT_MISSES = metrics.counter("experiments.interval_cache.misses")
 _INT_EVICTIONS = metrics.counter("experiments.interval_cache.evictions")
 _INT_BUILD_SECONDS = metrics.histogram("experiments.interval_cache.build_seconds")
 _INT_LAST_BUILD = metrics.gauge("experiments.interval_cache.last_build_s")
-_SUBSET_HITS = metrics.counter("experiments.subset_cache.hits")
-_SUBSET_MISSES = metrics.counter("experiments.subset_cache.misses")
 
 #: Contact-evaluation engines a context can run experiments on.
 ENGINE_GRID = "grid"
@@ -155,8 +148,8 @@ class ExperimentContext:
     Args:
         chunk_size: Streaming chunk (time samples per slab) for the builds
             owned by this context.  None lets every build — the grid
-            engine's pool tensor, interval scans and fleet-scoped subset
-            builds — pick :func:`repro.sim.kernels.default_chunk_size`
+            engine's pool tensor and the interval scans — pick
+            :func:`repro.sim.kernels.default_chunk_size`
             (64 samples for the full pool).  An execution knob: results
             are chunk-invariant, only peak memory changes (the CLI's
             ``--chunk-size`` sets it on the default context).
@@ -188,7 +181,6 @@ class ExperimentContext:
         self._geometry: Dict[
             Tuple[Tuple[GroundSite, ...], TimeGrid], SiteGeometry
         ] = {}
-        self._subsets: Dict[tuple, object] = {}
         self._activity: Dict[tuple, np.ndarray] = {}
 
     def pool(self, seed: int = 0) -> Constellation:
@@ -304,21 +296,6 @@ class ExperimentContext:
         )
         propagator = self.pool_propagator(pool_seed)
         start = time.perf_counter()
-        cache[key] = self._build_store(engine, config, propagator, span_name)
-        elapsed = time.perf_counter() - start
-        build_seconds.observe(elapsed)
-        last_build.set(elapsed)
-        _LOG.info("%s store built in %.2f s", engine, elapsed)
-        return cache[key]
-
-    def _build_store(
-        self,
-        engine: str,
-        config: ExperimentConfig,
-        propagator: BatchPropagator,
-        span_name: str,
-    ):
-        """One engine's store for ``propagator``'s satellites (uncached)."""
         sites = terminals_for_cities(ALL_SITES, config.min_elevation_deg)
         grid = config.grid()
         geometry = self.site_geometry(sites, grid)
@@ -327,67 +304,15 @@ class ExperimentContext:
             else packed_visibility
         )
         with span(span_name):
-            return build(
+            cache[key] = build(
                 propagator, sites, grid,
                 geometry=geometry, chunk_size=self.chunk_size,
             )
-
-    def subset_query(self, config: ExperimentConfig, fleet, pool_seed: int = 0):
-        """An engine-appropriate subset-query object for one fleet, cached.
-
-        Returns a :class:`repro.sim.kernels.subsets.SubsetQuery` (grid) or
-        :class:`repro.sim.intervals.IntervalSubsetQuery` (intervals) whose
-        precompute covers exactly ``fleet`` (pool indices).
-        Attrition-style experiments pay the precompute once and answer
-        every composition of the fleet with a cheap masked reduction.
-
-        When the full-pool store is already cached the precompute is a
-        free row gather; on a cold cache the build is *fleet-scoped* — the
-        trig and screen scale with the fleet, not the pool, which is the
-        ~50x win behind ``ablation_failures``.  Both paths yield
-        bit-identical query results (all-circular pool; pinned by
-        tests/experiments/test_subset_query.py).
-        """
-        engine = self._checked_engine()
-        sorted_fleet = as_sorted_fleet(fleet)
-        base_key = visibility_cache_key(config, pool_seed)
-        key = (base_key, engine, sorted_fleet.tobytes())
-        cached = self._subsets.get(key)
-        if cached is not None:
-            _SUBSET_HITS.inc()
-            return cached
-        _SUBSET_MISSES.inc()
-        warm = base_key in self._stores[engine]
-        if engine == ENGINE_INTERVALS:
-            if warm:
-                query = IntervalSubsetQuery.from_contacts(
-                    self.contact_intervals(config, pool_seed), sorted_fleet
-                )
-            else:
-                propagator = self.pool_propagator(pool_seed).subset(sorted_fleet)
-                query = IntervalSubsetQuery(
-                    self._build_store(
-                        engine, config, propagator, "subsets.build"
-                    ),
-                    sorted_fleet,
-                )
-        elif warm:
-            query = SubsetQuery.from_visibility(
-                self.visibility(config, pool_seed), sorted_fleet
-            )
-        else:
-            sites = terminals_for_cities(ALL_SITES, config.min_elevation_deg)
-            grid = config.grid()
-            with span("subsets.build"):
-                query = SubsetQuery.build(
-                    self.pool_propagator(pool_seed),
-                    self.site_geometry(sites, grid),
-                    grid,
-                    sorted_fleet,
-                    chunk_size=self.chunk_size,
-                )
-        self._subsets[key] = query
-        return query
+        elapsed = time.perf_counter() - start
+        build_seconds.observe(elapsed)
+        last_build.set(elapsed)
+        _LOG.info("%s store built in %.2f s", engine, elapsed)
+        return cache[key]
 
     def satellite_activity(
         self,
@@ -453,7 +378,6 @@ class ExperimentContext:
         for cache in self._stores.values():
             cache.clear()
         self._geometry.clear()
-        self._subsets.clear()
         self._activity.clear()
 
 
@@ -505,9 +429,8 @@ def weighted_city_coverage(store, sat_indices) -> float:
     """Population-weighted city coverage of a satellite subset.
 
     ``store`` is any ``coverage_fractions`` source with rows in
-    :data:`ALL_SITES` order: either engine's contact store
-    (:meth:`ExperimentContext.store`) or a subset query
-    (:meth:`ExperimentContext.subset_query`).
+    :data:`ALL_SITES` order, such as either engine's contact store
+    (:meth:`ExperimentContext.store`).
     """
     fractions = store.coverage_fractions(sat_indices)
     return _weighted_cities(fractions)

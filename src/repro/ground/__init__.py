@@ -9,7 +9,7 @@
   AWS/Azure rent-a-station offerings the paper's design relies on.
 """
 
-from repro.ground.cities import CITIES, City, TAIPEI, city_by_name, top_cities
+from repro.ground.cities import CITIES, City, TAIPEI, city_by_name
 from repro.ground.sites import GroundSite, GroundStation, UserTerminal
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "CITIES",
     "TAIPEI",
     "city_by_name",
-    "top_cities",
 ]

@@ -89,19 +89,6 @@ def city_by_name(name: str) -> City:
     raise KeyError(f"unknown city: {name!r}")
 
 
-def top_cities(count: int) -> List[City]:
-    """The ``count`` most populous cities of the database (Fig. 3 sweep).
-
-    Raises:
-        ValueError: If ``count`` is outside [1, len(CITIES)].
-    """
-    if not 1 <= count <= len(CITIES):
-        raise ValueError(
-            f"count must be in [1, {len(CITIES)}], got {count}"
-        )
-    return list(CITIES[:count])
-
-
 def terminals_for_cities(
     cities: Sequence[City],
     min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG,

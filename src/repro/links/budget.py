@@ -29,23 +29,6 @@ def free_space_path_loss_db(distance_m: float, frequency_hz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
 
 
-def antenna_gain_db(diameter_m: float, frequency_hz: float, efficiency: float = 0.6) -> float:
-    """Parabolic antenna gain: G = eta * (pi * D * f / c)^2.
-
-    Raises:
-        ValueError: On non-positive diameter/frequency or efficiency not in (0, 1].
-    """
-    if diameter_m <= 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter_m}")
-    if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    return 10.0 * math.log10(
-        efficiency * (math.pi * diameter_m * frequency_hz / SPEED_OF_LIGHT) ** 2
-    )
-
-
 @dataclass(frozen=True)
 class LinkBudget:
     """One hop of an RF link (terminal->satellite or satellite->station).

@@ -9,22 +9,17 @@ implements that future work so the trade-off can be measured:
 * :func:`isl_visibility` — which satellite pairs can maintain a link at a
   time: line-of-sight must clear the atmosphere-padded Earth and the range
   must be within the laser/RF terminal's reach.
-* :func:`contact_graph` — the time-indexed connectivity graph (networkx).
-* :class:`IslRouter` — shortest-path routing over the constellation, used
-  by the relay analysis to answer "can this user's traffic reach *any*
-  ground station of its party via ISL hops?".
+* :func:`relayable_with_isl` — the relay analysis: "can this user's
+  traffic reach *any* ground station of its party via ISL hops?".
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
-import networkx as nx
 import numpy as np
 
-from repro.constants import EARTH_MEAN_RADIUS_M, SPEED_OF_LIGHT
+from repro.constants import EARTH_MEAN_RADIUS_M
 
 #: Grazing altitude for the line-of-sight test, meters: ISL beams must clear
 #: the atmosphere (attenuation below ~80 km makes links unusable).
@@ -78,87 +73,6 @@ def isl_visibility(
     )
     np.fill_diagonal(feasible, False)
     return feasible
-
-
-def contact_graph(
-    positions_eci: np.ndarray,
-    sat_ids: Sequence[str],
-    max_range_m: float = DEFAULT_MAX_RANGE_M,
-    grazing_altitude_m: float = DEFAULT_GRAZING_ALTITUDE_M,
-) -> nx.Graph:
-    """Build the ISL connectivity graph at one instant.
-
-    Edge weights are the one-way propagation delays in seconds.
-    """
-    positions = np.asarray(positions_eci, dtype=np.float64)
-    if len(sat_ids) != positions.shape[0]:
-        raise ValueError(
-            f"need {positions.shape[0]} ids, got {len(sat_ids)}"
-        )
-    feasible = isl_visibility(positions, max_range_m, grazing_altitude_m)
-    graph = nx.Graph()
-    graph.add_nodes_from(sat_ids)
-    rows, cols = np.nonzero(np.triu(feasible, k=1))
-    for row, col in zip(rows, cols):
-        distance = float(np.linalg.norm(positions[row] - positions[col]))
-        graph.add_edge(
-            sat_ids[row],
-            sat_ids[col],
-            distance_m=distance,
-            delay_s=distance / SPEED_OF_LIGHT,
-        )
-    return graph
-
-
-@dataclass(frozen=True)
-class IslPath:
-    """A routed multi-hop path through the constellation."""
-
-    sat_ids: Tuple[str, ...]
-    total_delay_s: float
-
-    @property
-    def hops(self) -> int:
-        return len(self.sat_ids) - 1
-
-
-class IslRouter:
-    """Shortest-path routing over an instantaneous ISL graph.
-
-    Example:
-        >>> router = IslRouter(contact_graph(positions, ids))
-        >>> path = router.route("SAT-A", "SAT-B")
-    """
-
-    def __init__(self, graph: nx.Graph) -> None:
-        self.graph = graph
-
-    def route(self, source: str, target: str) -> Optional[IslPath]:
-        """Minimum-delay path, or None when disconnected.
-
-        Raises:
-            KeyError: On unknown satellite ids.
-        """
-        if source not in self.graph or target not in self.graph:
-            raise KeyError(f"unknown satellite: {source!r} or {target!r}")
-        try:
-            nodes = nx.shortest_path(
-                self.graph, source, target, weight="delay_s"
-            )
-        except nx.NetworkXNoPath:
-            return None
-        delay = nx.path_weight(self.graph, nodes, weight="delay_s")
-        return IslPath(sat_ids=tuple(nodes), total_delay_s=float(delay))
-
-    def reachable_set(self, source: str) -> set:
-        """All satellites reachable from a source over ISLs (incl. itself)."""
-        if source not in self.graph:
-            raise KeyError(f"unknown satellite {source!r}")
-        return nx.node_connected_component(self.graph, source)
-
-    def connected_components(self) -> List[set]:
-        """ISL connectivity islands, largest first."""
-        return sorted(nx.connected_components(self.graph), key=len, reverse=True)
 
 
 def relayable_with_isl(

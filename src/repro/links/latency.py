@@ -12,11 +12,8 @@ hops at the speed of light, plus a configurable processing allowance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from repro.constants import EARTH_MEAN_RADIUS_M, SPEED_OF_LIGHT
 from repro.orbits.topocentric import slant_range_m
@@ -114,24 +111,3 @@ def geo_vs_leo_round_trip_ms(
         GEO_RADIUS_M, min_elevation_deg, min_elevation_deg
     ).round_trip_ms
     return leo, geo
-
-
-def latency_distribution_ms(
-    orbital_radius_m: float,
-    elevations_deg: np.ndarray,
-    station_elevation_deg: float = 40.0,
-) -> np.ndarray:
-    """One-way latencies (ms) for an array of observed user elevations.
-
-    Useful for turning a visibility run's elevation samples into a latency
-    distribution.
-    """
-    elevations = np.asarray(elevations_deg, dtype=np.float64)
-    result = np.empty(elevations.shape)
-    flat = elevations.reshape(-1)
-    out = result.reshape(-1)
-    for index, elevation in enumerate(flat):
-        out[index] = bent_pipe_latency(
-            orbital_radius_m, float(elevation), station_elevation_deg
-        ).one_way_ms
-    return result

@@ -11,8 +11,7 @@ The simulator works in three frames:
 Simulation time is measured in seconds from a simulation epoch; the epoch's
 absolute Earth orientation is captured by ``gmst_at_epoch_rad``.  For
 statistical coverage experiments the epoch GMST only rotates the constellation
-in longitude, so the default of 0 is fine; :func:`gmst_from_jd` supports
-anchoring a simulation to a real UTC instant.
+in longitude, so the default of 0 is fine.
 """
 
 from __future__ import annotations
@@ -31,25 +30,6 @@ from repro.constants import (
 ArrayLike = Union[float, np.ndarray]
 
 TWO_PI = 2.0 * math.pi
-
-
-def gmst_from_jd(julian_date_ut1: float) -> float:
-    """Greenwich Mean Sidereal Time (radians) from a UT1 Julian date.
-
-    Uses the IAU 1982 GMST polynomial (Vallado, eq. 3-45).  Accuracy is far
-    better than the coverage experiments require.
-    """
-    t = (julian_date_ut1 - 2451545.0) / 36525.0
-    gmst_s = (
-        67310.54841
-        + (876600.0 * 3600.0 + 8640184.812866) * t
-        + 0.093104 * t * t
-        - 6.2e-6 * t * t * t
-    )
-    gmst = math.fmod(math.radians(gmst_s / 240.0), TWO_PI)
-    if gmst < 0.0:
-        gmst += TWO_PI
-    return gmst
 
 
 def gmst_rad(sim_time_s: ArrayLike, gmst_at_epoch_rad: float = 0.0) -> ArrayLike:

@@ -1,16 +1,15 @@
-"""Ground tracks and revisit analysis (the geometry behind Fig. 1a).
+"""Ground tracks (the geometry behind Fig. 1a).
 
 A LEO satellite's ground track drifts westward every orbit because Earth
 rotates beneath the fixed orbital plane — the paper's core geometric
-premise.  This module computes tracks and the revisit metrics that follow
-from them.
+premise.  This module computes tracks and the per-orbit nodal shift that
+follows from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -82,20 +81,3 @@ def nodal_shift_deg_per_orbit(elements: OrbitalElements) -> float:
     nodal_period_s = 2.0 * math.pi / nodal_rate
     relative_rate = EARTH_ROTATION_RATE - rates.raan_rate
     return math.degrees(relative_rate * nodal_period_s)
-
-
-def revisit_count_per_day(
-    elements: OrbitalElements,
-    coverage_half_width_deg: float,
-) -> float:
-    """Expected equator crossings per day that land within a longitude band.
-
-    A crude analytic bound on how often one satellite can revisit a region
-    of a given longitude half-width: orbits/day times the fraction of nodal
-    longitudes that fall inside the band (two crossings per orbit).
-    """
-    if not 0.0 < coverage_half_width_deg <= 180.0:
-        raise ValueError("half width must be in (0, 180] degrees")
-    orbits_per_day = 86_400.0 / elements.period_s
-    in_band_fraction = min(1.0, coverage_half_width_deg / 180.0)
-    return 2.0 * orbits_per_day * in_band_fraction

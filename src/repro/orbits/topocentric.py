@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -131,24 +131,3 @@ def coverage_central_angle_rad(
         raise ValueError("orbital radius must exceed the site radius")
     el = math.radians(min_elevation_deg)
     return math.acos(site_radius_m / orbital_radius_m * math.cos(el)) - el
-
-
-def footprint_area_fraction(
-    orbital_radius_m: float,
-    min_elevation_deg: float,
-    site_radius_m: float = EARTH_MEAN_RADIUS_M,
-) -> float:
-    """Fraction of the Earth sphere inside one satellite's footprint.
-
-    Spherical-cap area ratio: (1 - cos(psi)) / 2.
-    """
-    psi = coverage_central_angle_rad(orbital_radius_m, min_elevation_deg, site_radius_m)
-    return (1.0 - math.cos(psi)) / 2.0
-
-
-def central_angle_between(
-    unit_a: np.ndarray, unit_b: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (cos_angle, angle_rad) between unit vectors, broadcast-safe."""
-    cos_angle = np.clip(np.einsum("...i,...i->...", unit_a, unit_b), -1.0, 1.0)
-    return cos_angle, np.arccos(cos_angle)

@@ -19,11 +19,10 @@ contract rather than bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.sim.clock import TimeGrid
 from repro.sim.intervals import ContactIntervals
 
 
@@ -198,36 +197,3 @@ def spare_capacity_split_intervals(
         spare_fraction[sat_index] = (any_s - own_s) / span
         idle_fraction[sat_index] = 1.0 - any_s / span
     return SpareCapacityLedger(own_fraction, spare_fraction, idle_fraction)
-
-
-def idle_time_hours(
-    visibility: np.ndarray, grid: TimeGrid
-) -> np.ndarray:
-    """Per-satellite idle time in hours over the grid horizon."""
-    stats = utilization_from_visibility(visibility)
-    return stats.per_satellite_idle_fraction * grid.duration_s / 3600.0
-
-
-def party_capacity_shares(
-    visibility: np.ndarray,
-    terminal_parties: Sequence[str],
-    satellite_parties: Sequence[str],
-) -> Dict[str, Dict[str, float]]:
-    """Per-party summary of the spare-capacity economy.
-
-    Returns:
-        Map party -> {"own": .., "spare_provided": .., "idle": ..} where each
-        value is the mean fraction over the party's satellites.  Parties with
-        no satellites are omitted.
-    """
-    ledger = spare_capacity_split(visibility, terminal_parties, satellite_parties)
-    shares: Dict[str, Dict[str, float]] = {}
-    parties = np.array(satellite_parties)
-    for party in sorted(set(satellite_parties)):
-        member = parties == party
-        shares[party] = {
-            "own": float(ledger.own_fraction[member].mean()),
-            "spare_provided": float(ledger.spare_fraction[member].mean()),
-            "idle": float(ledger.idle_fraction[member].mean()),
-        }
-    return shares

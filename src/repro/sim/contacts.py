@@ -2,24 +2,18 @@
 
 Satellite operations revolve around *contact plans* — the schedule of
 windows during which each (site, satellite) pair can communicate.  This
-module extracts them from the visibility tensors and summarizes the pass
-statistics the paper's §2 narrative quotes ("a single satellite can only
-offer few (less than ten) minutes of coverage per day to a given region").
+module extracts them from the visibility tensors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.constellation.satellite import Constellation
-from repro.ground.sites import GroundSite
 from repro.obs import timeline as obs_timeline
 from repro.sim.clock import TimeGrid
 from repro.sim.events import ContactEvent, intervals_from_mask
-from repro.sim.visibility import VisibilityEngine
 
 
 def _narrate_events(events: Sequence[ContactEvent]) -> None:
@@ -100,84 +94,3 @@ def contact_events(
     events.sort(key=lambda event: (event.start_s, event.site_name, event.sat_id))
     _narrate_events(events)
     return events
-
-
-@dataclass(frozen=True)
-class PassStatistics:
-    """Summary of the contact windows of one (site, satellite set) pair."""
-
-    pass_count: int
-    total_contact_s: float
-    mean_pass_s: float
-    max_pass_s: float
-    contact_minutes_per_day: float
-
-
-def pass_statistics(
-    events: Sequence[ContactEvent], grid: TimeGrid
-) -> PassStatistics:
-    """Aggregate pass statistics over a set of contact events.
-
-    An empty contact list is a legitimate outcome (a site no satellite
-    ever sees) and returns an all-zero :class:`PassStatistics` — no
-    ZeroDivision, no NaN from empty-array reductions.
-
-    Raises:
-        ValueError: On an empty horizon.
-    """
-    days = grid.duration_s / 86_400.0
-    if days <= 0.0:
-        raise ValueError("grid horizon must be positive")
-    if not events:
-        return PassStatistics(
-            pass_count=0,
-            total_contact_s=0.0,
-            mean_pass_s=0.0,
-            max_pass_s=0.0,
-            contact_minutes_per_day=0.0,
-        )
-    durations = np.array([event.duration_s for event in events])
-    total = float(durations.sum())
-    return PassStatistics(
-        pass_count=int(durations.size),
-        total_contact_s=total,
-        mean_pass_s=float(durations.mean()),
-        max_pass_s=float(durations.max()),
-        contact_minutes_per_day=total / 60.0 / days,
-    )
-
-
-def contact_plan(
-    constellation: Constellation,
-    sites: Sequence[GroundSite],
-    grid: TimeGrid,
-) -> List[ContactEvent]:
-    """One-shot contact plan: propagate, test visibility, extract windows."""
-    engine = VisibilityEngine(grid)
-    visibility = engine.visibility(constellation, sites)
-    return contact_events(
-        visibility,
-        [site.name for site in sites],
-        [satellite.sat_id for satellite in constellation],
-        grid,
-    )
-
-
-def per_satellite_daily_minutes(
-    constellation: Constellation,
-    site: GroundSite,
-    grid: TimeGrid,
-) -> Dict[str, float]:
-    """Contact minutes/day each satellite offers one site (the §2 quote).
-
-    "a single satellite can only offer few (less than ten) minutes of
-    coverage per day to a given region."
-    """
-    events = contact_plan(constellation, [site], grid)
-    days = grid.duration_s / 86_400.0
-    minutes: Dict[str, float] = {
-        satellite.sat_id: 0.0 for satellite in constellation
-    }
-    for event in events:
-        minutes[event.sat_id] += event.duration_s / 60.0 / days
-    return minutes

@@ -14,11 +14,9 @@ This module turns masks into those statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.sim.clock import TimeGrid
 
 
 def gap_lengths_s(mask: np.ndarray, step_s: float) -> np.ndarray:
@@ -43,11 +41,6 @@ def gap_lengths_s(mask: np.ndarray, step_s: float) -> np.ndarray:
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     starts, stops = edges[::2], edges[1::2]
     return (stops - starts).astype(np.float64) * step_s
-
-
-def covered_runs_s(mask: np.ndarray, step_s: float) -> np.ndarray:
-    """Durations of the covered runs (contact intervals), seconds."""
-    return gap_lengths_s(~np.asarray(mask, dtype=bool), step_s)
 
 
 @dataclass(frozen=True)
@@ -91,22 +84,6 @@ def coverage_stats(mask: np.ndarray, step_s: float) -> CoverageStats:
     )
 
 
-@dataclass(frozen=True)
-class CoverageTimeline:
-    """A named coverage mask bound to its time grid."""
-
-    site_name: str
-    grid: TimeGrid
-    mask: np.ndarray
-
-    def stats(self) -> CoverageStats:
-        return coverage_stats(self.mask, self.grid.step_s)
-
-    @property
-    def covered_fraction(self) -> float:
-        return float(np.asarray(self.mask, dtype=bool).mean())
-
-
 def population_weighted_coverage_fraction(
     masks: np.ndarray, weights: Sequence[float]
 ) -> float:
@@ -136,42 +113,3 @@ def population_weighted_coverage_fraction(
         raise ValueError("weights must not all be zero")
     per_site = masks.mean(axis=1)
     return float(np.dot(weight_array / total, per_site))
-
-
-def population_weighted_coverage_time_s(
-    masks: np.ndarray, weights: Sequence[float], grid: TimeGrid
-) -> float:
-    """Population-weighted covered *time* in seconds over the grid horizon."""
-    return population_weighted_coverage_fraction(masks, weights) * grid.duration_s
-
-
-def coverage_improvement_s(
-    base_masks: np.ndarray,
-    augmented_masks: np.ndarray,
-    weights: Sequence[float],
-    grid: TimeGrid,
-) -> float:
-    """Weighted coverage-time gain of an augmented constellation over a base.
-
-    The paper's Fig. 4 metric: "improvement in population-weighted global
-    coverage time across one week" when satellites are added.
-    """
-    base = population_weighted_coverage_time_s(base_masks, weights, grid)
-    augmented = population_weighted_coverage_time_s(augmented_masks, weights, grid)
-    return augmented - base
-
-
-def coverage_reduction_fraction(
-    base_masks: np.ndarray,
-    reduced_masks: np.ndarray,
-    weights: Sequence[float],
-) -> float:
-    """Weighted coverage loss (as a fraction of the horizon) after withdrawal.
-
-    The paper's Fig. 5/6 metric: reduction in population-weighted coverage
-    when satellites are withdrawn, expressed as a fraction of total time
-    (24.17% for L=200 in the paper).
-    """
-    base = population_weighted_coverage_fraction(base_masks, weights)
-    reduced = population_weighted_coverage_fraction(reduced_masks, weights)
-    return base - reduced

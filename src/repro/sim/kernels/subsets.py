@@ -1,14 +1,14 @@
 """Subset-query batch kernels over the packed visibility tensor.
 
 Attrition / withdrawal / skew trajectories evaluate coverage for *many*
-satellite subsets of one fleet (12+ per arm in ``ablation_failures``).
-Re-running a full visibility build per composition — or even gathering
-from the full-pool tensor when only 500 of 4400+ satellites matter — pays
-for geometry the queries never touch.  :class:`SubsetQuery` precomputes
-one per-(satellite, site) contribution structure, the packed bit rows of
-exactly the fleet under study, and then answers weighted-city coverage,
-idle capacity, and k-coverage for arbitrary subsets via
-popcount-on-masked-rows (:func:`repro.sim.visibility.or_popcount`).
+satellite subsets of one fleet.  Re-running a full visibility build per
+composition — or even gathering from the full-pool tensor when only 500 of
+4400+ satellites matter — pays for geometry the queries never touch.
+:class:`SubsetQuery` precomputes one per-(satellite, site) contribution
+structure, the packed bit rows of exactly the fleet under study, and then
+answers weighted-city coverage, idle capacity, and k-coverage for
+arbitrary subsets via popcount-on-masked-rows
+(:func:`repro.sim.visibility.or_popcount`).
 
 Two construction paths, bit-identical by the kernel layer's contract:
 
@@ -31,7 +31,7 @@ sweeps.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -198,12 +198,3 @@ class SubsetQuery:
             return 0.0
         counts = self.visible_counts(site_index, subset)
         return float(np.count_nonzero(counts >= int(k)) / self.n_times)
-
-
-def query_for_sites(
-    query: SubsetQuery, site_indices: Sequence[int]
-) -> SubsetQuery:
-    """A query over a subset of the sites (copies their rows)."""
-    sites = checked_indices(site_indices, query.n_sites, "site")
-    rows = query.by_satellite[:, sites, :]
-    return SubsetQuery(rows.transpose(1, 0, 2), query.n_times, query.fleet)

@@ -1,14 +1,9 @@
 """Traffic workload generation.
 
-Terminals demand capacity over time.  Two workload shapes cover the paper's
-use cases:
-
-* :class:`ConstantDemand` — an always-on terminal (the coverage experiments'
-  implicit model: a terminal wants service whenever a satellite is visible).
-* :class:`PoissonSessions` — bursty demand: sessions arrive as a Poisson
-  process with exponential holding times, the classical teletraffic model.
-  This is what the bootstrapping analysis uses for delay-tolerant IoT-style
-  traffic (§4).
+Terminals demand capacity over time.  The bent-pipe engine takes one
+:class:`DemandModel` per terminal; :class:`ConstantDemand` is the
+always-on terminal (the coverage experiments' implicit model: a terminal
+wants service whenever a satellite is visible).
 """
 
 from __future__ import annotations
@@ -41,69 +36,3 @@ class ConstantDemand:
 
     def demand_mbps(self, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
         return np.full(grid.count, self.rate_mbps)
-
-
-@dataclass(frozen=True)
-class PoissonSessions:
-    """Sessions arrive Poisson(rate) with Exp(mean_duration) holding times.
-
-    Attributes:
-        arrivals_per_hour: Mean session arrival rate.
-        mean_duration_s: Mean session length.
-        rate_mbps: Demand while a session is active (sessions superpose).
-    """
-
-    arrivals_per_hour: float = 2.0
-    mean_duration_s: float = 600.0
-    rate_mbps: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.arrivals_per_hour < 0.0:
-            raise ValueError("arrival rate must be non-negative")
-        if self.mean_duration_s <= 0.0:
-            raise ValueError("mean duration must be positive")
-        if self.rate_mbps < 0.0:
-            raise ValueError("rate must be non-negative")
-
-    def demand_mbps(self, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
-        demand = np.zeros(grid.count)
-        if self.arrivals_per_hour == 0.0 or self.rate_mbps == 0.0:
-            return demand
-        horizon = grid.duration_s
-        expected = self.arrivals_per_hour * horizon / 3600.0
-        count = rng.poisson(expected)
-        starts = rng.uniform(0.0, horizon, size=count)
-        durations = rng.exponential(self.mean_duration_s, size=count)
-        for start, duration in zip(starts, durations):
-            begin = int(start // grid.step_s)
-            end = int(min(horizon, start + duration) // grid.step_s) + 1
-            demand[begin : min(end, grid.count)] += self.rate_mbps
-        return demand
-
-
-@dataclass(frozen=True)
-class DiurnalDemand:
-    """Demand modulated by local time of day (busy-hour shaping).
-
-    Rate follows ``base * (1 + depth * sin(2*pi*(t/day - peak)))`` clipped at
-    zero — a smooth stand-in for the evening-peak profile of consumer
-    broadband.
-    """
-
-    base_rate_mbps: float = 100.0
-    depth: float = 0.6
-    peak_hour_local: float = 20.0
-    longitude_deg: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base_rate_mbps < 0.0:
-            raise ValueError("base rate must be non-negative")
-        if not 0.0 <= self.depth <= 1.0:
-            raise ValueError(f"depth must be in [0, 1], got {self.depth}")
-
-    def demand_mbps(self, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
-        times = grid.times_s
-        local_hours = (times / 3600.0 + self.longitude_deg / 15.0) % 24.0
-        phase = 2.0 * np.pi * (local_hours - self.peak_hour_local) / 24.0
-        rate = self.base_rate_mbps * (1.0 + self.depth * np.cos(phase))
-        return np.clip(rate, 0.0, None)

@@ -59,7 +59,6 @@ __all__ = [
     "or_popcount",
     "packed_visibility",
     "satellite_major",
-    "visibility_matrix",
 ]
 
 _LOG = get_logger(__name__)
@@ -208,18 +207,6 @@ class VisibilityEngine:
         return kernels.stream_visible_counts(
             self._plan(constellation, sites, geometry, self.chunk_size, cull)
         )
-
-
-def visibility_matrix(
-    constellation: ConstellationLike,
-    sites: Sequence[GroundSite],
-    grid: TimeGrid,
-    chunk_size: Optional[int] = None,
-) -> np.ndarray:
-    """Convenience wrapper: one-shot visibility tensor (S, N, T)."""
-    return VisibilityEngine(grid, chunk_size=chunk_size).visibility(
-        constellation, sites
-    )
 
 
 def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:

@@ -327,8 +327,3 @@ def run_invariant(seed: int, name: str, trials: int) -> CheckResult:
     if failures:
         return failed(f"fuzz.{name}", **details)
     return passed(f"fuzz.{name}", **details)
-
-
-def run_all_invariants(seed: int, trials: int) -> List[CheckResult]:
-    """Run every registered invariant; one :class:`CheckResult` each."""
-    return [run_invariant(seed, name, trials) for name in INVARIANTS]

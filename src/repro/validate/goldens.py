@@ -280,8 +280,3 @@ def _count_leaves(value: Any) -> int:
     if isinstance(value, (list, tuple)):
         return sum(_count_leaves(v) for v in value)
     return 1
-
-
-def check_all_goldens(update: bool = False) -> List[CheckResult]:
-    """Run every golden experiment; one :class:`CheckResult` each."""
-    return [check_golden(name, update=update) for name in GOLDEN_EXPERIMENTS]

@@ -12,10 +12,8 @@ breaking layout changes and tests pin the current key set.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List
 
 #: Bumped when the validation-report layout changes incompatibly.
 VALIDATION_SCHEMA_VERSION = 1
@@ -71,22 +69,6 @@ def passed(name: str, **details: Any) -> CheckResult:
 def failed(name: str, **details: Any) -> CheckResult:
     """A failing :class:`CheckResult`."""
     return CheckResult(name=name, status=STATUS_FAIL, details=details)
-
-
-@contextmanager
-def timed_check(result_holder: List[CheckResult]) -> Iterator[None]:
-    """Time the enclosed check and stamp ``elapsed_s`` on its result.
-
-    The check body appends exactly one :class:`CheckResult` to
-    ``result_holder``; the context manager stamps the elapsed wall-clock
-    on it when the block exits.
-    """
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        if result_holder:
-            result_holder[-1].elapsed_s = time.perf_counter() - start
 
 
 @dataclass

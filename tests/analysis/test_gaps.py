@@ -3,39 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.analysis.gaps import (
-    GapDistribution,
-    gap_timeline_events,
-    pooled_gap_distribution,
-    survival_curve,
-)
+from repro.analysis.gaps import gap_timeline_events, gap_timeline_events_from_intervals
 from repro.obs import timeline as obs_timeline
+from repro.sim.coverage import gap_lengths_s
 from repro.sim.intervals import IntervalSet
 
 
-class TestGapDistribution:
-    def test_empty(self):
-        dist = GapDistribution.from_gaps(np.array([]))
-        assert dist.count == 0
-        assert dist.max_s == 0.0
+class TestIntervalGapsAgainstMask:
+    """``IntervalSet.gap_lengths_s`` against the grid's ``gap_lengths_s``."""
 
-    def test_single_gap(self):
-        dist = GapDistribution.from_gaps(np.array([120.0]))
-        assert dist.count == 1
-        assert dist.mean_s == 120.0
-        assert dist.median_s == 120.0
-        assert dist.max_s == 120.0
-
-    def test_percentiles_ordered(self):
-        rng = np.random.default_rng(0)
-        dist = GapDistribution.from_gaps(rng.exponential(300.0, size=1000))
-        assert dist.median_s <= dist.p90_s <= dist.p99_s <= dist.max_s
-
-    def test_from_mask(self):
+    def test_mask_gaps(self):
         mask = np.array([True, False, False, True, False, True])
-        dist = GapDistribution.from_mask(mask, 60.0)
-        assert dist.count == 2
-        assert dist.total_s == 180.0
+        assert gap_lengths_s(mask, 60.0).tolist() == [120.0, 60.0]
 
     @pytest.mark.parametrize(
         "bits",
@@ -49,36 +28,20 @@ class TestGapDistribution:
         ids=["edge-gaps", "edge-contacts", "never-covered", "always-covered",
              "alternating"],
     )
-    def test_from_intervals_matches_mask_on_sample_edges(self, bits):
+    def test_intervals_match_mask_on_sample_edges(self, bits):
         """Coverage whose edges sit on samples yields the grid's gaps."""
         mask = np.array([bit == "1" for bit in bits])
         coverage = IntervalSet.from_pairs(
             [(i * 60.0, (i + 1) * 60.0) for i in np.flatnonzero(mask)],
             0.0, mask.size * 60.0,
         )
-        assert GapDistribution.from_intervals(coverage) == GapDistribution.from_mask(
-            mask, 60.0
+        np.testing.assert_array_equal(
+            coverage.gap_lengths_s(), gap_lengths_s(mask, 60.0)
         )
 
-    def test_from_intervals_keeps_exact_gap_lengths(self):
+    def test_intervals_keep_exact_gap_lengths(self):
         coverage = IntervalSet.from_pairs([(12.5, 40.0), (47.25, 90.0)], 0.0, 100.0)
-        dist = GapDistribution.from_intervals(coverage)
-        assert dist.count == 3
-        assert dist.total_s == pytest.approx(12.5 + 7.25 + 10.0)
-        assert dist.max_s == 12.5
-
-    def test_pooled(self):
-        masks = [
-            np.array([True, False, True]),
-            np.array([False, False, True]),
-        ]
-        dist = pooled_gap_distribution(masks, 60.0)
-        assert dist.count == 2
-        assert dist.total_s == 180.0
-
-    def test_pooled_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            pooled_gap_distribution([], 60.0)
+        np.testing.assert_allclose(coverage.gap_lengths_s(), [12.5, 7.25, 10.0])
 
 
 class TestGapTimelineEvents:
@@ -163,17 +126,78 @@ class TestGapTimelineEvents:
             )
 
 
-class TestSurvivalCurve:
-    def test_empty_gaps(self):
-        assert survival_curve([], [10.0, 20.0]) == [0.0, 0.0]
+def _sampled_coverage(mask, step_s=60.0):
+    """The IntervalSet whose edges sit exactly on ``mask``'s samples."""
+    return IntervalSet.from_pairs(
+        [(i * step_s, (i + 1) * step_s) for i in np.flatnonzero(mask)],
+        0.0, mask.size * step_s,
+    )
 
-    def test_known_values(self):
-        gaps = [10.0, 20.0, 30.0, 40.0]
-        curve = survival_curve(gaps, [0.0, 25.0, 50.0])
-        assert curve == [1.0, 0.5, 0.0]
 
-    def test_nonincreasing(self):
-        rng = np.random.default_rng(1)
-        gaps = rng.exponential(100.0, size=500)
-        curve = survival_curve(gaps, np.linspace(0, 1000, 20))
-        assert all(b <= a for a, b in zip(curve, curve[1:]))
+def _fields(events):
+    return [(event.kind, event.t_s, event.subject, event.attrs) for event in events]
+
+
+class TestGapTimelineEventsFromIntervals:
+    @pytest.mark.parametrize(
+        "bits",
+        ["0110011100", "1001100011", "0000000000", "1111111111", "1010101010",
+         "0100000000", "0000000010", "1"],
+        ids=["edge-gaps", "edge-contacts", "never-covered", "always-covered",
+             "alternating", "early-contact", "late-contact", "one-sample"],
+    )
+    def test_matches_mask_events_on_sample_edges(self, bits):
+        mask = np.array([bit == "1" for bit in bits])
+        from_mask = gap_timeline_events(mask, 60.0, site="taipei", emit=False)
+        from_intervals = gap_timeline_events_from_intervals(
+            _sampled_coverage(mask), site="taipei", emit=False
+        )
+        assert _fields(from_intervals) == _fields(from_mask)
+
+    def test_exact_edges_and_boundary_flags(self):
+        coverage = IntervalSet.from_pairs([(12.5, 40.0)], 0.0, 100.0)
+        events = gap_timeline_events_from_intervals(coverage, "taipei", emit=False)
+        assert [(event.kind, event.t_s) for event in events] == [
+            ("gap.open", 0.0), ("gap.close", 12.5),
+            ("gap.open", 40.0), ("gap.close", 100.0),
+        ]
+        assert events[0].attrs == {"gap_s": 12.5, "at_run_start": True}
+        assert events[1].attrs == {"gap_s": 12.5}
+        assert events[3].attrs == {"gap_s": 60.0, "at_run_end": True}
+
+    def test_never_covered_is_one_flagged_gap(self):
+        coverage = IntervalSet.from_pairs([], 100.0, 400.0)
+        opened, closed = gap_timeline_events_from_intervals(
+            coverage, "taipei", emit=False
+        )
+        assert (opened.t_s, closed.t_s) == (100.0, 400.0)
+        assert opened.attrs["at_run_start"] and closed.attrs["at_run_end"]
+
+    def test_fully_covered_emits_nothing(self):
+        coverage = IntervalSet.from_pairs([(0.0, 50.0)], 0.0, 50.0)
+        assert gap_timeline_events_from_intervals(coverage, "x", emit=False) == []
+
+    def test_times_are_plain_floats(self):
+        coverage = IntervalSet.from_pairs([(10.0, 20.0)], 0.0, 30.0)
+        events = gap_timeline_events_from_intervals(coverage, "x", emit=False)
+        assert all(type(event.t_s) is float for event in events)
+        assert all(type(event.attrs["gap_s"]) is float for event in events)
+
+    def test_emit_records_on_global_timeline(self):
+        obs_timeline.reset()
+        try:
+            coverage = IntervalSet.from_pairs([(0.0, 10.0), (20.0, 30.0)], 0.0, 30.0)
+            gap_timeline_events_from_intervals(coverage, site="taipei")
+            recorded = obs_timeline.events(kind=obs_timeline.GAP_CLOSE)
+            assert [event.t_s for event in recorded] == [20.0]
+        finally:
+            obs_timeline.reset()
+
+    def test_emit_false_records_nothing(self):
+        obs_timeline.reset()
+        try:
+            coverage = IntervalSet.from_pairs([(5.0, 10.0)], 0.0, 30.0)
+            gap_timeline_events_from_intervals(coverage, site="taipei", emit=False)
+            assert obs_timeline.events() == []
+        finally:
+            obs_timeline.reset()

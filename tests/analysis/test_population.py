@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.population import (
-    unweighted_city_coverage,
-    weighted_city_coverage,
-    weighted_coverage_from_masks,
-)
-from repro.ground.cities import CITIES
+from repro.analysis.population import weighted_city_coverage
+from repro.ground.cities import CITIES, population_weights
+from repro.sim.coverage import population_weighted_coverage_fraction
 from repro.sim.clock import TimeGrid
 
 
@@ -30,17 +27,9 @@ class TestWeightedCityCoverage:
         # City 0 (largest population) fully covered, others uncovered.
         masks = np.zeros((3, 10), dtype=bool)
         masks[0] = True
-        fraction = weighted_coverage_from_masks(masks, CITIES[:3])
+        fraction = population_weighted_coverage_fraction(
+            masks, population_weights(CITIES[:3])
+        )
         weights_total = sum(city.population_millions for city in CITIES[:3])
         expected = CITIES[0].population_millions / weights_total
         assert fraction == pytest.approx(expected)
-
-
-class TestUnweighted:
-    def test_mean(self):
-        masks = np.array([[True, True], [False, False]])
-        assert unweighted_city_coverage(masks) == pytest.approx(0.5)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError, match=r"\(S, T\)"):
-            unweighted_city_coverage(np.ones(5, dtype=bool))

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constellation.sampling import (
-    sample_constellation,
-    sample_elements,
-    split_randomly,
-)
+from repro.constellation.sampling import sample_constellation, sample_indices
 
 
 class TestSampleConstellation:
@@ -44,34 +40,35 @@ class TestSampleConstellation:
     def test_zero_sample(self, small_walker, rng):
         assert len(sample_constellation(small_walker, 0, rng)) == 0
 
-    def test_sample_elements(self, small_walker, rng):
-        elements = sample_elements(small_walker, 5, rng)
-        assert len(elements) == 5
 
+class TestSampleIndices:
+    def test_sorted_unique_in_range(self, small_walker, rng):
+        indices = sample_indices(small_walker, 12, rng)
+        assert indices.shape == (12,)
+        assert np.all(np.diff(indices) > 0)
+        assert indices.min() >= 0 and indices.max() < len(small_walker)
 
-class TestSplitRandomly:
-    def test_half_split_sizes(self, small_walker, rng):
-        kept, withdrawn = split_randomly(small_walker, 0.5, rng)
-        assert len(kept) == 20
-        assert len(withdrawn) == 20
+    def test_same_draw_as_sample_constellation(self, small_walker):
+        indices = sample_indices(small_walker, 10, np.random.default_rng(7))
+        sampled = sample_constellation(small_walker, 10, np.random.default_rng(7))
+        assert [small_walker[int(i)].sat_id for i in indices] == [
+            satellite.sat_id for satellite in sampled
+        ]
 
-    def test_disjoint_and_complete(self, small_walker, rng):
-        kept, withdrawn = split_randomly(small_walker, 0.3, rng)
-        kept_ids = {satellite.sat_id for satellite in kept}
-        withdrawn_ids = {satellite.sat_id for satellite in withdrawn}
-        assert not kept_ids & withdrawn_ids
-        assert len(kept_ids | withdrawn_ids) == 40
+    def test_same_rng_consumption(self, small_walker):
+        """Downstream draws are unperturbed by taking the indices path."""
+        a = np.random.default_rng(3)
+        b = np.random.default_rng(3)
+        sample_indices(small_walker, 10, a)
+        sample_constellation(small_walker, 10, b)
+        assert a.integers(1 << 30) == b.integers(1 << 30)
 
-    def test_zero_fraction(self, small_walker, rng):
-        kept, withdrawn = split_randomly(small_walker, 0.0, rng)
-        assert len(kept) == 40
-        assert len(withdrawn) == 0
+    def test_full_draw_is_every_index(self, small_walker, rng):
+        indices = sample_indices(small_walker, len(small_walker), rng)
+        assert indices.tolist() == list(range(len(small_walker)))
 
-    def test_full_fraction(self, small_walker, rng):
-        kept, withdrawn = split_randomly(small_walker, 1.0, rng)
-        assert len(kept) == 0
-        assert len(withdrawn) == 40
-
-    def test_bad_fraction_rejected(self, small_walker, rng):
-        with pytest.raises(ValueError, match="fraction"):
-            split_randomly(small_walker, 1.5, rng)
+    def test_bounds_rejected(self, small_walker, rng):
+        with pytest.raises(ValueError, match="cannot sample"):
+            sample_indices(small_walker, len(small_walker) + 1, rng)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_indices(small_walker, -1, rng)

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.economics import (
-    CostModel,
-    compare_deployments,
-    cost_per_delivered_gbps_hour,
-)
+from repro.core.economics import CostModel, compare_deployments
 
 
 class TestCostModel:
@@ -69,17 +65,3 @@ class TestComparison:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError, match="positive"):
             compare_deployments(0.99, 0, 1)
-
-
-class TestCostPerGbpsHour:
-    def test_idle_constellation_expensive(self):
-        """Fig. 3 economics: 1% utilization costs ~100x full utilization."""
-        busy = cost_per_delivered_gbps_hour(1000, 1.0, 20.0)
-        idle = cost_per_delivered_gbps_hour(1000, 0.01, 20.0)
-        assert idle == pytest.approx(100.0 * busy)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="utilization"):
-            cost_per_delivered_gbps_hour(100, 0.0, 20.0)
-        with pytest.raises(ValueError, match="capacity"):
-            cost_per_delivered_gbps_hour(100, 0.5, 0.0)

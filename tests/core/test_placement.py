@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constellation.satellite import Constellation, Satellite
+from repro.constellation.satellite import Satellite
 from repro.core.placement import (
     PlacementScorer,
     best_candidate,
@@ -11,7 +11,6 @@ from repro.core.placement import (
     gap_filling_candidates,
     greedy_gap_filling_design,
     random_design,
-    score_candidates,
 )
 from repro.ground.cities import CITIES
 from repro.orbits.elements import OrbitalElements
@@ -77,14 +76,6 @@ class TestScorer:
         # Re-scoring the same satellite now gains nothing.
         assert scorer.score([satellite])[0].coverage_gain_fraction == pytest.approx(
             0.0, abs=1e-12
-        )
-
-    def test_one_shot_wrapper_matches(self, grid, cities, small_walker):
-        candidates = [_sat("C-1", raan_deg=123.0)]
-        direct = PlacementScorer(small_walker, grid, cities).score(candidates)
-        wrapped = score_candidates(small_walker, candidates, grid, cities)
-        assert direct[0].coverage_gain_fraction == pytest.approx(
-            wrapped[0].coverage_gain_fraction
         )
 
 

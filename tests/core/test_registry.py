@@ -1,15 +1,10 @@
 """Tests for the multi-party constellation registry."""
 
-import numpy as np
 import pytest
 
-from repro.constellation.satellite import Constellation, Satellite
+from repro.constellation.satellite import Satellite
 from repro.core.party import Party
-from repro.core.registry import (
-    MultiPartyConstellation,
-    RegistryError,
-    registry_with_ratio_split,
-)
+from repro.core.registry import MultiPartyConstellation, RegistryError
 from repro.orbits.elements import OrbitalElements
 
 
@@ -139,30 +134,3 @@ class TestStakes:
         reg.join(Party("a"))
         with pytest.raises(RegistryError, match="no contributions"):
             reg.largest_party()
-
-
-class TestRatioSplitFactory:
-    def test_fig6_construction(self, small_walker):
-        rng = np.random.default_rng(0)
-        registry = registry_with_ratio_split(
-            small_walker, [3.0, 1.0], rng
-        )
-        counts = registry.contributions()
-        assert counts["party-0"] == 30
-        assert counts["party-1"] == 10
-
-    def test_all_satellites_used_once(self, small_walker):
-        rng = np.random.default_rng(0)
-        registry = registry_with_ratio_split(small_walker, [1.0] * 4, rng)
-        assert len(registry) == len(small_walker)
-
-    def test_seeded_reproducible(self, small_walker):
-        a = registry_with_ratio_split(
-            small_walker, [2.0, 1.0], np.random.default_rng(1)
-        )
-        b = registry_with_ratio_split(
-            small_walker, [2.0, 1.0], np.random.default_rng(1)
-        )
-        a_ids = {s.sat_id for s in a.constellation().by_party("party-0")}
-        b_ids = {s.sat_id for s in b.constellation().by_party("party-0")}
-        assert a_ids == b_ids

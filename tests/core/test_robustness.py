@@ -1,22 +1,12 @@
 """Tests for withdrawal/robustness analysis."""
 
-import numpy as np
 import pytest
 
-from repro.constellation.satellite import Constellation, Satellite
 from repro.core.party import Party
 from repro.core.registry import MultiPartyConstellation
-from repro.core.robustness import (
-    WithdrawalImpact,
-    coverage_fraction_of,
-    impact_from_packed,
-    largest_party_withdrawal,
-    proportionality_gap,
-    random_withdrawal_impact,
-)
+from repro.core.robustness import WithdrawalImpact, largest_party_withdrawal
 from repro.ground.cities import CITIES
 from repro.sim.clock import TimeGrid
-from repro.sim.visibility import packed_visibility
 
 
 @pytest.fixture
@@ -39,21 +29,6 @@ class TestWithdrawalImpact:
     def test_no_loss(self):
         impact = WithdrawalImpact(0.5, 0.5, horizon_s=100.0)
         assert impact.reduction_fraction == 0.0
-
-
-class TestRandomWithdrawal:
-    def test_impact_nonnegative(self, small_walker, grid, cities, rng):
-        impact = random_withdrawal_impact(small_walker, 0.5, grid, rng, cities)
-        assert impact.reduction_fraction >= 0.0
-        assert impact.reduced_fraction <= impact.base_fraction
-
-    def test_zero_fraction_no_loss(self, small_walker, grid, cities, rng):
-        impact = random_withdrawal_impact(small_walker, 0.0, grid, rng, cities)
-        assert impact.reduction_fraction == pytest.approx(0.0)
-
-    def test_full_withdrawal_drops_to_zero(self, small_walker, grid, cities, rng):
-        impact = random_withdrawal_impact(small_walker, 1.0, grid, rng, cities)
-        assert impact.reduced_fraction == 0.0
 
 
 class TestLargestPartyWithdrawal:
@@ -83,44 +58,3 @@ class TestLargestPartyWithdrawal:
             skewed_impact.reduction_fraction
             >= balanced_impact.reduction_fraction - 1e-9
         )
-
-
-class TestPackedPath:
-    def test_matches_direct_computation(self, small_walker, grid, cities):
-        terminals = [city.terminal() for city in cities]
-        packed = packed_visibility(small_walker, terminals, grid)
-        weights = [city.population_millions for city in cities]
-
-        all_indices = np.arange(len(small_walker))
-        kept = np.arange(0, len(small_walker), 2)
-        impact = impact_from_packed(packed, weights, all_indices, kept)
-
-        base_direct = coverage_fraction_of(small_walker, grid, cities)
-        kept_direct = coverage_fraction_of(
-            small_walker.take(kept), grid, cities
-        )
-        assert impact.base_fraction == pytest.approx(base_direct)
-        assert impact.reduced_fraction == pytest.approx(kept_direct)
-
-
-class TestProportionality:
-    def test_proportional_loss_is_zero_gap(self):
-        impact = WithdrawalImpact(1.0, 0.75, horizon_s=100.0)
-        assert proportionality_gap(impact, 0.25) == pytest.approx(0.0)
-
-    def test_super_proportional_positive(self):
-        impact = WithdrawalImpact(1.0, 0.5, horizon_s=100.0)
-        assert proportionality_gap(impact, 0.25) > 0.0
-
-    def test_absorbed_exit_negative(self):
-        impact = WithdrawalImpact(1.0, 0.99, horizon_s=100.0)
-        assert proportionality_gap(impact, 0.25) < 0.0
-
-    def test_bad_stake_rejected(self):
-        impact = WithdrawalImpact(1.0, 0.9, horizon_s=100.0)
-        with pytest.raises(ValueError, match="stake"):
-            proportionality_gap(impact, 0.0)
-
-    def test_zero_base_guard(self):
-        impact = WithdrawalImpact(0.0, 0.0, horizon_s=100.0)
-        assert proportionality_gap(impact, 0.5) == 0.0

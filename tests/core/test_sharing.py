@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.sharing import (
-    coverage_worth_multiplier,
     equivalent_satellite_count,
     exchange_matrix,
     reciprocity_scores,
@@ -66,12 +65,12 @@ class TestSharingUpside:
         upside = sharing_upside("p", 1, 0.0, 0.5, CURVE)
         assert upside.coverage_multiplier == float("inf")
 
-    def test_worth_multiplier_function(self):
-        assert coverage_worth_multiplier(50, 0.995, CURVE) == pytest.approx(20.0)
+    def test_satellite_multiplier(self):
+        upside = sharing_upside("p", 50, 0.24, 0.995, CURVE)
+        assert upside.satellite_multiplier == pytest.approx(20.0)
 
-    def test_worth_multiplier_rejects_zero_contribution(self):
-        with pytest.raises(ValueError, match="positive"):
-            coverage_worth_multiplier(0, 0.5, CURVE)
+    def test_zero_contribution_multiplier(self):
+        assert sharing_upside("p", 0, 0.0, 0.5, CURVE).satellite_multiplier == 0.0
 
 
 class TestExchangeMatrix:

@@ -78,7 +78,7 @@ class TestContextEngine:
         with pytest.raises(ValueError, match=message):
             run_scenario(Fig3Scenario(sample_size=10), config, context=context)
         with pytest.raises(ValueError, match=message):
-            context.subset_query(config, [0, 1])
+            context.store(config)
         assert context.cached_visibility() == {}
         context.clear()
 

@@ -8,7 +8,6 @@ from repro.ground.cities import (
     city_by_name,
     population_weights,
     terminals_for_cities,
-    top_cities,
 )
 
 
@@ -60,21 +59,6 @@ class TestLookup:
     def test_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown city"):
             city_by_name("Atlantis")
-
-
-class TestTopCities:
-    def test_first_is_tokyo(self):
-        assert top_cities(1)[0].name == "Tokyo"
-
-    def test_counts(self):
-        for count in (1, 5, 21):
-            assert len(top_cities(count)) == count
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            top_cities(0)
-        with pytest.raises(ValueError):
-            top_cities(22)
 
 
 class TestTerminalsAndWeights:

@@ -9,7 +9,6 @@ from repro.links.budget import (
     KU_BAND_GATEWAY_DOWNLINK,
     KU_BAND_USER_UPLINK,
     LinkBudget,
-    antenna_gain_db,
     free_space_path_loss_db,
 )
 
@@ -41,21 +40,6 @@ class TestFreeSpacePathLoss:
         loss = free_space_path_loss_db(distance, frequency)
         assert free_space_path_loss_db(distance * 2, frequency) > loss
         assert free_space_path_loss_db(distance, frequency * 2) > loss
-
-
-class TestAntennaGain:
-    def test_larger_dish_more_gain(self):
-        small = antenna_gain_db(0.6, 12e9)
-        large = antenna_gain_db(1.2, 12e9)
-        assert large - small == pytest.approx(6.02, abs=0.01)
-
-    def test_typical_vsats(self):
-        # A 1.2 m dish at 12 GHz with 60% efficiency ~ 41.5 dBi.
-        assert antenna_gain_db(1.2, 12e9) == pytest.approx(41.4, abs=0.5)
-
-    def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError, match="efficiency"):
-            antenna_gain_db(1.0, 1e9, efficiency=1.5)
 
 
 class TestLinkBudget:

@@ -1,11 +1,14 @@
 """Tests for channel capacity models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.links.channel import (
     MODCOD_TABLE,
+    ModCod,
     achievable_rate_bps,
+    modcod_staircase,
     select_modcod,
     shannon_capacity_bps,
 )
@@ -88,3 +91,45 @@ class TestAchievableRate:
     def test_monotone_in_snr(self):
         rates = [achievable_rate_bps(snr, 1e6) for snr in range(-5, 20)]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+
+class TestModcodStaircase:
+    def test_one_step_per_operating_point(self):
+        thresholds, efficiencies = modcod_staircase()
+        assert thresholds.shape == efficiencies.shape == (len(MODCOD_TABLE),)
+
+    def test_thresholds_ascend(self):
+        thresholds, _ = modcod_staircase()
+        assert list(thresholds) == sorted(m.required_snr_db for m in MODCOD_TABLE)
+
+    def test_efficiencies_never_fall(self):
+        _, efficiencies = modcod_staircase()
+        assert (efficiencies[1:] >= efficiencies[:-1]).all()
+
+    def test_dominated_point_inherits_the_better_efficiency(self):
+        # 8PSK 8/9 needs more SNR than 16APSK 3/4 but is less efficient.
+        thresholds, efficiencies = modcod_staircase()
+        step = list(thresholds).index(10.69)
+        assert efficiencies[step] == pytest.approx(2.967)
+
+    def test_unsorted_table_gives_the_same_staircase(self):
+        forward = modcod_staircase()
+        backward = modcod_staircase(tuple(reversed(MODCOD_TABLE)))
+        assert forward[0].tolist() == backward[0].tolist()
+        assert forward[1].tolist() == backward[1].tolist()
+
+    def test_single_point_table(self):
+        thresholds, efficiencies = modcod_staircase((ModCod("only", 1.5, 3.0),))
+        assert thresholds.tolist() == [3.0] and efficiencies.tolist() == [1.5]
+
+    @pytest.mark.parametrize(
+        "snr_db", [-5.0, -2.35, 0.0, 4.03, 10.21, 10.5, 10.69, 12.0, 16.05, 30.0]
+    )
+    def test_lookup_equals_select_modcod(self, snr_db):
+        thresholds, efficiencies = modcod_staircase()
+        index = int(np.searchsorted(thresholds, snr_db, side="right")) - 1
+        chosen = select_modcod(snr_db)
+        if chosen is None:
+            assert index < 0
+        else:
+            assert efficiencies[index] == chosen.spectral_efficiency_bps_hz

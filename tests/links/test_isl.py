@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.constants import EARTH_MEAN_RADIUS_M, SPEED_OF_LIGHT
-from repro.links.isl import (
-    IslRouter,
-    contact_graph,
-    isl_visibility,
-    relayable_with_isl,
-)
+from repro.constants import EARTH_MEAN_RADIUS_M
+from repro.links.isl import isl_visibility, relayable_with_isl
 
 LEO_RADIUS = EARTH_MEAN_RADIUS_M + 550_000.0
 
@@ -73,76 +68,6 @@ class TestIslVisibility:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match=r"\(N, 3\)"):
             isl_visibility(np.zeros((3, 2)))
-
-
-class TestContactGraph:
-    def test_edges_and_weights(self):
-        positions = _ring_positions(10)
-        ids = [f"S{i}" for i in range(10)]
-        graph = contact_graph(positions, ids)
-        assert graph.has_edge("S0", "S1")
-        expected = np.linalg.norm(positions[0] - positions[1])
-        assert graph["S0"]["S1"]["distance_m"] == pytest.approx(expected)
-        assert graph["S0"]["S1"]["delay_s"] == pytest.approx(
-            expected / SPEED_OF_LIGHT
-        )
-
-    def test_id_count_validated(self):
-        with pytest.raises(ValueError, match="ids"):
-            contact_graph(_ring_positions(4), ["a", "b"])
-
-
-class TestRouter:
-    def test_multi_hop_route_around_earth(self):
-        positions = _ring_positions(20)
-        ids = [f"S{i}" for i in range(20)]
-        router = IslRouter(contact_graph(positions, ids))
-        path = router.route("S0", "S10")  # Antipodal: must hop around.
-        assert path is not None
-        assert path.hops >= 2
-        assert path.sat_ids[0] == "S0"
-        assert path.sat_ids[-1] == "S10"
-
-    def test_route_delay_is_sum_of_hops(self):
-        positions = _ring_positions(20)
-        ids = [f"S{i}" for i in range(20)]
-        graph = contact_graph(positions, ids)
-        router = IslRouter(graph)
-        path = router.route("S0", "S3")
-        manual = sum(
-            graph[a][b]["delay_s"] for a, b in zip(path.sat_ids, path.sat_ids[1:])
-        )
-        assert path.total_delay_s == pytest.approx(manual)
-
-    def test_disconnected_returns_none(self):
-        # Two tight clusters on opposite sides, no cross-links in range.
-        cluster_a = _ring_positions(3) * 1.0
-        cluster_b = -cluster_a
-        positions = np.concatenate([cluster_a + [0, 0, 1e5], cluster_b])
-        ids = [f"S{i}" for i in range(6)]
-        graph = contact_graph(positions, ids, max_range_m=100_000.0)
-        router = IslRouter(graph)
-        assert router.route("S0", "S3") is None
-
-    def test_unknown_node_raises(self):
-        router = IslRouter(contact_graph(_ring_positions(3), ["a", "b", "c"]))
-        with pytest.raises(KeyError):
-            router.route("a", "zz")
-
-    def test_reachable_set(self):
-        positions = _ring_positions(10)
-        ids = [f"S{i}" for i in range(10)]
-        router = IslRouter(contact_graph(positions, ids))
-        assert router.reachable_set("S0") == set(ids)
-
-    def test_connected_components_ordering(self):
-        positions = np.concatenate(
-            [_ring_positions(6), _ring_positions(3) * 1.2 + [0, 0, 3e7]]
-        )
-        ids = [f"S{i}" for i in range(9)]
-        graph = contact_graph(positions, ids, max_range_m=6_000_000.0)
-        components = IslRouter(graph).connected_components()
-        assert len(components[0]) >= len(components[-1])
 
 
 class TestRelayableWithIsl:

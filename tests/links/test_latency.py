@@ -1,16 +1,13 @@
 """Tests for propagation latency."""
 
-import numpy as np
 import pytest
 
 from repro.constants import EARTH_MEAN_RADIUS_M, SPEED_OF_LIGHT
 from repro.links.latency import (
     GEO_ALTITUDE_KM,
-    GEO_RADIUS_M,
     bent_pipe_latency,
     geo_vs_leo_round_trip_ms,
     latency_bounds_ms,
-    latency_distribution_ms,
 )
 
 
@@ -77,17 +74,3 @@ class TestBounds:
         low_best, _ = latency_bounds_ms(550.0)
         high_best, _ = latency_bounds_ms(1200.0)
         assert high_best > low_best
-
-
-class TestDistribution:
-    def test_shape_and_monotonicity(self):
-        radius = EARTH_MEAN_RADIUS_M + 550_000.0
-        elevations = np.array([25.0, 45.0, 90.0])
-        latencies = latency_distribution_ms(radius, elevations)
-        assert latencies.shape == (3,)
-        assert latencies[0] > latencies[1] > latencies[2]
-
-    def test_2d_input(self):
-        radius = EARTH_MEAN_RADIUS_M + 550_000.0
-        elevations = np.full((2, 3), 45.0)
-        assert latency_distribution_ms(radius, elevations).shape == (2, 3)

@@ -12,17 +12,12 @@ from repro.orbits.frames import (
     ecef_to_geodetic,
     eci_to_ecef,
     geodetic_to_ecef,
-    gmst_from_jd,
     gmst_rad,
     subsatellite_point,
 )
 
 
 class TestGmst:
-    def test_j2000_epoch(self):
-        # GMST at J2000.0 (JD 2451545.0) is 280.46 deg (Vallado).
-        assert math.degrees(gmst_from_jd(2451545.0)) == pytest.approx(280.46, abs=0.01)
-
     def test_advances_with_earth_rotation(self):
         theta0 = gmst_rad(0.0)
         theta1 = gmst_rad(3600.0)

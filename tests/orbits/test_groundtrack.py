@@ -1,17 +1,10 @@
-"""Tests for ground tracks and revisit analysis."""
-
-import math
+"""Tests for ground tracks."""
 
 import numpy as np
 import pytest
 
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.groundtrack import (
-    GroundTrack,
-    compute_ground_track,
-    nodal_shift_deg_per_orbit,
-    revisit_count_per_day,
-)
+from repro.orbits.groundtrack import compute_ground_track, nodal_shift_deg_per_orbit
 
 
 @pytest.fixture
@@ -76,19 +69,3 @@ class TestNodalShift:
         assert nodal_shift_deg_per_orbit(high) > nodal_shift_deg_per_orbit(
             starlink_elements
         )
-
-
-class TestRevisit:
-    def test_full_band_counts_all_crossings(self, starlink_elements):
-        per_day = revisit_count_per_day(starlink_elements, 180.0)
-        orbits = 86_400.0 / starlink_elements.period_s
-        assert per_day == pytest.approx(2.0 * orbits)
-
-    def test_narrow_band_proportional(self, starlink_elements):
-        wide = revisit_count_per_day(starlink_elements, 20.0)
-        narrow = revisit_count_per_day(starlink_elements, 10.0)
-        assert wide == pytest.approx(2.0 * narrow)
-
-    def test_rejects_bad_width(self, starlink_elements):
-        with pytest.raises(ValueError, match="half width"):
-            revisit_count_per_day(starlink_elements, 0.0)

@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 from repro.constants import EARTH_MEAN_RADIUS_M
 from repro.orbits.frames import geodetic_to_ecef
 from repro.orbits.topocentric import (
-    central_angle_between,
     coverage_central_angle_rad,
     elevation_deg,
-    footprint_area_fraction,
     look_angles,
     slant_range_m,
 )
@@ -111,10 +109,6 @@ class TestCoverageGeometry:
         with pytest.raises(ValueError, match="orbital radius"):
             coverage_central_angle_rad(EARTH_MEAN_RADIUS_M - 1.0, 25.0)
 
-    def test_footprint_fraction_tiny_for_leo(self):
-        fraction = footprint_area_fraction(EARTH_MEAN_RADIUS_M + 550_000.0, 25.0)
-        assert 0.002 < fraction < 0.01
-
     @pytest.mark.parametrize(
         "altitude_km, mask_deg",
         [(340.0, 40.0), (550.0, 25.0), (630.0, 35.0), (1_200.0, 45.0),
@@ -131,9 +125,6 @@ class TestCoverageGeometry:
         assert float(elevation_deg(site, satellite)) == pytest.approx(mask_deg, abs=1e-9)
         assert np.linalg.norm(satellite - site) == pytest.approx(
             slant_range_m(radius, mask_deg, EARTH_MEAN_RADIUS_M), rel=1e-12
-        )
-        assert footprint_area_fraction(radius, mask_deg) == pytest.approx(
-            (1.0 - math.cos(psi)) / 2.0
         )
 
     def test_equivalence_with_elevation(self):
@@ -169,23 +160,3 @@ class TestCoverageGeometry:
             + 2.0 * EARTH_MEAN_RADIUS_M * rho * math.sin(el)
         )
         assert math.sqrt(sat_sq) == pytest.approx(radius, rel=1e-9)
-
-
-class TestCentralAngleBetween:
-    def test_identical_vectors(self):
-        unit = np.array([1.0, 0.0, 0.0])
-        cos_angle, angle = central_angle_between(unit, unit)
-        assert float(cos_angle) == pytest.approx(1.0)
-        assert float(angle) == pytest.approx(0.0)
-
-    def test_orthogonal(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        _, angle = central_angle_between(a, b)
-        assert float(angle) == pytest.approx(math.pi / 2)
-
-    def test_broadcast(self):
-        a = np.tile([1.0, 0.0, 0.0], (5, 1))
-        b = np.array([0.0, 0.0, 1.0])
-        cos_angle, _ = central_angle_between(a, b)
-        assert cos_angle.shape == (5,)

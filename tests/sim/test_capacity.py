@@ -5,12 +5,9 @@ import pytest
 
 from repro.sim.capacity import (
     SpareCapacityLedger,
-    idle_time_hours,
-    party_capacity_shares,
     spare_capacity_split,
     utilization_from_visibility,
 )
-from repro.sim.clock import TimeGrid
 
 
 def _vis(array):
@@ -46,13 +43,6 @@ class TestUtilization:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match=r"\(S, N, T\)"):
             utilization_from_visibility(np.zeros((2, 3), dtype=bool))
-
-    def test_idle_time_hours(self):
-        grid = TimeGrid(duration_s=7200.0, step_s=60.0)
-        visibility = np.zeros((1, 1, grid.count), dtype=bool)
-        visibility[0, 0, :60] = True  # Active the first hour of two.
-        hours = idle_time_hours(visibility, grid)
-        assert hours[0] == pytest.approx(1.0)
 
 
 class TestSpareCapacitySplit:
@@ -103,16 +93,3 @@ class TestSpareCapacitySplit:
                 spare_fraction=np.array([0.2]),
                 idle_fraction=np.array([0.2]),
             )
-
-
-class TestPartyShares:
-    def test_grouping(self):
-        visibility = np.zeros((2, 3, 4), dtype=bool)
-        visibility[0, 0, :] = True  # a's terminal sees a's sat always.
-        visibility[1, 1, :2] = True  # b's terminal sees a's second sat half.
-        shares = party_capacity_shares(
-            visibility, ["a", "b"], ["a", "a", "b"]
-        )
-        assert shares["a"]["own"] == pytest.approx(0.5)  # Mean over a's 2 sats.
-        assert shares["a"]["spare_provided"] == pytest.approx(0.25)
-        assert shares["b"]["idle"] == pytest.approx(1.0)

@@ -7,12 +7,7 @@ from repro.constellation.satellite import Constellation, Satellite
 from repro.ground.cities import TAIPEI
 from repro.orbits.elements import OrbitalElements
 from repro.sim.clock import TimeGrid
-from repro.sim.contacts import (
-    contact_events,
-    contact_plan,
-    pass_statistics,
-    per_satellite_daily_minutes,
-)
+from repro.sim.contacts import contact_events
 
 
 @pytest.fixture
@@ -100,17 +95,22 @@ class TestTruncatedPasses:
         assert events[0].duration_s == pytest.approx(90.0)
 
 
-class TestPassStatistics:
-    def test_empty(self, grid):
-        stats = pass_statistics([], grid)
-        assert stats.pass_count == 0
-        assert stats.total_contact_s == 0.0
-        assert stats.mean_pass_s == 0.0
-        assert stats.max_pass_s == 0.0
-        assert stats.contact_minutes_per_day == 0.0
+def _engine_events(constellation, sites, grid):
+    """Contact windows extracted from the visibility engine's tensor."""
+    from repro.sim.visibility import VisibilityEngine
 
-    def test_empty_on_invisible_site(self, small_walker):
-        """A site no satellite ever sees yields zeroed statistics, not NaN."""
+    visibility = VisibilityEngine(grid).visibility(constellation, sites)
+    return contact_events(
+        visibility,
+        [site.name for site in sites],
+        [satellite.sat_id for satellite in constellation],
+        grid,
+    )
+
+
+class TestEndToEnd:
+    def test_no_events_on_invisible_site(self, small_walker):
+        """A site no satellite ever sees yields no contacts."""
         from repro.ground.sites import GroundSite
 
         grid = TimeGrid.hours(1.0, step_s=60.0)
@@ -118,25 +118,8 @@ class TestPassStatistics:
             name="north-pole", latitude_deg=89.9, longitude_deg=0.0,
             min_elevation_deg=85.0,
         )
-        events = contact_plan(small_walker, [unreachable], grid)
-        stats = pass_statistics(events, grid)
-        assert events == []
-        assert stats.pass_count == 0
-        assert stats.mean_pass_s == 0.0
+        assert _engine_events(small_walker, [unreachable], grid) == []
 
-    def test_aggregation(self, grid):
-        visibility = np.zeros((1, 1, 10), dtype=bool)
-        visibility[0, 0, 0:2] = True
-        visibility[0, 0, 5:9] = True
-        events = contact_events(visibility, ["s"], ["A"], grid)
-        stats = pass_statistics(events, grid)
-        assert stats.pass_count == 2
-        assert stats.total_contact_s == 360.0
-        assert stats.max_pass_s == 240.0
-        assert stats.mean_pass_s == 180.0
-
-
-class TestEndToEnd:
     def test_paper_quote_few_minutes_per_day(self):
         """§2: 'a single satellite can only offer few (less than ten)
         minutes of coverage per day to a given region.'"""
@@ -146,16 +129,17 @@ class TestEndToEnd:
                 altitude_km=550.0, inclination_deg=53.0, raan_deg=30.0
             ),
         )
-        constellation = Constellation([satellite])
         grid = TimeGrid.one_week(step_s=60.0)
-        minutes = per_satellite_daily_minutes(
-            constellation, TAIPEI.terminal(), grid
+        events = _engine_events(
+            Constellation([satellite]), [TAIPEI.terminal()], grid
         )
-        assert 0.0 <= minutes["S"] < 10.0
+        days = grid.duration_s / 86_400.0
+        minutes = sum(event.duration_s for event in events) / 60.0 / days
+        assert 0.0 <= minutes < 10.0
 
-    def test_contact_plan_matches_engine(self, small_walker):
+    def test_events_match_engine(self, small_walker):
         grid = TimeGrid.hours(3.0, step_s=60.0)
-        events = contact_plan(small_walker, [TAIPEI.terminal()], grid)
+        events = _engine_events(small_walker, [TAIPEI.terminal()], grid)
         # Total contact time equals the per-satellite activity sum.
         from repro.sim.visibility import VisibilityEngine
 

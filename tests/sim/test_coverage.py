@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.clock import TimeGrid
 from repro.sim.coverage import (
-    CoverageTimeline,
-    coverage_improvement_s,
-    coverage_reduction_fraction,
     coverage_stats,
-    covered_runs_s,
     gap_lengths_s,
     population_weighted_coverage_fraction,
-    population_weighted_coverage_time_s,
 )
 
 
@@ -54,7 +48,7 @@ class TestGapLengths:
     def test_gaps_and_runs_partition_time(self, bits):
         mask = np.array(bits)
         gaps = gap_lengths_s(mask, 1.0)
-        runs = covered_runs_s(mask, 1.0)
+        runs = gap_lengths_s(~mask, 1.0)
         assert gaps.sum() + runs.sum() == pytest.approx(float(mask.size))
 
     @given(st.lists(st.booleans(), min_size=1, max_size=100))
@@ -104,15 +98,6 @@ class TestCoverageStats:
         assert stats.covered_percent + stats.uncovered_percent == 100.0
 
 
-class TestCoverageTimeline:
-    def test_stats_roundtrip(self):
-        grid = TimeGrid(duration_s=600.0, step_s=60.0)
-        mask = np.array([True] * 5 + [False] * 5)
-        timeline = CoverageTimeline("taipei", grid, mask)
-        assert timeline.covered_fraction == 0.5
-        assert timeline.stats().uncovered_time_s == 300.0
-
-
 class TestPopulationWeighting:
     def test_equal_weights_is_mean(self):
         masks = np.array([[True, True, False, False], [True, False, False, False]])
@@ -145,33 +130,3 @@ class TestPopulationWeighting:
             population_weighted_coverage_fraction(
                 np.ones((2, 3), dtype=bool), [0.0, 0.0]
             )
-
-    def test_coverage_time(self):
-        grid = TimeGrid(duration_s=3600.0, step_s=60.0)
-        masks = np.ones((2, 60), dtype=bool)
-        time_s = population_weighted_coverage_time_s(masks, [1.0, 1.0], grid)
-        assert time_s == pytest.approx(3600.0)
-
-
-class TestDeltas:
-    def test_improvement(self):
-        grid = TimeGrid(duration_s=100.0, step_s=10.0)
-        base = np.zeros((1, 10), dtype=bool)
-        augmented = np.ones((1, 10), dtype=bool)
-        assert coverage_improvement_s(base, augmented, [1.0], grid) == pytest.approx(
-            100.0
-        )
-
-    def test_reduction(self):
-        base = np.ones((1, 10), dtype=bool)
-        reduced = np.concatenate(
-            [np.ones((1, 5), dtype=bool), np.zeros((1, 5), dtype=bool)], axis=1
-        )
-        assert coverage_reduction_fraction(base, reduced, [1.0]) == pytest.approx(0.5)
-
-    def test_superset_never_reduces(self):
-        rng = np.random.default_rng(3)
-        base = rng.random((3, 50)) > 0.5
-        augmented = base | (rng.random((3, 50)) > 0.7)
-        grid = TimeGrid(duration_s=50.0, step_s=1.0)
-        assert coverage_improvement_s(base, augmented, [1, 2, 3], grid) >= 0.0

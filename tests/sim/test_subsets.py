@@ -16,7 +16,7 @@ from repro.orbits.propagator import BatchPropagator
 from repro.sim.clock import TimeGrid
 from repro.sim.intervals import IntervalSubsetQuery, find_contact_intervals
 from repro.sim.kernels import SiteGeometry
-from repro.sim.kernels.subsets import SubsetQuery, query_for_sites
+from repro.sim.kernels.subsets import SubsetQuery
 from repro.sim.visibility import packed_visibility
 from repro.validate import gen
 
@@ -122,15 +122,6 @@ class TestSubsetQueryGrid:
         geometry = SiteGeometry(sites, grid)
         built = SubsetQuery.build(propagator, geometry, grid, fleet)
         np.testing.assert_array_equal(built.packed, gathered.packed)
-
-    def test_site_restricted_view(self, world):
-        _, _, _, visibility, _ = world
-        query = SubsetQuery.from_visibility(visibility)
-        sliced = query_for_sites(query, [2, 0])
-        np.testing.assert_array_equal(
-            sliced.coverage_fractions(None),
-            query.coverage_fractions(None)[[2, 0]],
-        )
 
     def test_out_of_fleet_subset_rejected(self, world):
         _, _, _, visibility, _ = world

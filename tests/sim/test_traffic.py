@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.clock import TimeGrid
-from repro.sim.traffic import ConstantDemand, DiurnalDemand, PoissonSessions
+from repro.sim.traffic import ConstantDemand
 
 
 @pytest.fixture
@@ -21,70 +21,3 @@ class TestConstantDemand:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             ConstantDemand(rate_mbps=-1.0)
-
-
-class TestPoissonSessions:
-    def test_shape(self, grid, rng):
-        demand = PoissonSessions().demand_mbps(grid, rng)
-        assert demand.shape == (grid.count,)
-
-    def test_zero_arrivals_means_zero_demand(self, grid, rng):
-        demand = PoissonSessions(arrivals_per_hour=0.0).demand_mbps(grid, rng)
-        assert np.all(demand == 0.0)
-
-    def test_demand_quantized_to_rate(self, grid, rng):
-        model = PoissonSessions(rate_mbps=10.0)
-        demand = model.demand_mbps(grid, rng)
-        assert np.allclose(demand % 10.0, 0.0)
-
-    def test_mean_load_close_to_erlang(self, grid):
-        # Offered load = arrivals/s * mean_hold_s * rate = erlangs * rate.
-        model = PoissonSessions(
-            arrivals_per_hour=6.0, mean_duration_s=600.0, rate_mbps=10.0
-        )
-        rng = np.random.default_rng(0)
-        samples = [model.demand_mbps(grid, rng).mean() for _ in range(20)]
-        expected = 6.0 / 3600.0 * 600.0 * 10.0  # 10 Mbps mean.
-        assert np.mean(samples) == pytest.approx(expected, rel=0.15)
-
-    def test_seeded_reproducible(self, grid):
-        model = PoissonSessions()
-        a = model.demand_mbps(grid, np.random.default_rng(5))
-        b = model.demand_mbps(grid, np.random.default_rng(5))
-        assert np.array_equal(a, b)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            PoissonSessions(arrivals_per_hour=-1.0)
-        with pytest.raises(ValueError):
-            PoissonSessions(mean_duration_s=0.0)
-
-
-class TestDiurnalDemand:
-    def test_nonnegative(self, grid, rng):
-        demand = DiurnalDemand(depth=1.0).demand_mbps(grid, rng)
-        assert np.all(demand >= 0.0)
-
-    def test_peaks_at_peak_hour(self, grid, rng):
-        model = DiurnalDemand(peak_hour_local=20.0, longitude_deg=0.0)
-        demand = model.demand_mbps(grid, rng)
-        peak_index = int(np.argmax(demand))
-        peak_hour = (grid.times_s[peak_index] / 3600.0) % 24.0
-        assert peak_hour == pytest.approx(20.0, abs=0.5)
-
-    def test_longitude_shifts_peak(self, grid, rng):
-        utc = DiurnalDemand(peak_hour_local=20.0, longitude_deg=0.0)
-        east = DiurnalDemand(peak_hour_local=20.0, longitude_deg=90.0)
-        peak_utc = np.argmax(utc.demand_mbps(grid, rng))
-        peak_east = np.argmax(east.demand_mbps(grid, rng))
-        # 90 degrees east = local time 6 h ahead = peak 6 h earlier in UTC.
-        shift_hours = (grid.times_s[peak_utc] - grid.times_s[peak_east]) / 3600.0
-        assert shift_hours % 24.0 == pytest.approx(6.0, abs=0.5)
-
-    def test_mean_is_base_rate(self, grid, rng):
-        demand = DiurnalDemand(base_rate_mbps=80.0, depth=0.5).demand_mbps(grid, rng)
-        assert demand.mean() == pytest.approx(80.0, rel=0.02)
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError, match="depth"):
-            DiurnalDemand(depth=1.5)

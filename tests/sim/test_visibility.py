@@ -19,7 +19,6 @@ from repro.sim.visibility import (
     coverage_cos_thresholds,
     or_popcount,
     packed_visibility,
-    visibility_matrix,
 )
 
 
@@ -149,13 +148,6 @@ class TestEngineReductions:
         via_constellation = engine.visibility(small_walker, [taipei_terminal])
         via_elements = engine.visibility(small_walker.elements, [taipei_terminal])
         assert np.array_equal(via_constellation, via_elements)
-
-    def test_convenience_wrapper(self, small_walker, taipei_terminal, tiny_grid):
-        direct = VisibilityEngine(tiny_grid).visibility(
-            small_walker, [taipei_terminal]
-        )
-        wrapped = visibility_matrix(small_walker, [taipei_terminal], tiny_grid)
-        assert np.array_equal(direct, wrapped)
 
 
 class TestPackedVisibility:

@@ -87,8 +87,3 @@ class TestHarnessMechanics:
         draws.clear()
         fuzz.run_invariant(seed=4, name="raan_drift_sign", trials=5)
         assert draws[:2] == short
-
-    def test_run_all_invariants(self):
-        checks = fuzz.run_all_invariants(seed=5, trials=1)
-        assert [c.name for c in checks] == [f"fuzz.{n}" for n in fuzz.INVARIANTS]
-        assert all(c.ok for c in checks)

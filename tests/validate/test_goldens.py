@@ -98,13 +98,6 @@ class TestCommittedSnapshots:
             goldens.load_snapshot(name)["values"]
         )
 
-    def test_check_all_goldens_runs_the_registry_in_order(self):
-        checks = goldens.check_all_goldens()
-        assert [c.name for c in checks] == [
-            f"golden.{name}" for name in goldens.GOLDEN_EXPERIMENTS
-        ]
-        assert all(c.ok for c in checks), [c.details for c in checks if not c.ok]
-
 
 class TestCheckGolden:
     """check_golden behaviors, isolated from the committed files."""

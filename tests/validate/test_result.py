@@ -12,7 +12,6 @@ from repro.validate.result import (
     ValidationReport,
     failed,
     passed,
-    timed_check,
     validate_validation_report,
 )
 
@@ -32,16 +31,6 @@ class TestCheckResult:
     def test_to_dict_keys(self):
         entry = passed("a").to_dict()
         assert set(entry) == {"name", "status", "details", "elapsed_s"}
-
-    def test_timed_check_stamps_elapsed(self):
-        holder = []
-        with timed_check(holder):
-            holder.append(passed("a"))
-        assert holder[0].elapsed_s >= 0.0
-
-    def test_timed_check_empty_holder_is_harmless(self):
-        with timed_check([]):
-            pass
 
 
 class TestValidationReport:
