@@ -9,10 +9,9 @@ import numpy as np
 
 from repro.analysis.reporting import Table
 from repro.constellation.sampling import sample_constellation
-from repro.experiments.common import ENGINE_INTERVALS, default_context, starlink_pool
+from repro.experiments.common import starlink_pool
 from repro.ground.gsaas import GroundStationPool
 from repro.sim.clock import TimeGrid
-from repro.sim.intervals import find_contact_intervals
 from repro.sim.scheduling import SchedulingPolicy, compare_policies
 from repro.sim.visibility import VisibilityEngine
 
@@ -26,12 +25,9 @@ def _run(config):
     pool = GroundStationPool()
     stations = [pool.rent("party", site) for site in ANTENNAS]
     grid = TimeGrid.hours(24.0, step_s=config.step_s)
-    if default_context().engine == ENGINE_INTERVALS:
-        windows = find_contact_intervals(constellation, stations, grid)
-    else:
-        windows = VisibilityEngine(grid).visibility(constellation, stations)
+    visibility = VisibilityEngine(grid).visibility(constellation, stations)
     return compare_policies(
-        windows, grid, downlink_rate_mbps=800.0, generation_rate_mbps=20.0
+        visibility, grid, downlink_rate_mbps=800.0, generation_rate_mbps=20.0
     )
 
 

@@ -9,7 +9,7 @@ x -> y sweep with a one-line header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, float, int]
 

@@ -12,8 +12,8 @@ not consensus — consensus is a §4 open question handled in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 
 class EntryKind(enum.Enum):

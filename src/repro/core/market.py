@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.core.ledger import LedgerError, TokenLedger
+from repro.core.ledger import TokenLedger
 from repro.obs import get_logger, metrics
 from repro.obs import timeline as obs_timeline
 from repro.sim.events import SessionEvent

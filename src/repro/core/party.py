@@ -11,8 +11,8 @@ network").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 
 class PartyObjective(enum.Enum):

@@ -239,8 +239,11 @@ class ExperimentContext:
         A :class:`PackedVisibility` on the grid engine, a
         :class:`ContactIntervals` on the intervals engine.  Both answer
         ``coverage_fractions(sats)`` and ``satellite_active_fractions(sats,
-        sites)`` with rows in :data:`ALL_SITES` order, so a Monte-Carlo
-        kernel written once over the store runs on either engine.
+        sites)`` with rows in :data:`ALL_SITES` order, and give one site's
+        coverage as an interval set (``site_union(site, sats)``) and one
+        pair's windows as aligned arrays (``pair_windows(site, sat)``), so
+        a Monte-Carlo kernel written once over the store runs on either
+        engine.
         """
         return self._cached_store(self._checked_engine(), config, pool_seed)
 

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.gaps import gap_timeline_events, gap_timeline_events_from_intervals
+from repro.analysis.gaps import gap_timeline_events
 from repro.experiments.common import (
     ALL_SITES,
     ExperimentConfig,
@@ -23,9 +23,7 @@ from repro.experiments.common import (
     TAIPEI_INDEX,
 )
 from repro.runner import RunContext, Scenario, run_scenario
-from repro.sim.contacts import contact_events
-from repro.sim.coverage import gap_lengths_s
-from repro.sim.intervals import ContactIntervals
+from repro.sim.contacts import narrate_contacts
 
 #: Constellation sizes swept by default (the figure's x axis).
 DEFAULT_SIZES: Sequence[int] = (1, 10, 50, 100, 200, 500, 1000, 2000)
@@ -83,31 +81,14 @@ class Fig2Scenario(Scenario):
         return list(self.sizes)
 
     def run_one(self, ctx: RunContext, run_index: int) -> Tuple[float, float]:
-        # The subset draw happens before the store-type branch, so both
-        # engines evaluate identical satellite samples.  The branch stays
-        # because the Taipei timeline takes a different form per store: an
-        # analytic IntervalSet on intervals, a sampled mask on the grid.
         indices = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
         store = ctx.store()
-        if isinstance(store, ContactIntervals):
-            union = store.site_union(TAIPEI_INDEX, indices)
-            uncovered = 100.0 * (1.0 - union.coverage_fraction)
-            gaps = union.gap_lengths_s()
-            max_gap = float(gaps.max()) if gaps.size else 0.0
-            if run_index == 0:
-                _narrate_run_intervals(
-                    store, indices, union, ctx.context.pool(ctx.pool_seed)
-                )
-            return (float(uncovered), max_gap)
-        mask = store.site_mask(TAIPEI_INDEX, indices)
-        uncovered = 100.0 * (1.0 - mask.mean())
-        gaps = gap_lengths_s(mask, ctx.config.grid().step_s)
+        union = store.site_union(TAIPEI_INDEX, indices)
+        uncovered = 100.0 * (1.0 - union.coverage_fraction)
+        gaps = union.gap_lengths_s()
         max_gap = float(gaps.max()) if gaps.size else 0.0
         if run_index == 0:
-            _narrate_run(
-                store, indices, mask, ctx.config.grid(),
-                ctx.context.pool(ctx.pool_seed),
-            )
+            _narrate_run(store, indices, union, ctx.context.pool(ctx.pool_seed))
         return (float(uncovered), max_gap)
 
     def reduce(
@@ -141,62 +122,20 @@ def run_fig2(
     return run_scenario(Fig2Scenario(sizes=sizes), config)
 
 
-def _narrate_run(visibility, indices, mask, grid, pool) -> None:
+def _narrate_run(store, indices, union, pool) -> None:
     """Emit timeline events describing one Monte-Carlo run.
 
-    Gap open/close events come from the union Taipei mask; contact windows
-    come from the first :data:`MAX_TRACED_SATELLITES` satellites of the
-    sampled subset that are ever visible from Taipei.  Those are found
-    from the packed bytes (padding bits are zero, so a row has a set bit
-    exactly when the satellite is visible at some sample), and only
-    their rows are unpacked: a 2 000-satellite subset's masks are ~10 MB.
+    Gap open/close events come from the Taipei coverage ``union``; contact
+    windows come from the first :data:`MAX_TRACED_SATELLITES` satellites
+    of the sampled subset that are ever visible from Taipei.
     """
     site_name = ALL_SITES[TAIPEI_INDEX].name
-    gap_timeline_events(mask, grid.step_s, site=site_name)
-    rows = visibility.by_satellite[indices, TAIPEI_INDEX]  # (n, B) packed
-    active = np.flatnonzero(rows.any(axis=1))[:MAX_TRACED_SATELLITES]
-    if active.size == 0:
-        return
-    traced = indices[active]
-    sat_masks = visibility.satellite_masks(traced, [TAIPEI_INDEX])
-    sat_ids = [pool.sat_ids[int(sat)] for sat in traced]
-    contact_events(sat_masks[None, :, :], [site_name], sat_ids, grid)
-
-
-def _narrate_run_intervals(
-    contacts: ContactIntervals, indices, union, pool
-) -> None:
-    """Intervals-engine narration: same events, analytic edge times."""
-    site_name = ALL_SITES[TAIPEI_INDEX].name
-    gap_timeline_events_from_intervals(union, site=site_name)
-    traced: List[int] = []
+    gap_timeline_events(union, site=site_name)
+    traced = []
     for sat in indices:
-        if contacts.pair_count(TAIPEI_INDEX, int(sat)):
-            traced.append(int(sat))
+        windows = store.pair_windows(TAIPEI_INDEX, int(sat))
+        if windows[0].size:
+            traced.append((pool.sat_ids[int(sat)], windows))
             if len(traced) == MAX_TRACED_SATELLITES:
                 break
-    if not traced:
-        return
-    contact_events_from_intervals_subset(contacts, traced, site_name, pool)
-
-
-def contact_events_from_intervals_subset(
-    contacts: ContactIntervals, sat_indices, site_name: str, pool
-) -> None:
-    """Narrate the traced satellites' Taipei windows onto the timeline."""
-    from repro.sim.events import ContactEvent
-    from repro.sim.contacts import _narrate_events
-
-    events = []
-    for sat in sat_indices:
-        rises, falls, t_start, t_end = contacts.pair_windows(TAIPEI_INDEX, sat)
-        sat_id = pool.sat_ids[int(sat)]
-        events.extend(
-            ContactEvent(
-                site_name, sat_id, float(rise), float(fall),
-                truncated=bool(ts or te),
-            )
-            for rise, fall, ts, te in zip(rises, falls, t_start, t_end)
-        )
-    events.sort(key=lambda event: (event.start_s, event.site_name, event.sat_id))
-    _narrate_events(events)
+    narrate_contacts(site_name, traced)

@@ -12,8 +12,7 @@ two concrete kinds differ in role, not geometry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.constants import EARTH_RADIUS_M, MU_EARTH, mean_motion_rad_s
+from repro.constants import EARTH_RADIUS_M, mean_motion_rad_s
 
 TWO_PI = 2.0 * math.pi
 

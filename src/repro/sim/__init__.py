@@ -3,14 +3,15 @@
 * :mod:`repro.sim.clock` — simulation time grids.
 * :mod:`repro.sim.visibility` — vectorized satellite-ground visibility.
 * :mod:`repro.sim.coverage` — coverage timelines and gap statistics.
-* :mod:`repro.sim.capacity` — satellite utilization / idle-time accounting.
 * :mod:`repro.sim.engine` — event-driven bent-pipe session simulator.
 * :mod:`repro.sim.traffic` — workload generation for the event simulator.
-* :mod:`repro.sim.contacts` — contact plans.
+* :mod:`repro.sim.contacts` — contact plans: either store's pair windows
+  as contact events on the timeline.
 * :mod:`repro.sim.intervals` — analytic (rise, set) contact windows and
   the interval algebra behind the event-driven engine.
 * :mod:`repro.sim.scheduling` — satellite-to-ground downlink scheduling
-  with pluggable antenna-assignment policies.
+  over a dense visibility tensor, with pluggable antenna-assignment
+  policies.
 """
 
 from repro.sim.clock import TimeGrid

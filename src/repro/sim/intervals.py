@@ -165,6 +165,20 @@ class IntervalSet:
         return cls(np.array([start_s]), np.array([end_s]), start_s, end_s)
 
     @classmethod
+    def _normalized(
+        cls, starts: np.ndarray, stops: np.ndarray, start_s: float, end_s: float
+    ) -> "IntervalSet":
+        """A set from float64 arrays already in the constructor's normal
+        form (inside the horizon, non-empty, sorted, strictly
+        interleaved), without normalizing them again."""
+        interval_set = cls.__new__(cls)
+        interval_set.start_s = float(start_s)
+        interval_set.end_s = float(end_s)
+        interval_set.starts = starts
+        interval_set.stops = stops
+        return interval_set
+
+    @classmethod
     def from_pairs(
         cls, pairs: Sequence[Tuple[float, float]], start_s: float, end_s: float
     ) -> "IntervalSet":
@@ -233,11 +247,14 @@ class IntervalSet:
 
     def complement(self) -> "IntervalSet":
         """Uncovered time over the horizon (includes boundary gaps)."""
-        return IntervalSet(
-            np.concatenate([[self.start_s], self.stops]),
-            np.concatenate([self.starts, [self.end_s]]),
-            self.start_s,
-            self.end_s,
+        # The pieces between normalized intervals are sorted, strictly
+        # interleaved and non-empty; only the two boundary pieces can be
+        # empty.
+        starts = np.concatenate([[self.start_s], self.stops])
+        stops = np.concatenate([self.starts, [self.end_s]])
+        keep = stops > starts
+        return IntervalSet._normalized(
+            starts[keep], stops[keep], self.start_s, self.end_s
         )
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -765,9 +782,11 @@ class IntervalSubsetQuery:
 
     @classmethod
     def from_contacts(cls, contacts, fleet=None) -> "IntervalSubsetQuery":
+        from repro.sim.kernels.subsets import as_sorted_fleet
+
         if fleet is None:
             return cls(contacts, None)
-        fleet = kernels.subsets.as_sorted_fleet(fleet)
+        fleet = as_sorted_fleet(fleet)
         return cls(contacts.restrict(fleet), fleet)
 
     @property
@@ -781,9 +800,11 @@ class IntervalSubsetQuery:
 
     def _local(self, subset):
         """Map pool-index subsets to restricted columns (identity pool-wide)."""
+        from repro.sim.kernels.subsets import fleet_positions
+
         if subset is None or self.fleet is None:
             return subset
-        return kernels.subsets.fleet_positions(self.fleet, subset)
+        return fleet_positions(self.fleet, subset)
 
     def coverage_fractions(self, subset=None) -> np.ndarray:
         """Covered fraction per site (S,) for one satellite subset."""

@@ -1052,7 +1052,3 @@ def _finish(plan: StreamPlan, visible_samples: int) -> None:
         plan.n_sites, plan.n_satellites, plan.grid.count, visible_samples
     )
 
-
-# Imported last: the submodule depends on the names above.  Exposed as an
-# attribute so `kernels.subsets` works after `import repro.sim.kernels`.
-from repro.sim.kernels import subsets as subsets  # noqa: E402,F401

@@ -7,36 +7,22 @@ can receive, and each station antenna serves one satellite at a time.
 MP-LEO inherits the problem on the feeder side — a party's rented GSaaS
 antennas must be scheduled across every satellite carrying its traffic.
 
-This module provides a time-stepped scheduler over visibility masks with
-pluggable policies, plus the throughput/latency/fairness metrics scheduling
-papers report.
-
-Two front-ends share one decision core (:func:`_assign_step`):
-
-* :class:`DownlinkScheduler` reads a dense boolean (S, N, T) tensor — the
-  grid engine's representation;
-* :class:`IntervalDownlinkScheduler` sweeps the analytic (rise, set)
-  contact windows of a :class:`~repro.sim.intervals.ContactIntervals`,
-  maintaining each station's candidate set incrementally from sorted edge
-  events — O(windows) memory, no dense tensor.  Decisions still happen at
-  grid cadence, so by the interval engine's resampling identity
-  (membership ``rise <= t < set`` at a grid instant equals the grid mask)
-  its assignments, drains, and backlogs are **bit-identical** to the grid
-  scheduler run on the resampled masks.
+This module provides a time-stepped scheduler over a dense boolean
+(S, N, T) visibility tensor with pluggable policies, plus the
+throughput/latency/fairness metrics scheduling papers report.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro.obs import timeline as obs_timeline
 from repro.sim.clock import TimeGrid
 from repro.sim.events import intervals_from_mask
-from repro.sim.intervals import ContactIntervals
 
 
 class SchedulingPolicy(enum.Enum):
@@ -144,12 +130,27 @@ class DownlinkScheduler:
 
         for step in range(n_times):
             backlog += self.generation_rate_mbps * step_s
-            round_robin_cursor = _assign_step(
-                lambda station: self.visibility[station, :, step],
-                n_stations, n_sats, step, step_s,
-                backlog, downlinked, assignment,
-                self.policy, self.downlink_rate_mbps, round_robin_cursor,
-            )
+            claimed = np.zeros(n_sats, dtype=bool)  # One antenna per sat.
+            for station in range(n_stations):
+                candidates = np.flatnonzero(
+                    self.visibility[station, :, step] & ~claimed & (backlog > 0.0)
+                )
+                if candidates.size == 0:
+                    continue
+                if self.policy is SchedulingPolicy.MAX_BACKLOG:
+                    chosen = candidates[int(np.argmax(backlog[candidates]))]
+                elif self.policy is SchedulingPolicy.ROUND_ROBIN:
+                    # First candidate at or after the rotating cursor.
+                    shifted = (candidates - round_robin_cursor) % n_sats
+                    chosen = candidates[int(np.argmin(shifted))]
+                    round_robin_cursor = (int(chosen) + 1) % n_sats
+                else:
+                    chosen = candidates[0]
+                drained = min(backlog[chosen], self.downlink_rate_mbps * step_s)
+                backlog[chosen] -= drained
+                downlinked[chosen] += drained
+                claimed[chosen] = True
+                assignment[station, step] = chosen
 
         _emit_timeline_events(assignment, self.grid, self.policy)
         generated = self.generation_rate_mbps * self.grid.duration_s
@@ -161,160 +162,6 @@ class DownlinkScheduler:
             station_busy_fraction=(assignment >= 0).mean(axis=1),
             assignment=assignment,
         )
-
-
-class IntervalDownlinkScheduler:
-    """Event-sweep downlink scheduler over analytic contact windows.
-
-    The intervals-engine sibling of :class:`DownlinkScheduler`: instead of
-    indexing a dense (S, N, T) tensor it maintains per-(station, satellite)
-    overlap counts from the sorted rise/set edge queues — a pair is a
-    candidate at time ``t`` while its count is positive, i.e. while some
-    window satisfies ``rise <= t < set``.  Because that membership test at
-    a grid instant equals the resampled grid mask (the interval engine's
-    resampling identity), and the per-step policy loop is literally the
-    same code (:func:`_assign_step`), the resulting schedule is
-    bit-identical to the grid scheduler's on the same windows.
-
-    Args:
-        contacts: Contact windows with the *stations* as sites (compute
-            with :func:`~repro.sim.intervals.find_contact_intervals` using
-            the stations as the site list).
-        grid: The decision grid (same cadence the grid scheduler steps at).
-        downlink_rate_mbps: Drain rate while a satellite is being served.
-        generation_rate_mbps: (N,) or scalar accumulation rate.
-        policy: Antenna assignment policy.
-    """
-
-    def __init__(
-        self,
-        contacts: ContactIntervals,
-        grid: TimeGrid,
-        downlink_rate_mbps: float = 500.0,
-        generation_rate_mbps=10.0,
-        policy: SchedulingPolicy = SchedulingPolicy.MAX_BACKLOG,
-    ) -> None:
-        if not isinstance(contacts, ContactIntervals):
-            raise ValueError(
-                f"contacts must be ContactIntervals, got {type(contacts).__name__}"
-            )
-        if downlink_rate_mbps <= 0.0:
-            raise ValueError("downlink rate must be positive")
-        self.contacts = contacts
-        self.grid = grid
-        self.downlink_rate_mbps = downlink_rate_mbps
-        generation = np.broadcast_to(
-            np.asarray(generation_rate_mbps, dtype=np.float64),
-            (contacts.n_satellites,),
-        ).copy()
-        if np.any(generation < 0.0):
-            raise ValueError("generation rates must be non-negative")
-        self.generation_rate_mbps = generation
-        self.policy = policy
-
-    def run(self) -> DownlinkScheduleResult:
-        """Run the schedule over the whole horizon (O(windows) memory)."""
-        contacts = self.contacts
-        n_stations = contacts.n_sites
-        n_sats = contacts.n_satellites
-        n_times = self.grid.count
-        times = self.grid.times_s
-        step_s = self.grid.step_s
-        backlog = np.zeros(n_sats)
-        downlinked = np.zeros(n_sats)
-        assignment = np.full((n_stations, n_times), -1, dtype=np.int64)
-        round_robin_cursor = 0
-
-        # Sorted edge queues.  Raw windows of one pair may touch after
-        # refinement, so candidacy is an overlap *count*, not a flag.
-        n_windows = contacts.n_contacts
-        pair_of_window = np.repeat(
-            np.arange(n_stations * n_sats, dtype=np.int64),
-            np.diff(contacts.pair_offsets),
-        )
-        rise_order = np.argsort(contacts.rise_s, kind="stable")
-        set_order = np.argsort(contacts.set_s, kind="stable")
-        rise_times = contacts.rise_s[rise_order]
-        set_times = contacts.set_s[set_order]
-        rise_pairs = pair_of_window[rise_order]
-        set_pairs = pair_of_window[set_order]
-        active = np.zeros((n_stations, n_sats), dtype=np.int64)
-        next_rise = 0
-        next_set = 0
-
-        for step in range(n_times):
-            t = times[step]
-            while next_rise < n_windows and rise_times[next_rise] <= t:
-                pair = int(rise_pairs[next_rise])
-                active[pair // n_sats, pair % n_sats] += 1
-                next_rise += 1
-            while next_set < n_windows and set_times[next_set] <= t:
-                pair = int(set_pairs[next_set])
-                active[pair // n_sats, pair % n_sats] -= 1
-                next_set += 1
-            backlog += self.generation_rate_mbps * step_s
-            round_robin_cursor = _assign_step(
-                lambda station: active[station] > 0,
-                n_stations, n_sats, step, step_s,
-                backlog, downlinked, assignment,
-                self.policy, self.downlink_rate_mbps, round_robin_cursor,
-            )
-
-        _emit_timeline_events(assignment, self.grid, self.policy)
-        generated = self.generation_rate_mbps * self.grid.duration_s
-        return DownlinkScheduleResult(
-            grid=self.grid,
-            downlinked_megabits=downlinked,
-            remaining_backlog_megabits=backlog,
-            generated_megabits=generated,
-            station_busy_fraction=(assignment >= 0).mean(axis=1),
-            assignment=assignment,
-        )
-
-
-def _assign_step(
-    station_candidates,
-    n_stations: int,
-    n_sats: int,
-    step: int,
-    step_s: float,
-    backlog: np.ndarray,
-    downlinked: np.ndarray,
-    assignment: np.ndarray,
-    policy: SchedulingPolicy,
-    downlink_rate_mbps: float,
-    round_robin_cursor: int,
-) -> int:
-    """One decision step shared by both scheduler front-ends.
-
-    ``station_candidates(station)`` yields the boolean (N,) visibility of
-    one station at this step; everything else — claiming, policy choice,
-    drain — is representation-independent, which is what makes the two
-    schedulers bit-identical by construction.  Returns the advanced
-    round-robin cursor.
-    """
-    claimed = np.zeros(n_sats, dtype=bool)  # One antenna per sat.
-    for station in range(n_stations):
-        candidates = np.flatnonzero(
-            station_candidates(station) & ~claimed & (backlog > 0.0)
-        )
-        if candidates.size == 0:
-            continue
-        if policy is SchedulingPolicy.MAX_BACKLOG:
-            chosen = candidates[int(np.argmax(backlog[candidates]))]
-        elif policy is SchedulingPolicy.ROUND_ROBIN:
-            # First candidate at or after the rotating cursor.
-            shifted = (candidates - round_robin_cursor) % n_sats
-            chosen = candidates[int(np.argmin(shifted))]
-            round_robin_cursor = (int(chosen) + 1) % n_sats
-        else:
-            chosen = candidates[0]
-        drained = min(backlog[chosen], downlink_rate_mbps * step_s)
-        backlog[chosen] -= drained
-        downlinked[chosen] += drained
-        claimed[chosen] = True
-        assignment[station, step] = chosen
-    return round_robin_cursor
 
 
 def _emit_timeline_events(
@@ -360,25 +207,14 @@ def _emit_timeline_events(
 
 
 def compare_policies(
-    visibility,
+    visibility: np.ndarray,
     grid: TimeGrid,
     downlink_rate_mbps: float = 500.0,
     generation_rate_mbps=10.0,
 ) -> Dict[SchedulingPolicy, DownlinkScheduleResult]:
-    """Run every policy on the same inputs (for ablations).
-
-    ``visibility`` may be a dense (S, N, T) boolean tensor or a
-    :class:`~repro.sim.intervals.ContactIntervals`; the matching scheduler
-    front-end is picked automatically, so ablations switch engines by
-    switching the artifact they pass.
-    """
-    scheduler_cls = (
-        IntervalDownlinkScheduler
-        if isinstance(visibility, ContactIntervals)
-        else DownlinkScheduler
-    )
+    """Run every policy on the same (S, N, T) visibility (for ablations)."""
     return {
-        policy: scheduler_cls(
+        policy: DownlinkScheduler(
             visibility,
             grid,
             downlink_rate_mbps=downlink_rate_mbps,

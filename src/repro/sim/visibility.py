@@ -44,6 +44,7 @@ from repro.orbits.propagator import BatchPropagator
 from repro.ground.sites import GroundSite
 from repro.sim import kernels
 from repro.sim.clock import TimeGrid
+from repro.sim.intervals import IntervalSet
 from repro.sim.kernels import (  # re-exported: the historical home of these
     SiteGeometry,
     coverage_cos_thresholds,
@@ -323,6 +324,48 @@ class PackedVisibility:
         packed_or = np.bitwise_or.reduce(rows, axis=0)
         return np.unpackbits(packed_or)[: self.n_times].astype(bool)
 
+    def site_union(self, site_index: int, sat_indices=None) -> IntervalSet:
+        """Coverage of one site by a satellite subset, as an interval set.
+
+        Each covered sample covers its step, over the sampled horizon
+        ``[start_s, start_s + step_s * n_times)`` the intervals engine
+        also uses; :meth:`ContactIntervals.site_union
+        <repro.sim.intervals.ContactIntervals.site_union>` is the
+        intervals engine's form.
+        """
+        begins, ends = _sample_runs(self.site_mask(site_index, sat_indices))
+        # Runs of a mask are sorted, non-empty and never touch.
+        return IntervalSet._normalized(
+            self._sample_times(begins), self._sample_times(ends),
+            self.grid.start_s, self._sample_times(self.n_times),
+        )
+
+    def pair_windows(
+        self, site_index: int, sat_index: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sampled (rise, set, truncated_start, truncated_end) windows of
+        one pair, in time order.
+
+        A run of visible samples ``[a, b)`` is the window ``[t_a, t_b)``;
+        a run open at the first or the last sample is flagged truncated.
+        The intervals engine's :meth:`ContactIntervals.pair_windows
+        <repro.sim.intervals.ContactIntervals.pair_windows>` has the same
+        form.
+        """
+        mask = self.satellite_masks([sat_index], [site_index])[0]
+        begins, ends = _sample_runs(mask)
+        return (
+            self._sample_times(begins),
+            self._sample_times(ends),
+            begins == 0,
+            ends == self.n_times,
+        )
+
+    def _sample_times(self, samples):
+        """Simulation times of sample indices (the time after the last
+        sample for index ``n_times``)."""
+        return self.grid.start_s + self.grid.step_s * samples
+
     def site_masks(self, sat_indices=None) -> np.ndarray:
         """Boolean coverage masks (S, T) for all sites under a subset."""
         rows = self._sat_rows(sat_indices)
@@ -430,6 +473,15 @@ class PackedVisibility:
             return np.zeros((rows.shape[0], self.n_times), dtype=bool)
         packed_or = np.bitwise_or.reduce(rows, axis=1)
         return np.unpackbits(packed_or, axis=1)[:, : self.n_times].astype(bool)
+
+
+def _sample_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First and one-past-last sample index of every True run of a 1-D
+    boolean mask."""
+    padded = np.zeros(mask.size + 2, dtype=np.int8)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2]
 
 
 def packed_visibility(

@@ -596,36 +596,21 @@ def check_interval_agreement(
     must keep at least one estimate, or the comparison is vacuous), the
     eccentric batch's from bisection itself.
 
-    On top of the raw-geometry checks, the downstream consumers are held to
-    the same contract: the interval downlink scheduler must produce
-    bit-identical assignments, downlinked volumes, and backlogs to the grid
-    scheduler under every policy (decisions happen at grid cadence, where
-    the resampling identity makes the candidate sets equal), and the
-    interval capacity accountants must agree with the grid ones within the
-    per-contact-edge budget.
+    Each satellite's active fraction (any site sees it, the reduction
+    Fig. 3 reads on the intervals engine) must match the grid's sampled
+    mean within the same two-edges-per-window budget, summed over the
+    satellite's windows at every site.
     """
-    from repro.sim.capacity import (
-        spare_capacity_split,
-        spare_capacity_split_intervals,
-        utilization_from_intervals,
-        utilization_from_visibility,
-    )
     from repro.sim.coverage import gap_lengths_s
     from repro.sim.intervals import (
         _REFINE_FALLBACKS,
         _bisect_windows,
         find_contact_intervals,
     )
-    from repro.sim.scheduling import (
-        DownlinkScheduler,
-        IntervalDownlinkScheduler,
-        SchedulingPolicy,
-    )
 
     mismatches: List[str] = []
     total_contacts = 0
     samples = 0
-    scheduling_comparisons = 0
     refine_identity_edges = 0
     refine_fallbacks = 0
     for batch_name, eccentricity_ceiling in (
@@ -746,79 +731,23 @@ def check_interval_agreement(
                     f"{micro_gaps.max():.2f} s >= {2.0 * step_s:.2f} s"
                 )
 
-        # Scheduling agreement — decisions run at grid cadence, so the
-        # interval scheduler's candidate sets equal the grid masks and the
-        # whole schedule must be bit-identical, floats included.
-        for policy in SchedulingPolicy:
-            grid_schedule = DownlinkScheduler(
-                reference,
-                grid,
-                downlink_rate_mbps=800.0,
-                generation_rate_mbps=20.0,
-                policy=policy,
-            ).run()
-            interval_schedule = IntervalDownlinkScheduler(
-                contacts,
-                grid,
-                downlink_rate_mbps=800.0,
-                generation_rate_mbps=20.0,
-                policy=policy,
-            ).run()
-            label = f"{batch_name}, policy={policy.value}"
-            if not np.array_equal(
-                grid_schedule.assignment, interval_schedule.assignment
-            ):
-                mismatches.append(f"schedule_assignment ({label})")
-            if not np.array_equal(
-                grid_schedule.downlinked_megabits,
-                interval_schedule.downlinked_megabits,
-            ):
-                mismatches.append(f"schedule_downlinked ({label})")
-            if not np.array_equal(
-                grid_schedule.remaining_backlog_megabits,
-                interval_schedule.remaining_backlog_megabits,
-            ):
-                mismatches.append(f"schedule_backlog ({label})")
-            scheduling_comparisons += 1
-
-        # Capacity agreement — continuous-time unions vs sampled means,
+        # Satellite activity: continuous-time unions vs sampled means,
         # within the two-edges-per-window budget per satellite.
         windows_per_sat = (
             np.diff(contacts.pair_offsets)
             .reshape(len(sites), len(elements))
             .sum(axis=0)
         )
-        capacity_budget = 2.0 * windows_per_sat * step_s / span_total
-        idle_drift = np.abs(
-            utilization_from_visibility(reference).per_satellite_idle_fraction
-            - utilization_from_intervals(contacts).per_satellite_idle_fraction
+        active_budget = 2.0 * windows_per_sat * step_s / span_total
+        active_drift = np.abs(
+            contacts.satellite_active_fractions()
+            - reference.any(axis=0).mean(axis=1)
         )
-        if np.any(idle_drift > capacity_budget):
+        if np.any(active_drift > active_budget):
             mismatches.append(
-                f"capacity_idle ({batch_name}): worst drift "
-                f"{idle_drift.max():.3e} over budget"
+                f"satellite_active ({batch_name}): worst drift "
+                f"{active_drift.max():.3e} over budget"
             )
-        party_names = ("alpha", "beta", "gamma")
-        terminal_parties = [party_names[i % 3] for i in range(len(sites))]
-        satellite_parties = [party_names[n % 3] for n in range(len(elements))]
-        grid_ledger = spare_capacity_split(
-            reference, terminal_parties, satellite_parties
-        )
-        interval_ledger = spare_capacity_split_intervals(
-            contacts, terminal_parties, satellite_parties
-        )
-        # Spare time is a difference of two swept unions, so it carries
-        # both unions' edge budgets.
-        ledger_budget = 2.0 * capacity_budget
-        for field in ("own_fraction", "spare_fraction", "idle_fraction"):
-            ledger_drift = np.abs(
-                getattr(grid_ledger, field) - getattr(interval_ledger, field)
-            )
-            if np.any(ledger_drift > ledger_budget):
-                mismatches.append(
-                    f"capacity_{field} ({batch_name}): worst drift "
-                    f"{ledger_drift.max():.3e} over budget"
-                )
 
     if total_contacts == 0:
         mismatches.append("no contacts found: the comparison is vacuous")
@@ -830,8 +759,6 @@ def check_interval_agreement(
         "step_s": step_s,
         "tolerance_s": tolerance_s,
         "contacts": total_contacts,
-        "scheduling_policies": [p.value for p in SchedulingPolicy],
-        "scheduling_comparisons": scheduling_comparisons,
         "refine_identity_edges": refine_identity_edges,
         "refine_fallbacks": refine_fallbacks,
         "mismatches": mismatches,

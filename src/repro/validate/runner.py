@@ -259,7 +259,6 @@ def _summarize_details(check: CheckResult) -> str:
         return (
             f"{details['contacts']} contacts, "
             f"{details.get('refine_identity_edges', 0)} edges = bisection, "
-            f"{details.get('scheduling_comparisons', 0)} schedules, "
             f"{len(details.get('mismatches', []))} mismatches"
         )
     if check.name.startswith("fuzz.") and "trials" in details:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.gaps import gap_timeline_events, gap_timeline_events_from_intervals
+from repro.analysis.gaps import gap_timeline_events
 from repro.obs import timeline as obs_timeline
 from repro.sim.coverage import gap_lengths_s
+from repro.sim.events import intervals_from_mask
 from repro.sim.intervals import IntervalSet
 
 
@@ -44,13 +45,31 @@ class TestIntervalGapsAgainstMask:
         np.testing.assert_allclose(coverage.gap_lengths_s(), [12.5, 7.25, 10.0])
 
 
+def _sampled_coverage(mask, step_s=60.0, start_s=0.0):
+    """The IntervalSet whose edges sit exactly on ``mask``'s samples."""
+    return IntervalSet.from_pairs(
+        [(start_s + i * step_s, start_s + (i + 1) * step_s) for i in np.flatnonzero(mask)],
+        start_s, start_s + mask.size * step_s,
+    )
+
+
+def _events(bits, step_s=60.0, start_s=0.0):
+    mask = np.array([bit == "1" for bit in bits])
+    return gap_timeline_events(
+        _sampled_coverage(mask, step_s, start_s), site="taipei", emit=False
+    )
+
+
+def _fields(events):
+    return [(event.kind, event.t_s, event.subject, event.attrs) for event in events]
+
+
 class TestGapTimelineEvents:
     """Hand-computed timelines: every edge case gets explicit flags."""
 
     def test_interior_gap(self):
         # Covered, 2 uncovered steps, covered: one gap [60, 180).
-        mask = np.array([True, False, False, True])
-        events = gap_timeline_events(mask, 60.0, site="taipei", emit=False)
+        events = _events("1001")
         assert [event.kind for event in events] == ["gap.open", "gap.close"]
         open_event, close_event = events
         assert open_event.t_s == 60.0
@@ -60,39 +79,31 @@ class TestGapTimelineEvents:
         assert "at_run_end" not in close_event.attrs
 
     def test_run_start_gap_flagged(self):
-        mask = np.array([False, False, True, True])
-        events = gap_timeline_events(mask, 60.0, site="taipei", emit=False)
+        events = _events("0011")
         assert events[0].t_s == 0.0
         assert events[0].attrs["at_run_start"] is True
         assert "at_run_end" not in events[1].attrs
 
     def test_run_end_gap_flagged(self):
-        mask = np.array([True, True, False])
-        events = gap_timeline_events(mask, 60.0, site="taipei", emit=False)
+        events = _events("110")
         assert events[1].t_s == pytest.approx(180.0)
         assert events[1].attrs["at_run_end"] is True
         assert "at_run_start" not in events[0].attrs
 
     def test_never_covered_carries_both_flags(self):
         """Zero-length contact: the site never sees a satellite at all."""
-        events = gap_timeline_events(
-            np.zeros(4, dtype=bool), 30.0, site="taipei", emit=False
-        )
+        events = _events("0000", step_s=30.0)
         assert len(events) == 2
         assert events[0].attrs["at_run_start"] is True
         assert events[1].attrs["at_run_end"] is True
         assert events[0].attrs["gap_s"] == pytest.approx(120.0)
 
     def test_fully_covered_emits_nothing(self):
-        events = gap_timeline_events(
-            np.ones(5, dtype=bool), 60.0, site="taipei", emit=False
-        )
-        assert events == []
+        assert _events("11111") == []
 
     def test_single_step_contact_splits_gap(self):
         # One covered sample in the middle: two gaps around it.
-        mask = np.array([False, True, False])
-        events = gap_timeline_events(mask, 60.0, site="taipei", emit=False)
+        events = _events("010")
         assert [event.kind for event in events] == [
             "gap.open", "gap.close", "gap.open", "gap.close",
         ]
@@ -100,45 +111,10 @@ class TestGapTimelineEvents:
         assert events[2].t_s == 120.0  # Second opens as it sets.
 
     def test_start_offset_shifts_times(self):
-        mask = np.array([False, True])
-        events = gap_timeline_events(
-            mask, 60.0, site="taipei", start_s=1000.0, emit=False
-        )
+        events = _events("01", start_s=1000.0)
         assert events[0].t_s == 1000.0
         assert events[0].attrs["at_run_start"] is True
 
-    def test_emit_records_on_global_timeline(self):
-        obs_timeline.reset()
-        try:
-            gap_timeline_events(
-                np.array([True, False, True]), 60.0, site="taipei"
-            )
-            recorded = obs_timeline.events(kind=obs_timeline.GAP_OPEN)
-            assert len(recorded) == 1
-            assert recorded[0].subject == "taipei"
-        finally:
-            obs_timeline.reset()
-
-    def test_rejects_2d_mask(self):
-        with pytest.raises(ValueError, match="1-D"):
-            gap_timeline_events(
-                np.zeros((2, 2), dtype=bool), 60.0, site="x", emit=False
-            )
-
-
-def _sampled_coverage(mask, step_s=60.0):
-    """The IntervalSet whose edges sit exactly on ``mask``'s samples."""
-    return IntervalSet.from_pairs(
-        [(i * step_s, (i + 1) * step_s) for i in np.flatnonzero(mask)],
-        0.0, mask.size * step_s,
-    )
-
-
-def _fields(events):
-    return [(event.kind, event.t_s, event.subject, event.attrs) for event in events]
-
-
-class TestGapTimelineEventsFromIntervals:
     @pytest.mark.parametrize(
         "bits",
         ["0110011100", "1001100011", "0000000000", "1111111111", "1010101010",
@@ -146,17 +122,29 @@ class TestGapTimelineEventsFromIntervals:
         ids=["edge-gaps", "edge-contacts", "never-covered", "always-covered",
              "alternating", "early-contact", "late-contact", "one-sample"],
     )
-    def test_matches_mask_events_on_sample_edges(self, bits):
+    def test_gaps_are_the_masks_uncovered_runs(self, bits):
+        """On sample edges the events are the mask's uncovered runs, each
+        as long as ``gap_lengths_s`` says, flagged where it meets the
+        horizon."""
         mask = np.array([bit == "1" for bit in bits])
-        from_mask = gap_timeline_events(mask, 60.0, site="taipei", emit=False)
-        from_intervals = gap_timeline_events_from_intervals(
-            _sampled_coverage(mask), site="taipei", emit=False
-        )
-        assert _fields(from_intervals) == _fields(from_mask)
+        horizon_s = mask.size * 60.0
+        expected = []
+        for (start_s, stop_s), gap_s in zip(
+            intervals_from_mask(~mask, 60.0), gap_lengths_s(mask, 60.0)
+        ):
+            open_attrs = {"gap_s": gap_s}
+            if start_s == 0.0:
+                open_attrs["at_run_start"] = True
+            close_attrs = {"gap_s": gap_s}
+            if stop_s == horizon_s:
+                close_attrs["at_run_end"] = True
+            expected.append(("gap.open", start_s, "taipei", open_attrs))
+            expected.append(("gap.close", stop_s, "taipei", close_attrs))
+        assert _fields(_events(bits)) == expected
 
     def test_exact_edges_and_boundary_flags(self):
         coverage = IntervalSet.from_pairs([(12.5, 40.0)], 0.0, 100.0)
-        events = gap_timeline_events_from_intervals(coverage, "taipei", emit=False)
+        events = gap_timeline_events(coverage, "taipei", emit=False)
         assert [(event.kind, event.t_s) for event in events] == [
             ("gap.open", 0.0), ("gap.close", 12.5),
             ("gap.open", 40.0), ("gap.close", 100.0),
@@ -167,19 +155,13 @@ class TestGapTimelineEventsFromIntervals:
 
     def test_never_covered_is_one_flagged_gap(self):
         coverage = IntervalSet.from_pairs([], 100.0, 400.0)
-        opened, closed = gap_timeline_events_from_intervals(
-            coverage, "taipei", emit=False
-        )
+        opened, closed = gap_timeline_events(coverage, "taipei", emit=False)
         assert (opened.t_s, closed.t_s) == (100.0, 400.0)
         assert opened.attrs["at_run_start"] and closed.attrs["at_run_end"]
 
-    def test_fully_covered_emits_nothing(self):
-        coverage = IntervalSet.from_pairs([(0.0, 50.0)], 0.0, 50.0)
-        assert gap_timeline_events_from_intervals(coverage, "x", emit=False) == []
-
     def test_times_are_plain_floats(self):
         coverage = IntervalSet.from_pairs([(10.0, 20.0)], 0.0, 30.0)
-        events = gap_timeline_events_from_intervals(coverage, "x", emit=False)
+        events = gap_timeline_events(coverage, "x", emit=False)
         assert all(type(event.t_s) is float for event in events)
         assert all(type(event.attrs["gap_s"]) is float for event in events)
 
@@ -187,9 +169,10 @@ class TestGapTimelineEventsFromIntervals:
         obs_timeline.reset()
         try:
             coverage = IntervalSet.from_pairs([(0.0, 10.0), (20.0, 30.0)], 0.0, 30.0)
-            gap_timeline_events_from_intervals(coverage, site="taipei")
+            gap_timeline_events(coverage, site="taipei")
             recorded = obs_timeline.events(kind=obs_timeline.GAP_CLOSE)
             assert [event.t_s for event in recorded] == [20.0]
+            assert recorded[0].subject == "taipei"
         finally:
             obs_timeline.reset()
 
@@ -197,7 +180,7 @@ class TestGapTimelineEventsFromIntervals:
         obs_timeline.reset()
         try:
             coverage = IntervalSet.from_pairs([(5.0, 10.0)], 0.0, 30.0)
-            gap_timeline_events_from_intervals(coverage, site="taipei", emit=False)
+            gap_timeline_events(coverage, site="taipei", emit=False)
             assert obs_timeline.events() == []
         finally:
             obs_timeline.reset()

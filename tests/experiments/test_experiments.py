@@ -9,7 +9,6 @@ shapes that survive coarse sampling.
 import numpy as np
 import pytest
 
-from repro.analysis.gaps import gap_timeline_events
 from repro.experiments import common
 from repro.experiments import fig2_coverage_vs_size as fig2
 from repro.experiments.common import ExperimentConfig
@@ -22,7 +21,7 @@ from repro.experiments.fig5_withdrawal import run_fig5
 from repro.experiments.fig6_party_skew import run_fig6
 from repro.experiments.sharing_upside import run_sharing_upside
 from repro.obs import timeline as obs_timeline
-from repro.sim.contacts import contact_events
+from repro.sim.events import intervals_from_mask
 
 COARSE = ExperimentConfig(runs=3, step_s=900.0, seed=7)
 
@@ -102,23 +101,21 @@ class TestFig2:
         with pytest.raises(ValueError, match="exceeds pool"):
             run_fig2(COARSE, sizes=(10_000,))
 
-    def test_narration_equals_unpacking_every_sampled_row(self, monkeypatch):
-        """The first run of each size narrates the same timeline events as
-        unpacking every sampled satellite's Taipei mask would.  The packed
-        narration is the grid engine's, so the test runs on it."""
-        monkeypatch.setattr(common.default_context(), "engine", common.ENGINE_GRID)
+    def test_narration_equals_the_per_store_reference(self, engine, monkeypatch):
+        """The first run of each size narrates the same gap and contact
+        events as a reference built from the store's own form: unpacked
+        masks on the grid, analytic windows on the intervals engine."""
         narrate = fig2._narrate_run
+        reference = (
+            _mask_narration if engine == common.ENGINE_GRID else _window_narration
+        )
         compared = []
 
-        def events_of(narration, *args):
+        def both(store, indices, union, pool):
             obs_timeline.reset()
-            narration(*args)
-            return [event.to_dict() for event in obs_timeline.events()]
-
-        def both(*args):
-            compared.append(
-                (events_of(narrate, *args), events_of(_narrate_unpacking_all, *args))
-            )
+            narrate(store, indices, union, pool)
+            actual = [event.to_dict() for event in obs_timeline.events()]
+            compared.append((actual, reference(store, indices, pool)))
 
         monkeypatch.setattr(fig2, "_narrate_run", both)
         try:
@@ -137,16 +134,87 @@ class TestFig2:
         assert len(traced) == fig2.MAX_TRACED_SATELLITES
 
 
-def _narrate_unpacking_all(visibility, indices, mask, grid, pool):
-    """Fig. 2's narration as it read when it unpacked every sampled row."""
+def _gap_events(gaps, start_s, end_s):
+    """gap.open / gap.close records of (start, stop) gaps on Taipei."""
     site_name = common.ALL_SITES[common.TAIPEI_INDEX].name
-    gap_timeline_events(mask, grid.step_s, site=site_name)
-    sat_masks = visibility.satellite_masks(indices, [common.TAIPEI_INDEX])
+    records = []
+    for gap_start_s, gap_stop_s in gaps:
+        gap_s = float(gap_stop_s - gap_start_s)
+        open_attrs = {"gap_s": gap_s}
+        if gap_start_s <= start_s:
+            open_attrs["at_run_start"] = True
+        close_attrs = {"gap_s": gap_s}
+        if gap_stop_s >= end_s:
+            close_attrs["at_run_end"] = True
+        records.append(
+            {"t_s": gap_start_s, "kind": "gap.open", "subject": site_name,
+             "attrs": open_attrs}
+        )
+        records.append(
+            {"t_s": gap_stop_s, "kind": "gap.close", "subject": site_name,
+             "attrs": close_attrs}
+        )
+    return records
+
+
+def _contact_events(windows):
+    """contact.begin / contact.end records of (start, stop, sat id)
+    windows, in (start, satellite id) order."""
+    site_name = common.ALL_SITES[common.TAIPEI_INDEX].name
+    records = []
+    for start_s, stop_s, sat_id in sorted(windows, key=lambda w: (w[0], w[2])):
+        records.append(
+            {"t_s": start_s, "kind": "contact.begin", "subject": sat_id,
+             "attrs": {"site": site_name, "duration_hint_s": stop_s - start_s}}
+        )
+        records.append(
+            {"t_s": stop_s, "kind": "contact.end", "subject": sat_id,
+             "attrs": {"site": site_name}}
+        )
+    return records
+
+
+def _mask_narration(store, indices, pool):
+    """Fig. 2's grid narration as it read over unpacked masks: gaps are
+    the uncovered runs of the union mask, contacts the visible runs of
+    the first traced satellites' masks (every sampled row unpacked)."""
+    grid = store.grid
+    end_s = grid.start_s + grid.step_s * store.n_times
+    mask = store.site_mask(common.TAIPEI_INDEX, indices)
+    records = _gap_events(
+        intervals_from_mask(~mask, grid.step_s, grid.start_s), grid.start_s, end_s
+    )
+    sat_masks = store.satellite_masks(indices, [common.TAIPEI_INDEX])
     active = np.flatnonzero(sat_masks.any(axis=1))[: fig2.MAX_TRACED_SATELLITES]
-    if active.size == 0:
-        return
-    sat_ids = [pool[int(indices[row])].sat_id for row in active]
-    contact_events(sat_masks[active][None, :, :], [site_name], sat_ids, grid)
+    windows = [
+        (start_s, stop_s, pool.sat_ids[int(indices[row])])
+        for row in active
+        for start_s, stop_s in intervals_from_mask(
+            sat_masks[row], grid.step_s, grid.start_s
+        )
+    ]
+    return records + _contact_events(windows)
+
+
+def _window_narration(store, indices, pool):
+    """Fig. 2's intervals narration: gaps are the complement of the
+    analytic union, contacts the first traced satellites' windows."""
+    union = store.site_union(common.TAIPEI_INDEX, indices)
+    holes = union.complement()
+    records = _gap_events(
+        zip(holes.starts.tolist(), holes.stops.tolist()), union.start_s, union.end_s
+    )
+    traced = [
+        int(sat) for sat in indices if store.pair_count(common.TAIPEI_INDEX, int(sat))
+    ][: fig2.MAX_TRACED_SATELLITES]
+    windows = []
+    for sat in traced:
+        rises, sets, _, _ = store.pair_windows(common.TAIPEI_INDEX, sat)
+        windows.extend(
+            (rise, stop, pool.sat_ids[sat])
+            for rise, stop in zip(rises.tolist(), sets.tolist())
+        )
+    return records + _contact_events(windows)
 
 
 class TestFig3:

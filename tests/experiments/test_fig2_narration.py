@@ -1,8 +1,10 @@
-"""Fig. 2's interval-engine contact narration.
+"""Fig. 2's contact narration on either contact store.
 
-``contact_events_from_intervals_subset`` puts each traced satellite's
-Taipei windows on the shared timeline as ``contact.begin`` /
-``contact.end`` pairs, at the store's analytic rise and set times.
+``narrate_contacts`` puts each traced satellite's Taipei windows, as the
+store's ``pair_windows`` lists them, on the shared timeline as
+``contact.begin`` / ``contact.end`` pairs.  Like every test in this
+directory, each runs once per engine: sampled windows on the grid,
+analytic rise and set times on the intervals engine.
 """
 
 import numpy as np
@@ -14,23 +16,21 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentContext,
 )
-from repro.experiments.fig2_coverage_vs_size import (
-    contact_events_from_intervals_subset,
-)
 from repro.obs import timeline as obs_timeline
+from repro.sim.contacts import narrate_contacts
 
 SMALL = ExperimentConfig(runs=1, step_s=1800.0, duration_s=86400.0)
 SITE = ALL_SITES[TAIPEI_INDEX].name
 
 
 @pytest.fixture(scope="module")
-def world():
-    context = ExperimentContext(engine="intervals")
-    contacts = context.contact_intervals(SMALL)
+def world(engine):
+    context = ExperimentContext(engine=engine)
+    contacts = context.store(SMALL)
     pool = context.pool()
     seen = [
         sat for sat in range(contacts.n_satellites)
-        if contacts.pair_count(TAIPEI_INDEX, sat)
+        if contacts.pair_windows(TAIPEI_INDEX, sat)[0].size
     ]
     yield contacts, pool, seen
     context.clear()
@@ -43,7 +43,13 @@ def narrate():
     def run(contacts, sats, pool):
         obs_timeline.reset()
         try:
-            contact_events_from_intervals_subset(contacts, sats, SITE, pool)
+            narrate_contacts(
+                SITE,
+                [
+                    (pool.sat_ids[sat], contacts.pair_windows(TAIPEI_INDEX, sat))
+                    for sat in sats
+                ],
+            )
             return (
                 obs_timeline.events(kind=obs_timeline.CONTACT_BEGIN),
                 obs_timeline.events(kind=obs_timeline.CONTACT_END),
@@ -118,7 +124,7 @@ def test_satellite_without_passes_adds_nothing(world, narrate):
     contacts, pool, seen = world
     unseen = next(
         sat for sat in range(contacts.n_satellites)
-        if not contacts.pair_count(TAIPEI_INDEX, sat)
+        if not contacts.pair_windows(TAIPEI_INDEX, sat)[0].size
     )
     with_unseen = narrate(contacts, [seen[0], unseen], pool)
     alone = narrate(contacts, [seen[0]], pool)

@@ -1,13 +1,16 @@
-"""Tests for contact plans."""
+"""Tests for contact plans: both stores' pair windows and their narration."""
 
 import numpy as np
 import pytest
 
 from repro.constellation.satellite import Constellation, Satellite
 from repro.ground.cities import TAIPEI
+from repro.obs import timeline as obs_timeline
 from repro.orbits.elements import OrbitalElements
 from repro.sim.clock import TimeGrid
-from repro.sim.contacts import contact_events
+from repro.sim.contacts import narrate_contacts
+from repro.sim.intervals import find_contact_intervals
+from repro.sim.visibility import PackedVisibility, packed_visibility
 
 
 @pytest.fixture
@@ -15,102 +18,152 @@ def grid():
     return TimeGrid(duration_s=600.0, step_s=60.0)
 
 
-class TestContactEvents:
+@pytest.fixture
+def timeline():
+    obs_timeline.reset()
+    yield obs_timeline
+    obs_timeline.reset()
+
+
+def _packed(visibility, grid):
+    """A PackedVisibility holding a hand-built (S, N, T) tensor."""
+    return PackedVisibility(
+        np.packbits(visibility, axis=2), visibility.shape[2], grid
+    )
+
+
+def _windows(store, site, sats, sat_ids):
+    return [
+        (sat_id, store.pair_windows(site, sat)) for sat, sat_id in zip(sats, sat_ids)
+    ]
+
+
+class TestNarrateContacts:
     def test_extraction(self, grid):
         visibility = np.zeros((1, 2, 10), dtype=bool)
         visibility[0, 0, 2:5] = True  # One window for sat A.
         visibility[0, 1, 7:9] = True  # One window for sat B.
-        events = contact_events(visibility, ["site"], ["A", "B"], grid)
-        assert len(events) == 2
-        assert events[0].sat_id == "A"
-        assert events[0].start_s == 120.0
-        assert events[0].stop_s == 300.0
-        assert events[1].sat_id == "B"
+        store = _packed(visibility, grid)
+        events = narrate_contacts("site", _windows(store, 0, [0, 1], ["A", "B"]))
+        assert [(e.sat_id, e.start_s, e.stop_s) for e in events] == [
+            ("A", 120.0, 300.0), ("B", 420.0, 540.0),
+        ]
 
     def test_multiple_windows_per_pair(self, grid):
         visibility = np.zeros((1, 1, 10), dtype=bool)
         visibility[0, 0, 1:3] = True
         visibility[0, 0, 6:8] = True
-        events = contact_events(visibility, ["s"], ["A"], grid)
+        events = narrate_contacts(
+            "s", _windows(_packed(visibility, grid), 0, [0], ["A"])
+        )
         assert len(events) == 2
 
-    def test_sorted_by_start(self, grid):
-        visibility = np.zeros((2, 1, 10), dtype=bool)
+    def test_sorted_by_start_then_satellite(self, grid):
+        visibility = np.zeros((1, 3, 10), dtype=bool)
         visibility[0, 0, 5:6] = True
-        visibility[1, 0, 1:2] = True
-        events = contact_events(visibility, ["x", "y"], ["A"], grid)
-        assert [event.site_name for event in events] == ["y", "x"]
+        visibility[0, 1, 1:2] = True
+        visibility[0, 2, 5:7] = True
+        store = _packed(visibility, grid)
+        events = narrate_contacts("x", _windows(store, 0, [2, 0, 1], ["C", "A", "B"]))
+        assert [event.sat_id for event in events] == ["B", "A", "C"]
 
-    def test_shape_validation(self, grid):
-        with pytest.raises(ValueError, match="site names"):
-            contact_events(np.zeros((2, 1, 5), dtype=bool), ["one"], ["A"], grid)
-        with pytest.raises(ValueError, match="sat ids"):
-            contact_events(np.zeros((1, 2, 5), dtype=bool), ["one"], ["A"], grid)
+    def test_no_satellites_no_events(self, timeline):
+        assert narrate_contacts("x", []) == []
+        assert timeline.events() == []
 
-    def test_narrated_onto_timeline(self, grid):
-        from repro.obs import timeline as obs_timeline
-
-        obs_timeline.reset()
-        try:
-            visibility = np.zeros((1, 1, 10), dtype=bool)
-            visibility[0, 0, 2:5] = True
-            contact_events(visibility, ["taipei"], ["A"], grid)
-            begins = obs_timeline.events(kind=obs_timeline.CONTACT_BEGIN)
-            ends = obs_timeline.events(kind=obs_timeline.CONTACT_END)
-            assert len(begins) == len(ends) == 1
-            assert begins[0].subject == "A"
-            assert begins[0].t_s == 120.0
-            assert begins[0].attrs["site"] == "taipei"
-            assert begins[0].attrs["duration_hint_s"] == pytest.approx(180.0)
-            assert ends[0].t_s == 300.0
-        finally:
-            obs_timeline.reset()
-
-
-class TestTruncatedPasses:
-    def test_open_pass_closes_at_horizon_end(self):
-        # 630 s horizon sampled at 60 s: 10 samples, last at 540 s — the
-        # horizon end (630 s) lies beyond the last sampled instant.
-        grid = TimeGrid(duration_s=630.0, step_s=60.0)
+    def test_narrated_onto_timeline(self, grid, timeline):
         visibility = np.zeros((1, 1, 10), dtype=bool)
-        visibility[0, 0, 7:] = True  # Still visible at the final sample.
-        events = contact_events(visibility, ["site"], ["A"], grid)
-        assert len(events) == 1
-        assert events[0].truncated
-        assert events[0].stop_s == 630.0  # start + duration, not last sample.
+        visibility[0, 0, 2:5] = True
+        narrate_contacts("taipei", _windows(_packed(visibility, grid), 0, [0], ["A"]))
+        begins = timeline.events(kind=timeline.CONTACT_BEGIN)
+        ends = timeline.events(kind=timeline.CONTACT_END)
+        assert len(begins) == len(ends) == 1
+        assert begins[0].subject == "A"
+        assert begins[0].t_s == 120.0
+        assert begins[0].attrs["site"] == "taipei"
+        assert begins[0].attrs["duration_hint_s"] == pytest.approx(180.0)
+        assert ends[0].t_s == 300.0
+
+    def test_either_truncation_flag_marks_the_event(self):
+        windows = (
+            np.array([0.0, 50.0, 90.0]),
+            np.array([10.0, 60.0, 100.0]),
+            np.array([True, False, False]),
+            np.array([False, False, True]),
+        )
+        events = narrate_contacts("s", [("A", windows)])
+        assert [event.truncated for event in events] == [True, False, True]
+
+    def test_event_times_are_plain_floats(self, grid):
+        visibility = np.zeros((1, 1, 10), dtype=bool)
+        visibility[0, 0, 2:5] = True
+        (event,) = narrate_contacts(
+            "s", _windows(_packed(visibility, grid), 0, [0], ["A"])
+        )
+        assert type(event.start_s) is float and type(event.stop_s) is float
+
+
+class TestSampledWindows:
+    """``PackedVisibility.pair_windows``: runs of visible samples."""
 
     def test_interior_pass_is_not_truncated(self, grid):
         visibility = np.zeros((1, 1, 10), dtype=bool)
         visibility[0, 0, 2:5] = True
-        events = contact_events(visibility, ["site"], ["A"], grid)
-        assert len(events) == 1
-        assert not events[0].truncated
+        rises, sets, cut_start, cut_end = _packed(visibility, grid).pair_windows(0, 0)
+        assert (rises.tolist(), sets.tolist()) == ([120.0], [300.0])
+        assert (cut_start.tolist(), cut_end.tolist()) == ([False], [False])
 
-    def test_truncated_duration_counted_to_horizon(self):
+    def test_passes_open_at_the_horizon_edges_are_truncated(self, grid):
+        visibility = np.zeros((1, 1, 10), dtype=bool)
+        visibility[0, 0, :2] = True
+        visibility[0, 0, 7:] = True
+        rises, sets, cut_start, cut_end = _packed(visibility, grid).pair_windows(0, 0)
+        assert (rises.tolist(), sets.tolist()) == ([0.0, 420.0], [120.0, 600.0])
+        assert (cut_start.tolist(), cut_end.tolist()) == (
+            [True, False], [False, True]
+        )
+
+    def test_open_pass_closes_at_the_sampled_horizon(self):
+        # 630 s horizon sampled at 60 s: 10 samples, last at 540 s.  The
+        # sampled horizon ends at 600 s, as the intervals engine's does.
         grid = TimeGrid(duration_s=630.0, step_s=60.0)
         visibility = np.zeros((1, 1, 10), dtype=bool)
         visibility[0, 0, 9:] = True
-        events = contact_events(visibility, ["site"], ["A"], grid)
-        assert events[0].start_s == 540.0
-        assert events[0].duration_s == pytest.approx(90.0)
+        rises, sets, _, cut_end = _packed(visibility, grid).pair_windows(0, 0)
+        assert (rises.tolist(), sets.tolist(), cut_end.tolist()) == (
+            [540.0], [600.0], [True]
+        )
 
+    def test_invisible_pair_has_no_windows(self, grid):
+        windows = _packed(np.zeros((2, 2, 10), dtype=bool), grid).pair_windows(1, 1)
+        assert [array.size for array in windows] == [0, 0, 0, 0]
 
-def _engine_events(constellation, sites, grid):
-    """Contact windows extracted from the visibility engine's tensor."""
-    from repro.sim.visibility import VisibilityEngine
+    def test_grid_start_offsets_the_windows(self):
+        grid = TimeGrid(start_s=1000.0, duration_s=600.0, step_s=60.0)
+        visibility = np.zeros((1, 1, 10), dtype=bool)
+        visibility[0, 0, 2:5] = True
+        rises, sets, _, _ = _packed(visibility, grid).pair_windows(0, 0)
+        assert (rises.tolist(), sets.tolist()) == ([1120.0], [1300.0])
 
-    visibility = VisibilityEngine(grid).visibility(constellation, sites)
-    return contact_events(
-        visibility,
-        [site.name for site in sites],
-        [satellite.sat_id for satellite in constellation],
-        grid,
-    )
+    def test_selects_the_pair(self, grid):
+        visibility = np.zeros((2, 2, 10), dtype=bool)
+        visibility[1, 0, 3:4] = True
+        store = _packed(visibility, grid)
+        assert store.pair_windows(1, 0)[0].tolist() == [180.0]
+        assert store.pair_windows(0, 0)[0].size == 0
+        assert store.pair_windows(1, 1)[0].size == 0
+
+    def test_out_of_range_indices_raise(self, grid):
+        store = _packed(np.zeros((1, 2, 10), dtype=bool), grid)
+        with pytest.raises(IndexError):
+            store.pair_windows(1, 0)
+        with pytest.raises(IndexError):
+            store.pair_windows(0, 2)
 
 
 class TestEndToEnd:
-    def test_no_events_on_invisible_site(self, small_walker):
-        """A site no satellite ever sees yields no contacts."""
+    def test_no_windows_at_an_invisible_site(self, small_walker):
+        """A site no satellite ever sees has no contacts."""
         from repro.ground.sites import GroundSite
 
         grid = TimeGrid.hours(1.0, step_s=60.0)
@@ -118,9 +171,15 @@ class TestEndToEnd:
             name="north-pole", latitude_deg=89.9, longitude_deg=0.0,
             min_elevation_deg=85.0,
         )
-        assert _engine_events(small_walker, [unreachable], grid) == []
+        store = packed_visibility(small_walker, [unreachable], grid)
+        windows = _windows(
+            store, 0, range(len(small_walker)),
+            [satellite.sat_id for satellite in small_walker],
+        )
+        assert narrate_contacts(unreachable.name, windows) == []
 
-    def test_paper_quote_few_minutes_per_day(self):
+    @pytest.mark.parametrize("engine", ["grid", "intervals"])
+    def test_paper_quote_few_minutes_per_day(self, engine):
         """§2: 'a single satellite can only offer few (less than ten)
         minutes of coverage per day to a given region.'"""
         satellite = Satellite(
@@ -130,22 +189,24 @@ class TestEndToEnd:
             ),
         )
         grid = TimeGrid.one_week(step_s=60.0)
-        events = _engine_events(
-            Constellation([satellite]), [TAIPEI.terminal()], grid
-        )
+        build = packed_visibility if engine == "grid" else find_contact_intervals
+        store = build(Constellation([satellite]), [TAIPEI.terminal()], grid)
+        rises, sets, _, _ = store.pair_windows(0, 0)
         days = grid.duration_s / 86_400.0
-        minutes = sum(event.duration_s for event in events) / 60.0 / days
-        assert 0.0 <= minutes < 10.0
+        minutes = float((sets - rises).sum()) / 60.0 / days
+        assert 0.0 < minutes < 10.0
 
-    def test_events_match_engine(self, small_walker):
-        grid = TimeGrid.hours(3.0, step_s=60.0)
-        events = _engine_events(small_walker, [TAIPEI.terminal()], grid)
-        # Total contact time equals the per-satellite activity sum.
+    def test_window_time_matches_the_visible_samples(self, small_walker):
         from repro.sim.visibility import VisibilityEngine
 
-        visibility = VisibilityEngine(grid).visibility(
-            small_walker, [TAIPEI.terminal()]
+        grid = TimeGrid.hours(3.0, step_s=60.0)
+        sites = [TAIPEI.terminal()]
+        store = packed_visibility(small_walker, sites, grid)
+        total_s = sum(
+            float((sets - rises).sum())
+            for rises, sets, _, _ in (
+                store.pair_windows(0, sat) for sat in range(len(small_walker))
+            )
         )
-        expected_s = visibility.sum() * grid.step_s
-        total_s = sum(event.duration_s for event in events)
-        assert total_s == pytest.approx(expected_s)
+        visibility = VisibilityEngine(grid).visibility(small_walker, sites)
+        assert total_s == visibility.sum() * grid.step_s

@@ -25,6 +25,7 @@ from repro.orbits.elements import OrbitalElements
 from repro.orbits.propagator import BatchPropagator, ScreenStepper
 from repro.sim import intervals, kernels, visibility
 from repro.sim.clock import TimeGrid
+from repro.sim.kernels.subsets import SubsetQuery
 from repro.sim.visibility import VisibilityEngine, packed_visibility
 
 
@@ -195,7 +196,7 @@ class TestPackedBitsEqualPackbits:
 
     def test_fleet_scoped_subset_build(self, mixed_pool):
         fleet = np.array([3, 17, 24, 30, 47])
-        query = kernels.subsets.SubsetQuery.build(
+        query = SubsetQuery.build(
             BatchPropagator(mixed_pool),
             kernels.SiteGeometry(SITES, GRID),
             GRID,

@@ -155,3 +155,66 @@ class TestPolicies:
                 visibility, grid, policy=policy
             ).run()
             assert 0.0 <= result.fairness_index() <= 1.0 + 1e-12
+
+
+class TestHandComputedAllocations:
+    """Every number below is worked by hand from the decision rules.
+
+    One station, two satellites, four 10-second steps: sat 0 visible at
+    steps 0-2, sat 1 at steps 2-3.  Generation 1 Mbps, downlink 2 Mbps.
+    """
+
+    GRID = TimeGrid(duration_s=40.0, step_s=10.0)
+
+    def _run(self, policy):
+        visibility = np.array([[[1, 1, 1, 0], [0, 0, 1, 1]]], dtype=bool)
+        return DownlinkScheduler(
+            visibility, self.GRID, downlink_rate_mbps=2.0,
+            generation_rate_mbps=1.0, policy=policy,
+        ).run()
+
+    def test_max_backlog(self):
+        result = self._run(SchedulingPolicy.MAX_BACKLOG)
+        # t=0: only sat0 visible, drain 10.  t=10: same.  t=20: both
+        # visible, sat1's backlog (30) beats sat0's (10) -> sat1 drains
+        # the rate cap 20.  t=30: only sat1, drains 20.
+        assert result.assignment.tolist() == [[0, 0, 1, 1]]
+        assert result.downlinked_megabits.tolist() == [20.0, 40.0]
+        assert result.remaining_backlog_megabits.tolist() == [20.0, 0.0]
+
+    def test_first_visible(self):
+        result = self._run(SchedulingPolicy.FIRST_VISIBLE)
+        # t=20: candidates [0, 1] -> lowest index wins (sat0), so sat1
+        # only ever drains at t=30.
+        assert result.assignment.tolist() == [[0, 0, 0, 1]]
+        assert result.downlinked_megabits.tolist() == [30.0, 20.0]
+        assert result.remaining_backlog_megabits.tolist() == [10.0, 20.0]
+
+    def test_round_robin(self):
+        result = self._run(SchedulingPolicy.ROUND_ROBIN)
+        # Cursor advances past sat0 after t=0; at t=20 the rotation picks
+        # sat1 even though sat0 is also a candidate.
+        assert result.assignment.tolist() == [[0, 0, 1, 1]]
+        assert result.downlinked_megabits.tolist() == [20.0, 40.0]
+        assert result.remaining_backlog_megabits.tolist() == [20.0, 0.0]
+
+    def test_conservation(self):
+        for policy in SchedulingPolicy:
+            result = self._run(policy)
+            np.testing.assert_allclose(
+                result.generated_megabits,
+                result.downlinked_megabits + result.remaining_backlog_megabits,
+            )
+
+    def test_station_busy_fraction(self):
+        result = self._run(SchedulingPolicy.MAX_BACKLOG)
+        assert result.station_busy_fraction.tolist() == [1.0]
+
+    def test_compare_policies_runs_every_policy(self):
+        visibility = np.array([[[1, 1, 1, 0], [0, 0, 1, 1]]], dtype=bool)
+        outcomes = compare_policies(
+            visibility, self.GRID, downlink_rate_mbps=2.0, generation_rate_mbps=1.0
+        )
+        assert set(outcomes) == set(SchedulingPolicy)
+        for policy, result in outcomes.items():
+            assert np.array_equal(result.assignment, self._run(policy).assignment)

@@ -11,6 +11,8 @@ from repro.orbits.frames import eci_to_ecef, gmst_rad
 from repro.orbits.propagator import BatchPropagator
 from repro.orbits.topocentric import elevation_deg
 from repro.sim.clock import TimeGrid
+from repro.sim.coverage import gap_lengths_s
+from repro.sim.intervals import IntervalSet
 from repro.sim.kernels import SiteGeometry
 from repro.sim.kernels.subsets import SubsetQuery
 from repro.sim.visibility import (
@@ -215,6 +217,52 @@ class TestPackedVisibility:
     def test_rejects_short_packing(self, short_grid):
         with pytest.raises(ValueError, match="too short"):
             PackedVisibility(np.zeros((1, 1, 2), dtype=np.uint8), 100, short_grid)
+
+
+class TestPackedSiteUnion:
+    """``site_union`` is the sampled mask as an interval set."""
+
+    #: 86 samples of 1000 s: the step does not divide the day, so the
+    #: sampled horizon (86 000 s) ends before the grid's duration.
+    GRID = TimeGrid(duration_s=86_400.0, step_s=1000.0)
+
+    @pytest.fixture
+    def store(self, small_walker, taipei_terminal):
+        return packed_visibility(small_walker, [taipei_terminal], self.GRID)
+
+    def test_coverage_and_gaps_equal_the_mask_bit_for_bit(self, store):
+        rng = np.random.default_rng(5)
+        partial = 0
+        for _ in range(60):
+            size = int(rng.integers(1, store.n_satellites + 1))
+            subset = rng.choice(store.n_satellites, size=size, replace=False)
+            mask = store.site_mask(0, subset)
+            union = store.site_union(0, subset)
+            assert 1.0 - union.coverage_fraction == 1.0 - mask.mean()
+            assert np.array_equal(
+                union.gap_lengths_s(), gap_lengths_s(mask, self.GRID.step_s)
+            )
+            assert np.array_equal(union.sample(self.GRID.times_s), mask)
+            partial += 0 < mask.sum() < mask.size
+        assert partial > 0
+
+    def test_horizon_is_the_sampled_one(self, store):
+        union = store.site_union(0)
+        assert (union.start_s, union.end_s) == (0.0, 86_000.0)
+
+    def test_empty_subset_is_one_gap(self, store):
+        union = store.site_union(0, np.array([], dtype=int))
+        assert union.count == 0
+        assert union.gap_lengths_s().tolist() == [86_000.0]
+
+    def test_union_and_gaps_are_normalized(self, store):
+        """Both skip the constructor's normalization; re-normalizing them
+        changes nothing."""
+        for interval_set in (store.site_union(0), store.site_union(0).complement()):
+            assert interval_set == IntervalSet(
+                interval_set.starts, interval_set.stops,
+                interval_set.start_s, interval_set.end_s,
+            )
 
 
 class TestOrPopcount:
@@ -574,6 +622,10 @@ BAD_INDEX_CALLS = {
     "satellite_active_fractions.site": lambda v, bad: v.satellite_active_fractions(
         [5], [0, bad]
     ),
+    "site_union.sat": lambda v, bad: v.site_union(0, [1, bad]),
+    "site_union.site": lambda v, bad: v.site_union(bad),
+    "pair_windows.sat": lambda v, bad: v.pair_windows(0, bad),
+    "pair_windows.site": lambda v, bad: v.pair_windows(bad, 0),
     "satellite_masks.sat": lambda v, bad: v.satellite_masks([3, bad], [0]),
     "satellite_masks.site": lambda v, bad: v.satellite_masks(None, [bad]),
     "withdrawal_coverage.sat": lambda v, bad: v.withdrawal_coverage([2, bad], 1),

@@ -210,6 +210,28 @@ class TestIntervalOracle:
             "pair_resample" in m for m in check.details["mismatches"]
         )
 
+    def test_fails_on_drifted_satellite_activity(self, monkeypatch):
+        """Activity fractions off by more than the edge budget must trip
+        the check of the reduction Fig. 3 reads (teeth)."""
+        from repro.sim.intervals import ContactIntervals
+
+        original = ContactIntervals.satellite_active_fractions
+
+        def drifted(self, *args, **kwargs):
+            return original(self, *args, **kwargs) + 0.5
+
+        monkeypatch.setattr(
+            ContactIntervals, "satellite_active_fractions", drifted
+        )
+        check = oracles.check_interval_agreement(
+            seed=7, n_satellites=8, n_sites=3,
+            duration_s=10_800.0, step_s=120.0,
+        )
+        assert not check.ok
+        assert any(
+            "satellite_active" in m for m in check.details["mismatches"]
+        )
+
     def test_vacuous_comparison_fails(self, monkeypatch):
         """Zero contacts (e.g. a broken scan) must fail, not pass."""
         from repro.ground.sites import GroundSite
