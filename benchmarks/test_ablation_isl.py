@@ -7,8 +7,6 @@ with a deliberately sparse ground segment (two stations), with and without
 ISL forwarding.
 """
 
-import numpy as np
-
 from repro.analysis.reporting import Table
 from repro.constellation.sampling import sample_constellation
 from repro.experiments.common import starlink_pool

@@ -10,9 +10,6 @@ The paper's argument predicts gap-filling >= random >> clustered on
 population-weighted coverage.
 """
 
-import numpy as np
-
-
 from repro.analysis.reporting import Table
 from repro.core.placement import (
     PlacementScorer,

@@ -9,8 +9,6 @@ objects, nearest-neighbor distances, and shell densities.  The economics
 side prices both alternatives per party.
 """
 
-import numpy as np
-
 from repro.analysis.reporting import Table
 from repro.constellation.congestion import (
     conjunction_analysis,

@@ -8,7 +8,7 @@ sites against the full synthetic Starlink pool over one simulated week —
 and gates a >= 4x peak-allocation drop for the streaming path.
 
 Both legs run at the *same* chunk size so the comparison isolates
-materialize-then-reduce vs fused streaming (not chunk-size tuning), and
+materialize-then-reduce vs fused streaming (not chunk tuning), and
 the results are asserted bit-identical, same as everywhere else.
 
 A second gate bounds the peak RSS of the cold packed pool build — the

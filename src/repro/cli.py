@@ -16,11 +16,8 @@ report with span timings, counters, and the exact configuration + seed.
 ``--trace-out`` additionally writes a Chrome trace-event file of the run's
 spans and simulation timeline, loadable in Perfetto (https://ui.perfetto.dev).
 
-``--live-status`` streams periodic progress lines (per-scenario ETA) to
-stderr while the experiment runs, fed by the telemetry bus
-(:mod:`repro.obs.bus`).  ``--metrics-format openmetrics`` switches
-``--metrics-out`` from the JSON run report to the OpenMetrics text
-exposition (:mod:`repro.obs.expose`).
+``--log-level INFO`` also shows the runner's progress: one line per sweep
+point with the runs done and an ETA (see :mod:`repro.runner.monte_carlo`).
 
 Beyond the figures there are two utility subcommands::
 
@@ -45,7 +42,7 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.reporting import Series, Table
-from repro.constants import WEEK_S
+from repro.constants import DAY_S, WEEK_S
 from repro.experiments.common import ExperimentConfig
 from repro.obs import configure_logging, get_logger, write_run_report
 from repro.obs.trace import profile, span, track_memory
@@ -56,12 +53,9 @@ _LOG = get_logger(__name__)
 OBSERVABILITY_FLAGS = (
     ("--log-level", "diagnostic verbosity (DEBUG..CRITICAL; also REPRO_LOG env)"),
     ("--metrics-out", "write a JSON run report (spans, counters, config, seed)"),
-    ("--metrics-format", "run-report format: json (default) or openmetrics"),
-    ("--live-status", "stream live progress lines (per-scenario ETA) to stderr"),
     ("--profile", "dump cProfile stats for the run to a .pstats file"),
     ("--trace-out", "write a Chrome trace-event JSON (open in Perfetto)"),
     ("--track-memory", "sample tracemalloc peaks per span (adds overhead)"),
-    ("--timeline-cap", "simulation-timeline ring capacity (also REPRO_TIMELINE_CAP)"),
 )
 
 
@@ -83,12 +77,28 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _horizon(duration_s: float, per: bool = False) -> str:
+    """The experiment horizon in words: ``1 week``, ``2 days``, ``1.5 hours``.
+
+    ``per`` drops a count of one, for column units such as ``h/week``.
+    """
+    for unit, seconds in (("week", WEEK_S), ("day", DAY_S)):
+        count = duration_s / seconds
+        if count >= 1.0 and count == int(count):
+            break
+    else:
+        unit, count = "hour", duration_s / 3600.0
+    if count == 1.0:
+        return unit if per else f"1 {unit}"
+    return f"{count:g} {unit}s"
+
+
 def _run_fig2(config: ExperimentConfig) -> None:
     from repro.experiments.fig2_coverage_vs_size import DEFAULT_SIZES, run_fig2
 
     result = run_fig2(config, sizes=DEFAULT_SIZES)
     table = Table(
-        "Fig. 2: % time without coverage at Taipei (1 week)",
+        f"Fig. 2: % time without coverage at Taipei ({_horizon(config.duration_s)})",
         ["satellites", "uncovered %", "mean max gap (h)"],
         precision=2,
     )
@@ -106,7 +116,7 @@ def _run_fig3(config: ExperimentConfig) -> None:
 
     result = run_fig3(config)
     series = Series(
-        "Fig. 3: satellite idle time vs cities served (1 week)",
+        f"Fig. 3: satellite idle time vs cities served ({_horizon(config.duration_s)})",
         "cities",
         "mean idle %",
         precision=2,
@@ -163,7 +173,7 @@ def _run_fig5(config: ExperimentConfig) -> None:
     result = run_fig5(config, sizes=DEFAULT_SIZES)
     table = Table(
         "Fig. 5: coverage loss when half the satellites withdraw",
-        ["L", "loss %", "lost time (h/week)"],
+        ["L", "loss %", f"lost time (h/{_horizon(config.duration_s, per=True)})"],
         precision=2,
     )
     for point in result.points:
@@ -177,7 +187,10 @@ def _run_fig6(config: ExperimentConfig) -> None:
     result = run_fig6(config, skews=DEFAULT_SKEWS)
     table = Table(
         "Fig. 6: coverage loss when the largest of 11 parties exits",
-        ["skew", "largest party sats", "loss %", "lost (h/week)"],
+        [
+            "skew", "largest party sats", "loss %",
+            f"lost (h/{_horizon(config.duration_s, per=True)})",
+        ],
         precision=2,
     )
     for point in result.points:
@@ -260,7 +273,7 @@ def _int_at_least(text: str, minimum: int) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (``--runs``, ``--chunk-size``)."""
+    """argparse type for ``--runs``: at least one run per point."""
     return _int_at_least(text, 1)
 
 
@@ -288,18 +301,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="experiment horizon in seconds (default: one week)",
     )
     parser.add_argument(
-        "--chunk-size", type=_positive_int, default=None, metavar="SAMPLES",
-        help="time samples per streaming visibility slab (default: sized "
-        "to the population, 64-2048; 64 for the full pool); peak build "
-        "memory scales with it, results do not — streaming is "
-        "chunk-invariant bit for bit",
-    )
-    parser.add_argument(
         "--engine", default="grid", choices=("grid", "intervals"),
         help="contact engine: 'grid' reduces the packed visibility tensor; "
         "'intervals' reduces analytic (rise, set) windows refined by "
-        "root-finding (default: grid); an execution knob like --chunk-size — "
-        "both engines sample identical satellite subsets",
+        "root-finding (default: grid); an execution knob — both engines "
+        "sample identical satellite subsets",
     )
     parser.add_argument(
         "--log-level", default=None, metavar="LEVEL", type=str.upper,
@@ -310,22 +316,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="write a JSON run report (spans, counters, config, seed) to FILE",
-    )
-    parser.add_argument(
-        "--metrics-format", default="json", choices=("json", "openmetrics"),
-        help="--metrics-out format: the JSON run report (default) or an "
-        "OpenMetrics text exposition of the metrics registry",
-    )
-    parser.add_argument(
-        "--live-status", action="store_true",
-        help="stream periodic progress lines (per-scenario ETA) to stderr "
-        "while the experiment runs",
-    )
-    parser.add_argument(
-        "--timeline-cap", type=_positive_int, default=None, metavar="EVENTS",
-        help="simulation-timeline ring capacity (default: 65536, or the "
-        "REPRO_TIMELINE_CAP env var); raise it when the run report warns "
-        "about dropped timeline events",
     )
     parser.add_argument(
         "--profile", default=None, metavar="FILE",
@@ -452,11 +442,12 @@ def _run_list() -> int:
     print()
     print(
         "common flags (every experiment): "
-        "--runs --step --seed --duration --chunk-size --engine"
+        "--runs --step --seed --duration --engine"
     )
     print("observability flags:")
+    width = max(len(flag) for flag, _ in OBSERVABILITY_FLAGS) + 2
     for flag, description in OBSERVABILITY_FLAGS:
-        print(f"  {flag:14s}{description}")
+        print(f"  {flag:{width}s}{description}")
     print()
     print(
         "utility subcommands: obs diff A.json B.json (compare two run "
@@ -510,30 +501,14 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         config = _config_from_args(args)
     except ValueError as error:
         parser.error(str(error))
-    if getattr(args, "chunk_size", None):
-        # An execution knob, not part of ExperimentConfig: streaming is
-        # chunk-invariant, so it must not enter cache keys or the golden
-        # config contract.
-        from repro.experiments.common import default_context
-
-        default_context().chunk_size = args.chunk_size
-    if getattr(args, "engine", "grid") != "grid":
-        # Same contract as --chunk-size: the engine switch changes how
-        # contacts are computed, never which samples are drawn, so it stays
-        # out of ExperimentConfig and the golden config contract.
+    if args.engine != "grid":
+        # An execution knob, not part of ExperimentConfig: the engine
+        # switch changes how contacts are computed, never which samples
+        # are drawn, so it stays out of cache keys and the golden config
+        # contract.
         from repro.experiments.common import default_context
 
         default_context().engine = args.engine
-    if getattr(args, "timeline_cap", None):
-        from repro.obs import timeline as obs_timeline
-
-        obs_timeline.resize(args.timeline_cap)
-    live_bus = None
-    if getattr(args, "live_status", False):
-        from repro.obs.bus import default_bus
-
-        live_bus = default_bus()
-        live_bus.enable_live()
     for path in (args.metrics_out, args.profile, args.trace_out):
         parent = os.path.dirname(os.path.abspath(path)) if path else None
         if parent:
@@ -541,40 +516,27 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     _LOG.info("running %s with %s", args.command, config)
 
     with track_memory(args.track_memory):
-        try:
-            with profile(args.profile):
-                if args.command == "all":
-                    for name, runner in EXPERIMENTS.items():
-                        print(f"\n### {name} ###")
-                        with span(f"experiment.{name}"):
-                            runner(config)
-                else:
-                    with span(f"experiment.{args.command}"):
-                        EXPERIMENTS[args.command](config)
-        finally:
-            if live_bus is not None:
-                live_bus.disable_live()
+        with profile(args.profile):
+            if args.command == "all":
+                for name, runner in EXPERIMENTS.items():
+                    print(f"\n### {name} ###")
+                    with span(f"experiment.{name}"):
+                        runner(config)
+            else:
+                with span(f"experiment.{args.command}"):
+                    EXPERIMENTS[args.command](config)
 
         if args.metrics_out:
-            if args.metrics_format == "openmetrics":
-                from repro.obs.expose import write_openmetrics
-
-                text = write_openmetrics(args.metrics_out)
-                _LOG.info(
-                    "openmetrics exposition written to %s (%d lines)",
-                    args.metrics_out, text.count("\n"),
-                )
-            else:
-                report = write_run_report(
-                    args.metrics_out, command=args.command, config=config
-                )
-                _LOG.info(
-                    "run report written to %s (%d spans, %d counters, "
-                    "%d timeline events)",
-                    args.metrics_out, len(report["spans"]),
-                    len(report["metrics"]["counters"]),
-                    len(report["timeline"]["events"]),
-                )
+            report = write_run_report(
+                args.metrics_out, command=args.command, config=config
+            )
+            _LOG.info(
+                "run report written to %s (%d spans, %d counters, "
+                "%d timeline events)",
+                args.metrics_out, len(report["spans"]),
+                len(report["metrics"]["counters"]),
+                len(report["timeline"]["events"]),
+            )
     if args.trace_out:
         from repro.obs.export import write_chrome_trace
 

@@ -146,31 +146,16 @@ class ExperimentContext:
     Not thread-safe: experiments drive a context from one thread at a time.
 
     Args:
-        chunk_size: Streaming chunk (time samples per slab) for the builds
-            owned by this context.  None lets every build — the grid
-            engine's pool tensor and the interval scans — pick
-            :func:`repro.sim.kernels.default_chunk_size`
-            (64 samples for the full pool).  An execution knob: results
-            are chunk-invariant, only peak memory changes (the CLI's
-            ``--chunk-size`` sets it on the default context).
         engine: Which contact store :meth:`store` returns, and so what
             every scenario kernel reduces over: ``"grid"`` (the packed
             dense tensor, default) or ``"intervals"`` (analytic rise/set
-            windows).  A context-level execution knob like
-            ``chunk_size`` — never part of :class:`ExperimentConfig`,
-            never in cache keys, set by the CLI's ``--engine``.  The
-            engines agree within one coarse-scan step per contact edge
-            (``oracle.intervals`` quantifies it).
+            windows).  A context-level execution knob — never part of
+            :class:`ExperimentConfig`, never in cache keys, set by the
+            CLI's ``--engine``.  The engines agree within one coarse-scan
+            step per contact edge (``oracle.intervals`` quantifies it).
     """
 
-    def __init__(
-        self,
-        chunk_size: Optional[int] = None,
-        engine: str = ENGINE_GRID,
-    ) -> None:
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
+    def __init__(self, engine: str = ENGINE_GRID) -> None:
         self.engine = engine
         self._checked_engine()
         self._pools: Dict[int, Constellation] = {}
@@ -307,10 +292,7 @@ class ExperimentContext:
             else packed_visibility
         )
         with span(span_name):
-            cache[key] = build(
-                propagator, sites, grid,
-                geometry=geometry, chunk_size=self.chunk_size,
-            )
+            cache[key] = build(propagator, sites, grid, geometry=geometry)
         elapsed = time.perf_counter() - start
         build_seconds.observe(elapsed)
         last_build.set(elapsed)

@@ -1,6 +1,6 @@
 """repro.obs — the observability layer: logging, metrics, traces, timeline.
 
-Nine stdlib-only pieces, threaded through every package of the simulator:
+Seven stdlib-only pieces, threaded through every package of the simulator:
 
 * :mod:`repro.obs.log` — run-scoped structured logging under the
   ``repro.*`` hierarchy (``--log-level`` / ``REPRO_LOG``).
@@ -16,23 +16,11 @@ Nine stdlib-only pieces, threaded through every package of the simulator:
   (``--trace-out``): spans + timeline as Perfetto-loadable tracks.
 * :mod:`repro.obs.report` — the JSON run-report writer (``--metrics-out``)
   serializing spans, metrics, timeline, memory, config, and seed.
-* :mod:`repro.obs.bus` — the live telemetry bus (``--live-status``):
-  streaming scenario/run frames and ETA rendering.
-* :mod:`repro.obs.expose` — OpenMetrics text exposition of the metrics
-  registry (``--metrics-format openmetrics``).
 * :mod:`repro.obs.diff` — the one comparison tool
   (``python -m repro obs diff A.json B.json``): two run reports, or two
   ``coldbench/`` ``result.json`` records.
 """
 
-from repro.obs.bus import (
-    DEFAULT_BUS,
-    BusRecorder,
-    Frame,
-    LiveStatus,
-    TelemetryBus,
-    default_bus,
-)
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import (
     REGISTRY,
@@ -75,10 +63,4 @@ __all__ = [
     "load_run_report",
     "validate_run_report",
     "write_run_report",
-    "TelemetryBus",
-    "DEFAULT_BUS",
-    "default_bus",
-    "Frame",
-    "BusRecorder",
-    "LiveStatus",
 ]

@@ -149,8 +149,6 @@ def diff_reports(
     counters_b = report_b.get("metrics", {}).get("counters", {})
     timeline_a = report_a.get("timeline", {})
     timeline_b = report_b.get("timeline", {})
-    bus_a = report_a.get("bus", {})
-    bus_b = report_b.get("bus", {})
     ratios_a = derived_ratios(report_a)
     ratios_b = derived_ratios(report_b)
     return {
@@ -169,13 +167,6 @@ def diff_reports(
                 float(timeline_b.get(key, 0) or 0),
             )
             for key in ("total_emitted", "dropped", "capacity")
-        ],
-        "bus": [
-            DiffRow(
-                "bus.frames_total",
-                float(bus_a.get("frames_total", 0) or 0),
-                float(bus_b.get("frames_total", 0) or 0),
-            ),
         ],
     }
 
@@ -242,7 +233,6 @@ def render_diff(diff: Dict[str, Any]) -> str:
     )
     _render_rows("derived ratios:", diff["ratios"], lines)
     _render_rows("timeline:", diff["timeline"], lines)
-    _render_rows("bus:", diff["bus"], lines)
     return "\n".join(lines)
 
 

@@ -15,15 +15,16 @@ pin the current top-level key set.  Schema history:
 * **1** — spans, span_stats, dropped_spans, metrics, config, seed, meta.
 * **2** — adds ``timeline`` (events + ring drop accounting), ``memory``
   (tracemalloc peaks), and per-span ``mem_peak_kb`` inside ``spans``.
-* **3** — adds ``bus`` (telemetry-bus accounting: frame counts by kind,
-  scenarios observed).  Reports from before the process pool was removed
-  also carry ``bus.workers`` and ``bus.failed_workers``; they still load.
-  ``meta.cpus`` and ``meta.peak_rss_mib`` were added later, as additive
-  keys; older schema-3 reports lack them.
+* **3** — adds ``bus`` (accounting of a live telemetry bus: frame counts
+  by kind, scenarios observed).  ``meta.cpus`` and ``meta.peak_rss_mib``
+  were added later, as additive keys; older schema-3 reports lack them.
+* **4** — drops ``bus``: the bus is gone, and run progress is a log line
+  (see :mod:`repro.runner.monte_carlo`).
 
 :func:`load_run_report` reads any supported version, upgrading older files
-to the schema-3 shape in memory (empty timeline/memory/bus sections,
-original version preserved under ``schema_original``).
+to the schema-4 shape in memory (empty timeline/memory sections for
+schema 1, any ``bus`` section dropped, original version preserved under
+``schema_original``).
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ import time
 import tracemalloc
 from typing import Any, Dict, Optional
 
-from repro.obs import bus as _bus
 from repro.obs import metrics as _metrics
 from repro.obs import timeline as _timeline
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 
 #: Bumped when the report layout changes incompatibly.
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 #: Schema versions :func:`upgrade_report` knows how to read.
-SUPPORTED_SCHEMAS = (1, 2, REPORT_SCHEMA_VERSION)
+SUPPORTED_SCHEMAS = (1, 2, 3, REPORT_SCHEMA_VERSION)
 
 #: Top-level keys every (current-schema) report carries.
 REPORT_KEYS = frozenset(
@@ -62,7 +62,6 @@ REPORT_KEYS = frozenset(
         "timeline",
         "memory",
         "metrics",
-        "bus",
         "meta",
     }
 )
@@ -167,7 +166,6 @@ def collect_run_report(
         "timeline": timeline_snapshot,
         "memory": _memory_section(),
         "metrics": _metrics.snapshot(),
-        "bus": _bus.bus_summary(),
         "meta": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -196,11 +194,11 @@ def write_run_report(
 
 
 def upgrade_report(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalize a loaded report to the schema-3 shape (back-compat reader).
+    """Normalize a loaded report to the schema-4 shape (back-compat reader).
 
     Schema-1 reports gain an empty ``timeline`` and an unsampled ``memory``
-    section; schema-1 and -2 reports gain an empty ``bus`` section.  The
-    original version is preserved under ``schema_original``.
+    section; a schema-3 report's ``bus`` section is dropped.  The original
+    version is preserved under ``schema_original``.
 
     Raises:
         ValueError: On an unrecognized schema version.
@@ -237,8 +235,7 @@ def upgrade_report(report: Dict[str, Any]) -> Dict[str, Any]:
                 "peak_kb": None,
             },
         )
-    # Schema <= 2 predates the telemetry bus entirely.
-    upgraded.setdefault("bus", _bus.empty_bus_summary())
+    upgraded.pop("bus", None)
     return upgraded
 
 
@@ -272,7 +269,3 @@ def validate_run_report(report: Dict[str, Any]) -> None:
     for key in ("counters", "gauges", "histograms"):
         if key not in metrics:
             raise ValueError(f"'metrics' missing {key!r}")
-    bus = report["bus"]
-    for key in ("live", "frames_total", "frames_by_kind"):
-        if key not in bus:
-            raise ValueError(f"'bus' missing {key!r}")

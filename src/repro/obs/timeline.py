@@ -30,7 +30,6 @@ Usage::
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
@@ -38,35 +37,6 @@ from typing import Any, Dict, Iterable, List, Optional
 #: Default ring capacity.  Sized so a full benchmark session keeps the most
 #: recent few Monte-Carlo runs' events while bounding memory (~tens of MB).
 DEFAULT_CAPACITY = 65536
-
-#: Environment override for the default ring capacity (``--timeline-cap``
-#: is the CLI equivalent).  At megaconstellation scale the fixed default
-#: drops events long before the end-of-run warning fires; the knob lets a
-#: long capture size the ring up front.
-CAPACITY_ENV = "REPRO_TIMELINE_CAP"
-
-
-def configured_capacity() -> int:
-    """The ring capacity :data:`CAPACITY_ENV` asks for (default otherwise).
-
-    Raises:
-        ValueError: When the variable is set but not a positive integer —
-            a silently ignored typo would masquerade as the default cap.
-    """
-    raw = os.environ.get(CAPACITY_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CAPACITY_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    if capacity <= 0:
-        raise ValueError(
-            f"{CAPACITY_ENV} must be a positive integer, got {raw!r}"
-        )
-    return capacity
 
 # -- The typed event vocabulary ---------------------------------------------
 
@@ -263,28 +233,6 @@ class Timeline:
                 "counts_by_kind": dict(sorted(self._counts.items())),
             }
 
-    def resize(self, capacity: int) -> None:
-        """Change the ring capacity in place, keeping the newest events.
-
-        Shrinking discards the oldest events past the new cap (counted as
-        ``dropped``, same as ring overwrites); growing never loses anything.
-        Aggregate accounting (``total_emitted``, per-kind counts) is
-        untouched either way.
-        """
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        with self._lock:
-            if capacity == self.capacity:
-                return
-            ordered = self._ordered()
-            kept = ordered[-capacity:]
-            self.dropped += len(ordered) - len(kept)
-            self.capacity = capacity
-            self._ring = [None] * capacity
-            self._ring[: len(kept)] = kept
-            self._size = len(kept)
-            self._cursor = self._size % capacity
-
     def reset(self) -> None:
         """Forget every event and zero the drop accounting."""
         with self._lock:
@@ -300,25 +248,8 @@ class Timeline:
             return self._size
 
 
-def _initial_capacity() -> int:
-    """Import-time capacity: env override, or the default on a bad value.
-
-    Import must not fail on a typo'd environment variable — the CLI
-    re-checks :func:`configured_capacity` and reports the error usably.
-    """
-    try:
-        return configured_capacity()
-    except ValueError as exc:
-        import warnings
-
-        warnings.warn(str(exc), stacklevel=1)
-        return DEFAULT_CAPACITY
-
-
-#: The process-global timeline every instrumented module shares.  Its
-#: capacity honors :data:`CAPACITY_ENV` at import; ``resize()`` (the CLI's
-#: ``--timeline-cap``) adjusts it later.
-TIMELINE = Timeline(_initial_capacity())
+#: The process-global timeline every instrumented module shares.
+TIMELINE = Timeline()
 
 
 def emit(
@@ -352,11 +283,6 @@ def snapshot() -> Dict[str, Any]:
 def reset() -> None:
     """Reset the default timeline (tests and fresh runs)."""
     TIMELINE.reset()
-
-
-def resize(capacity: int) -> None:
-    """Resize the default timeline's ring (see :meth:`Timeline.resize`)."""
-    TIMELINE.resize(capacity)
 
 
 def extend(items: Iterable[TimelineEvent]) -> int:

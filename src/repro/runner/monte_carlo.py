@@ -19,17 +19,13 @@ Results are a pure function of ``(scenario, config)``:
   whether 5 or 500 runs were requested, batched or not;
 * samples are reduced in (point, run) order.
 
-Live telemetry (the bus)
-------------------------
+Progress
+--------
 
-When the telemetry bus has a consumer (the CLI's ``--live-status``, or a
-subscribed :class:`~repro.obs.bus.BusRecorder`; see :mod:`repro.obs.bus`),
-the runner publishes ``scenario.started`` / ``scenario.finished`` around
-each scenario and one ``run.started`` / ``run.finished`` pair per
-repetition, in (point, run) order.  A point's pairs are published after
-its batch returns; each ``run.finished`` carries the point's wall time
-divided by its runs.  An inactive bus costs one attribute check per
-point.
+After each sweep point's batch the runner logs one INFO line on the
+``repro.runner`` logger, e.g. ``fig3: 20/50 runs (40%), eta 0.3s``; the
+ETA extrapolates the scenario's elapsed analysis time over the runs still
+to go.  The CLI shows them with ``--log-level INFO``.
 """
 
 from __future__ import annotations
@@ -42,10 +38,12 @@ from repro.experiments.common import (
     ExperimentContext,
     default_context,
 )
-from repro.obs import bus as obs_bus
 from repro.obs import metrics
+from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.runner.scenario import PointContext, Scenario, run_rng
+
+_LOG = get_logger("runner")
 
 _RUNS_TOTAL = metrics.counter("runner.runs")
 
@@ -62,21 +60,17 @@ class MonteCarloRunner:
         config: The experiment configuration.
         context: Artifact cache to run against (default: the process-default
             context, so CLI/benchmark invocations share one tensor).
-        bus: Telemetry bus to publish progress frames on (default: the
-            process-default bus).
     """
 
     def __init__(
         self,
         config: ExperimentConfig,
         context: Optional[ExperimentContext] = None,
-        bus: Optional[obs_bus.TelemetryBus] = None,
     ) -> None:
         if config.runs < 1:
             raise ValueError(f"runs must be >= 1, got {config.runs}")
         self.config = config
         self.context = context if context is not None else default_context()
-        self.bus = bus if bus is not None else obs_bus.default_bus()
 
     def run(self, scenario: Scenario) -> Any:
         """Execute a scenario end to end; returns ``scenario.finalize(...)``."""
@@ -98,31 +92,27 @@ class MonteCarloRunner:
         points = list(scenario.sweep(self.config, self.context))
         scenario.prepare(self.context, self.config)
         runs = [scenario.runs_for(point, self.config) for point in points]
-        narrate = self.bus.active
-        if narrate:
-            self.bus.publish(
-                obs_bus.SCENARIO_STARTED,
-                scenario=scenario.name,
-                tasks=sum(runs),
-                points=len(points),
-            )
+        total = sum(runs)
+        done = 0
+        samples = []
+        start = time.perf_counter()
         with span(f"analysis.{scenario.name}"):
-            samples = [
-                self._run_point(
-                    scenario, point, point_index, runs[point_index], narrate
+            for point_index, point in enumerate(points):
+                samples.append(
+                    self._run_point(scenario, point, point_index, runs[point_index])
                 )
-                for point_index, point in enumerate(points)
-            ]
-        if narrate:
-            self.bus.publish(obs_bus.SCENARIO_FINISHED, scenario=scenario.name)
+                done += runs[point_index]
+                eta_s = (time.perf_counter() - start) / done * (total - done)
+                _LOG.info(
+                    "%s: %d/%d runs (%.0f%%), eta %.1fs",
+                    scenario.name, done, total, 100.0 * done / total, eta_s,
+                )
         return points, samples
 
     def _run_point(
-        self, scenario: Scenario, point: Any, point_index: int, runs: int,
-        narrate: bool,
+        self, scenario: Scenario, point: Any, point_index: int, runs: int
     ) -> List[Any]:
-        """Every repetition at one point as one batch, with bus progress
-        frames when ``narrate``."""
+        """Every repetition at one point as one batch."""
         ctx = PointContext(
             config=self.config,
             context=self.context,
@@ -130,7 +120,6 @@ class MonteCarloRunner:
             point_index=point_index,
             pool_seed=POOL_SEED,
         )
-        start = time.perf_counter()
         with span(f"runner.point.{scenario.name}"):
             rngs = [
                 run_rng(self.config.seed, scenario.salt, point_index, run_index)
@@ -138,18 +127,6 @@ class MonteCarloRunner:
             ]
             samples = scenario.run_batch(ctx, rngs)
         _RUNS_TOTAL.inc(runs)
-        if narrate:
-            wall_s = (time.perf_counter() - start) / runs
-            for run_index in range(runs):
-                self.bus.publish(
-                    obs_bus.RUN_STARTED,
-                    point_index=point_index, run_index=run_index,
-                )
-                self.bus.publish(
-                    obs_bus.RUN_FINISHED,
-                    point_index=point_index, run_index=run_index,
-                    wall_s=wall_s,
-                )
         return samples
 
 
@@ -157,7 +134,6 @@ def run_scenario(
     scenario: Scenario,
     config: ExperimentConfig,
     context: Optional[ExperimentContext] = None,
-    bus: Optional[obs_bus.TelemetryBus] = None,
 ) -> Any:
     """Convenience one-shot: build a runner and execute ``scenario``."""
-    return MonteCarloRunner(config, context=context, bus=bus).run(scenario)
+    return MonteCarloRunner(config, context=context).run(scenario)

@@ -19,7 +19,7 @@ The invariants are physics the figures silently rely on:
   :func:`repro.validate.oracles.check_propagator_agreement`).
 * ``visibility_split`` — computing visibility over a grid equals
   concatenating the tensors of the grid split at a random sample; also the
-  chunk-size identity (chunking is pure tiling).
+  ``chunk_size`` identity (chunking is pure tiling).
 * ``raan_drift_sign`` — nodal regression for prograde orbits, advance for
   retrograde, batch rates equal to scalar rates.
 * ``kepler_wrap`` — Kepler solutions converge and agree scalar-vs-batch

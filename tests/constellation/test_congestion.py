@@ -1,6 +1,5 @@
 """Tests for orbital congestion analysis."""
 
-import numpy as np
 import pytest
 
 from repro.constellation.congestion import (

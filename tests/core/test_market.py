@@ -7,7 +7,6 @@ from repro.core.market import (
     CongestionPricing,
     DataMarket,
     FlatPricing,
-    Invoice,
 )
 from repro.sim.events import SessionEvent
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.objectives import (
-    ObjectiveComparison,
     global_scorer,
     objective_correlation,
     regional_scorer,

@@ -18,7 +18,7 @@ from repro.obs.diff import (
 
 
 def make_report(
-    schema=3,
+    schema=4,
     command="fig2",
     seed=7,
     span_totals=None,
@@ -54,7 +54,7 @@ def make_report(
             "tracemalloc": False, "sampled_spans": 0, "span_peak_kb": None,
             "current_kb": None, "peak_kb": None,
         }
-    if schema >= 3:
+    if schema == 3:
         report["bus"] = {
             "live": False, "frames_total": 0, "frames_by_kind": {},
             "scenarios": [],
@@ -163,7 +163,6 @@ class TestDiffReports:
         b = make_report(
             span_totals={"analysis.fig2": 2.0},
             counters={"runner.runs": 8.0, "only.in.b": 2.0},
-            bus={"frames_total": 5},
         )
         diff = diff_reports(a, b)
         assert diff["commands"] == ("fig2", "fig2")
@@ -176,28 +175,42 @@ class TestDiffReports:
         assert by_name["runner.runs"].delta == 0.0
         timeline = {row.name: row for row in diff["timeline"]}
         assert timeline["timeline.total_emitted"].a == 10.0
-        bus = {row.name: row for row in diff["bus"]}
-        assert bus["bus.frames_total"].b == 5.0
+        assert set(diff) == {
+            "commands", "seeds", "spans", "counters", "ratios", "timeline",
+        }
 
     def test_worker_era_bus_section_still_diffs(self):
-        """Reports from before the process pool was removed carry worker
-        accounting in their bus section; they still diff against new ones."""
-        old = make_report(bus={
+        """Schema-3 reports from before the process pool was removed carry
+        worker accounting in their bus section; they still diff against
+        new ones, and the section is dropped."""
+        old = make_report(schema=3, bus={
             "frames_total": 7, "workers": {"worker-1": {"frames": 7}},
             "failed_workers": [],
         })
-        diff = diff_reports(old, make_report(bus={"frames_total": 3}))
-        assert [row.name for row in diff["bus"]] == ["bus.frames_total"]
-        assert diff["bus"][0].delta == -4.0
+        diff = diff_reports(old, make_report(counters={"runner.runs": 8.0}))
+        assert "bus" not in diff
+        [runs] = diff["counters"]
+        assert (runs.a, runs.b) == (None, 8.0)
+
+    @pytest.mark.parametrize("schema_b", [1, 2, 3, 4])
+    @pytest.mark.parametrize("schema_a", [1, 2, 3, 4])
+    def test_every_pair_of_supported_schemas_diffs(self, schema_a, schema_b):
+        a = make_report(schema=schema_a, counters={"runner.runs": 4.0})
+        b = make_report(schema=schema_b, counters={"runner.runs": 8.0})
+        diff = diff_reports(a, b)
+        assert "bus" not in diff
+        [runs] = diff["counters"]
+        assert runs.ratio == pytest.approx(2.0)
+        assert "bus" not in render_diff(diff)
 
     def test_upgrades_older_schemas_first(self):
-        """A schema-1 baseline diffs cleanly against a schema-3 run."""
+        """A schema-1 baseline diffs cleanly against a schema-4 run."""
         a = make_report(schema=1)
-        b = make_report(schema=3, bus={"frames_total": 3})
+        b = make_report(timeline={"total_emitted": 3})
         diff = diff_reports(a, b)
-        bus = {row.name: row for row in diff["bus"]}
-        assert bus["bus.frames_total"].a == 0.0
-        assert bus["bus.frames_total"].b == 3.0
+        timeline = {row.name: row for row in diff["timeline"]}
+        assert timeline["timeline.total_emitted"].a == 0.0
+        assert timeline["timeline.total_emitted"].b == 3.0
 
 
 class TestRender:
@@ -492,9 +505,9 @@ class TestLoadDocument:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(make_report(schema=1)))
         document = load_document(str(path))
-        assert document["schema"] == 3
+        assert document["schema"] == 4
         assert document["schema_original"] == 1
-        assert document["bus"]["frames_total"] == 0
+        assert "bus" not in document
         assert document["timeline"]["dropped"] == 0
 
     @pytest.mark.parametrize("result_first", [True, False], ids=["A", "B"])

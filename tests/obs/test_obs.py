@@ -335,7 +335,7 @@ class TestRunReport:
         assert loaded == written
         assert set(loaded) == {
             "schema", "command", "config", "seed", "spans", "span_stats",
-            "dropped_spans", "timeline", "memory", "metrics", "bus", "meta",
+            "dropped_spans", "timeline", "memory", "metrics", "meta",
         }
         assert loaded["schema"] == REPORT_SCHEMA_VERSION
         assert loaded["command"] == "fig2"

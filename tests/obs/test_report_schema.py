@@ -1,18 +1,18 @@
-"""Schema-3 run-report round-trip and back-compat upgrades (schemas 1, 2).
+"""Schema-4 run-report round-trip and back-compat upgrades (schemas 1-3).
 
-Complements tests/obs/test_obs.py's report tests with the ISSUE-6 surface:
-the ``bus`` section, and ``load_run_report`` upgrades from committed
-schema-1 and schema-2 fixtures.
+Complements tests/obs/test_obs.py's report tests: ``load_run_report``
+upgrades schema-1, -2 and -3 fixtures, and a schema-3 ``bus`` section is
+dropped on load.
 """
 
-import io
 import json
 import os
 
 import pytest
 
-from repro.obs.bus import SCENARIO_STARTED, default_bus
+from repro.obs.diff import diff_reports, load_document, render_diff
 from repro.obs.report import (
+    REPORT_KEYS,
     REPORT_SCHEMA_VERSION,
     SUPPORTED_SCHEMAS,
     collect_run_report,
@@ -56,29 +56,32 @@ def schema2_fixture():
     return fixture
 
 
-class TestSchema3RoundTrip:
+def schema3_fixture():
+    """A schema-3 report as the CLI wrote it, ``bus`` section included."""
+    fixture = schema2_fixture()
+    fixture["schema"] = 3
+    fixture["bus"] = {
+        "live": True,
+        "frames_total": 26,
+        "frames_by_kind": {"run.finished": 12, "run.started": 12,
+                           "scenario.finished": 1, "scenario.started": 1},
+        "scenarios": ["fig2"],
+    }
+    fixture["meta"].update({"cpus": 2, "peak_rss_mib": 71.0})
+    return fixture
+
+
+class TestSchema4RoundTrip:
     def test_write_load_validate(self, tmp_path):
         path = tmp_path / "run.json"
         written = write_run_report(str(path), command="fig2")
         loaded = load_run_report(str(path))
         assert loaded == written
-        assert loaded["schema"] == REPORT_SCHEMA_VERSION == 3
+        assert loaded["schema"] == REPORT_SCHEMA_VERSION == 4
         validate_run_report(loaded)
 
-    def test_bus_section_reflects_default_bus(self):
-        bus = default_bus()
-        bus.reset()
-        try:
-            bus.enable_live(stream=io.StringIO())
-            bus.publish(SCENARIO_STARTED, scenario="fig2", tasks=4)
-            bus.disable_live()
-            report = collect_run_report(command="fig2")
-        finally:
-            bus.reset()
-        assert report["bus"]["live"] is True  # sticky past disable_live()
-        assert report["bus"]["frames_total"] == 1
-        assert report["bus"]["frames_by_kind"] == {SCENARIO_STARTED: 1}
-        assert report["bus"]["scenarios"] == ["fig2"]
+    def test_report_has_no_bus_section(self):
+        assert "bus" not in collect_run_report(command="fig2")
 
     def test_meta_records_host_cpus_and_peak_rss(self):
         first = collect_run_report(command="fig2")["meta"]
@@ -89,15 +92,22 @@ class TestSchema3RoundTrip:
         assert 10.0 < first["peak_rss_mib"] < 65_536.0
         assert first["peak_rss_mib"] <= second["peak_rss_mib"]
 
-    def test_validate_rejects_gutted_bus_section(self):
+    @pytest.mark.parametrize("key", sorted(REPORT_KEYS))
+    def test_every_pinned_key_is_required(self, key):
+        report = collect_run_report(command="fig2")
+        del report[key]
+        with pytest.raises(ValueError, match=f"missing keys: \\['{key}'\\]"):
+            validate_run_report(report)
+
+    def test_validate_rejects_an_older_schema(self):
         report = collect_run_report()
-        report["bus"] = {"live": False}
-        with pytest.raises(ValueError, match="'bus' missing"):
+        report["schema"] = 3
+        with pytest.raises(ValueError, match="schema 3 != 4"):
             validate_run_report(report)
 
 
 class TestUpgrades:
-    def test_schema1_gains_timeline_memory_and_bus(self, tmp_path):
+    def test_schema1_gains_timeline_and_memory(self, tmp_path):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(schema1_fixture()))
         loaded = load_run_report(str(path))
@@ -105,11 +115,10 @@ class TestUpgrades:
         assert loaded["schema_original"] == 1
         assert loaded["timeline"]["events"] == []
         assert loaded["memory"]["tracemalloc"] is False
-        assert loaded["bus"]["live"] is False
-        assert loaded["bus"]["frames_total"] == 0
+        assert "bus" not in loaded
         validate_run_report(loaded)
 
-    def test_schema2_keeps_timeline_gains_bus(self, tmp_path):
+    def test_schema2_keeps_its_timeline(self, tmp_path):
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(schema2_fixture()))
         loaded = load_run_report(str(path))
@@ -117,8 +126,35 @@ class TestUpgrades:
         assert loaded["schema_original"] == 2
         # The schema-2 timeline is preserved verbatim, not blanked.
         assert loaded["timeline"]["events"][0]["subject"] == "acme"
-        assert loaded["bus"]["frames_by_kind"] == {}
+        assert "bus" not in loaded
         validate_run_report(loaded)
+
+    def test_schema3_drops_its_bus_section(self, tmp_path):
+        path = tmp_path / "v3.json"
+        path.write_text(json.dumps(schema3_fixture()))
+        loaded = load_run_report(str(path))
+        assert loaded["schema"] == REPORT_SCHEMA_VERSION
+        assert loaded["schema_original"] == 3
+        assert "bus" not in loaded
+        assert loaded["meta"]["peak_rss_mib"] == 71.0
+        validate_run_report(loaded)
+
+    @pytest.mark.parametrize(
+        "fixture", [schema1_fixture, schema2_fixture, schema3_fixture],
+        ids=["schema1", "schema2", "schema3"],
+    )
+    def test_every_older_schema_upgrades_to_a_valid_report(self, fixture):
+        original = fixture()
+        upgraded = upgrade_report(original)
+        assert upgraded["schema_original"] == original["schema"]
+        assert set(upgraded) == REPORT_KEYS | {"schema_original"}
+        validate_run_report(upgraded)
+
+    def test_upgrade_leaves_the_loaded_dict_alone(self):
+        fixture = schema3_fixture()
+        upgrade_report(fixture)
+        assert fixture["schema"] == 3
+        assert "bus" in fixture
 
     def test_current_schema_passes_through_untouched(self):
         report = collect_run_report()
@@ -126,8 +162,39 @@ class TestUpgrades:
         assert "schema_original" not in report
 
     def test_supported_schemas_pinned(self):
-        assert SUPPORTED_SCHEMAS == (1, 2, 3)
+        assert SUPPORTED_SCHEMAS == (1, 2, 3, 4)
 
     def test_unsupported_schema_rejected(self):
         with pytest.raises(ValueError, match="unsupported run-report schema"):
-            upgrade_report({"schema": 4})
+            upgrade_report({"schema": 5})
+
+
+class TestDiffAcrossSchemas:
+    def test_schema3_report_with_bus_diffs_against_schema4(self, tmp_path):
+        """An old report's bus section neither breaks loading nor shows up
+        as a diff row."""
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(schema3_fixture()))
+        new = tmp_path / "v4.json"
+        write_run_report(str(new), command="fig2", config={"seed": 3})
+        diff = diff_reports(load_document(str(old)), load_document(str(new)))
+        assert "bus" not in diff
+        text = render_diff(diff)
+        assert text.startswith("run diff: fig2 vs fig2")
+        assert "bus" not in text
+        assert "timeline:" in text
+
+    def test_obs_diff_cli_takes_a_schema3_and_a_schema4_report(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(schema3_fixture()))
+        new = tmp_path / "v4.json"
+        write_run_report(str(new), command="fig2", config={"seed": 3})
+        assert main(["obs", "diff", str(old), str(new)]) == 0
+        assert main(["obs", "diff", str(new), str(old)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("run diff: fig2 vs fig2") == 2
+        assert "bus" not in out

@@ -110,94 +110,48 @@ class TestQueries:
         assert record == {"t_s": 1.0, "kind": "handover", "subject": "t"}
 
 
-class TestResize:
-    def test_grow_keeps_everything(self):
+class TestCapacity:
+    def test_default_timeline_holds_the_default_capacity(self):
+        assert obs_timeline.DEFAULT_CAPACITY == 65536
+        assert obs_timeline.TIMELINE.capacity == obs_timeline.DEFAULT_CAPACITY
+        assert Timeline().capacity == obs_timeline.DEFAULT_CAPACITY
+
+    def test_reset_keeps_the_capacity(self):
         timeline = Timeline(capacity=3)
+        for index in range(5):
+            timeline.emit(obs_timeline.HANDOVER, float(index), "t")
+        timeline.reset()
+        assert timeline.capacity == 3
         for index in range(3):
             timeline.emit(obs_timeline.HANDOVER, float(index), "t")
-        timeline.resize(8)
-        assert timeline.capacity == 8
-        assert [event.t_s for event in timeline.events()] == [0.0, 1.0, 2.0]
-        assert timeline.dropped == 0
-        # The grown ring accepts new events past the old cap.
-        for index in range(3, 8):
-            timeline.emit(obs_timeline.HANDOVER, float(index), "t")
-        assert len(timeline) == 8
+        assert len(timeline) == 3
         assert timeline.dropped == 0
 
-    def test_shrink_keeps_newest_counts_discards(self):
-        timeline = Timeline(capacity=8)
-        for index in range(6):
-            timeline.emit(obs_timeline.HANDOVER, float(index), "t")
-        timeline.resize(2)
-        assert timeline.capacity == 2
-        assert [event.t_s for event in timeline.events()] == [4.0, 5.0]
-        assert timeline.dropped == 4
-        assert timeline.total_emitted == 6  # aggregates untouched
-
-    def test_shrink_of_wrapped_ring(self):
+    def test_ring_wraps_more_than_once(self):
         timeline = Timeline(capacity=3)
-        for index in range(5):  # ring wrapped, oldest = 2.0
+        for index in range(10):
             timeline.emit(obs_timeline.HANDOVER, float(index), "t")
-        timeline.resize(2)
-        assert [event.t_s for event in timeline.events()] == [3.0, 4.0]
-        assert timeline.dropped == 2 + 1  # ring overwrites + resize discard
+        assert [event.t_s for event in timeline.events()] == [7.0, 8.0, 9.0]
+        assert timeline.dropped == 7
+        assert timeline.total_emitted == 10
 
-    def test_resize_to_same_capacity_is_noop(self):
-        timeline = Timeline(capacity=4)
-        timeline.emit(obs_timeline.HANDOVER, 0.0, "t")
-        timeline.resize(4)
-        assert len(timeline) == 1
-        assert timeline.dropped == 0
+    def test_snapshot_of_a_wrapped_ring(self):
+        timeline = Timeline(capacity=2)
+        for index in range(5):
+            timeline.emit(obs_timeline.GAP_OPEN, float(index), "site")
+        snapshot = timeline.snapshot()
+        assert snapshot["capacity"] == 2
+        assert snapshot["dropped"] == 3
+        assert snapshot["total_emitted"] == 5
+        assert [event["t_s"] for event in snapshot["events"]] == [3.0, 4.0]
 
-    def test_resized_ring_wraps_correctly(self):
-        timeline = Timeline(capacity=8)
-        for index in range(4):
-            timeline.emit(obs_timeline.HANDOVER, float(index), "t")
-        timeline.resize(3)
-        for index in range(4, 6):
-            timeline.emit(obs_timeline.HANDOVER, float(index), "t")
-        assert [event.t_s for event in timeline.events()] == [3.0, 4.0, 5.0]
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            Timeline(capacity=4).resize(0)
-
-    def test_module_level_resize(self):
-        obs_timeline.reset()
-        original = obs_timeline.TIMELINE.capacity
-        try:
-            obs_timeline.resize(5)
-            assert obs_timeline.TIMELINE.capacity == 5
-        finally:
-            obs_timeline.resize(original)
-            obs_timeline.reset()
-
-
-class TestConfiguredCapacity:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(obs_timeline.CAPACITY_ENV, raising=False)
-        assert obs_timeline.configured_capacity() == obs_timeline.DEFAULT_CAPACITY
-
-    def test_blank_value_means_default(self, monkeypatch):
-        monkeypatch.setenv(obs_timeline.CAPACITY_ENV, "  ")
-        assert obs_timeline.configured_capacity() == obs_timeline.DEFAULT_CAPACITY
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(obs_timeline.CAPACITY_ENV, "1024")
-        assert obs_timeline.configured_capacity() == 1024
-
-    @pytest.mark.parametrize("raw", ["zero", "1.5", "0", "-3"])
-    def test_bad_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(obs_timeline.CAPACITY_ENV, raw)
-        with pytest.raises(ValueError, match="positive integer"):
-            obs_timeline.configured_capacity()
-
-    def test_initial_capacity_survives_bad_env(self, monkeypatch):
-        """Import-time sizing warns and falls back instead of crashing."""
-        monkeypatch.setenv(obs_timeline.CAPACITY_ENV, "garbage")
-        with pytest.warns(UserWarning, match="positive integer"):
-            assert obs_timeline._initial_capacity() == obs_timeline.DEFAULT_CAPACITY
+    def test_filters_see_only_surviving_events(self):
+        timeline = Timeline(capacity=2)
+        timeline.emit(obs_timeline.GAP_OPEN, 0.0, "site")
+        timeline.emit(obs_timeline.HANDOVER, 1.0, "t")
+        timeline.emit(obs_timeline.HANDOVER, 2.0, "t")
+        assert timeline.events(kind=obs_timeline.GAP_OPEN) == []
+        assert timeline.counts_by_kind()["gap.open"] == 1
 
 
 class TestGlobalHelpers:

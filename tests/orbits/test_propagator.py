@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.constants import EARTH_RADIUS_M, MU_EARTH
+from repro.constants import MU_EARTH
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.propagator import BatchPropagator, J2Propagator, j2_secular_rates
 

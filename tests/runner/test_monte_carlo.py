@@ -1,7 +1,8 @@
 """Tests for the MonteCarloRunner: determinism, ordering, telemetry."""
 
+import logging
+import re
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 import pytest
@@ -161,6 +162,60 @@ class TestTelemetry:
         assert counter.value - before == 3 * CONFIG.runs
 
 
+@pytest.fixture
+def repro_records(caplog):
+    """caplog over the ``repro`` hierarchy: ``configure_logging`` stops its
+    records from reaching the root logger, where caplog listens."""
+    repro_logger = logging.getLogger("repro")
+    original = repro_logger.propagate
+    repro_logger.propagate = True
+    try:
+        yield caplog
+    finally:
+        repro_logger.propagate = original
+
+
+def _progress(caplog):
+    return [
+        record for record in caplog.records if record.name == "repro.runner"
+    ]
+
+
+class TestProgress:
+    def test_one_info_line_per_sweep_point(self, repro_records):
+        with repro_records.at_level(logging.INFO, logger="repro"):
+            MonteCarloRunner(CONFIG, context=ExperimentContext()).collect(
+                ToyScenario()
+            )
+        records = _progress(repro_records)
+        assert [record.levelno for record in records] == [logging.INFO] * 3
+        messages = [record.getMessage() for record in records]
+        assert [message.split(", eta ")[0] for message in messages] == [
+            "toy: 4/12 runs (33%)",
+            "toy: 8/12 runs (67%)",
+            "toy: 12/12 runs (100%)",
+        ]
+        assert all(re.search(r", eta \d+\.\ds$", m) for m in messages)
+        assert messages[-1].endswith(", eta 0.0s")
+
+    def test_counts_follow_runs_for(self, repro_records):
+        """A deterministic point counts its one run, not ``config.runs``."""
+        with repro_records.at_level(logging.INFO, logger="repro"):
+            MonteCarloRunner(CONFIG, context=ExperimentContext()).collect(
+                DeterministicScenario()
+            )
+        assert [r.getMessage() for r in _progress(repro_records)] == [
+            "toy_det: 1/1 runs (100%), eta 0.0s"
+        ]
+
+    def test_silent_at_the_default_warning_level(self, repro_records):
+        with repro_records.at_level(logging.WARNING, logger="repro"):
+            MonteCarloRunner(CONFIG, context=ExperimentContext()).collect(
+                ToyScenario()
+            )
+        assert _progress(repro_records) == []
+
+
 class TestValidation:
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError, match="runs"):
@@ -176,6 +231,17 @@ class TestValidation:
 
         with pytest.raises(ValueError, match="bad sweep"):
             MonteCarloRunner(CONFIG, context=ExperimentContext()).collect(Bad())
+
+    def test_kernel_exception_propagates(self):
+        @dataclass
+        class Exploding(ToyScenario):
+            def run_one(self, ctx, run_index):
+                raise RuntimeError("kernel exploded")
+
+        with pytest.raises(RuntimeError, match="kernel exploded"):
+            MonteCarloRunner(CONFIG, context=ExperimentContext()).collect(
+                Exploding()
+            )
 
 
 class TestFig2SeedRegression:

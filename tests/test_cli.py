@@ -1,13 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import EXPERIMENTS, OBSERVABILITY_FLAGS, build_parser, main
+from repro.cli import EXPERIMENTS, OBSERVABILITY_FLAGS, _horizon, build_parser, main
 from repro.obs.export import SIM_PID, SPAN_PID, validate_chrome_trace
 
 
@@ -23,6 +25,37 @@ EXPERIMENT_TITLES = {
     "fig6": "Fig. 6: coverage loss when the largest of 11 parties exits",
     "sharing": "Sec. 2 claim: the MP-LEO sharing upside",
 }
+
+
+def _one_day(title):
+    """A default-horizon title as a ``--duration 86400`` run prints it."""
+    return title.replace("(1 week)", "(1 day)")
+
+
+def _listed_flags(capsys):
+    """Every ``--flag`` the ``list`` text promises on the experiments (the
+    utility-subcommand line names other parsers' flags)."""
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    experiment_lines = [
+        line for line in lines if not line.startswith("utility subcommands:")
+    ]
+    return set(re.findall(r"--[a-z][a-z-]*", "\n".join(experiment_lines)))
+
+
+def _parsed_flags(name):
+    """The option strings of one experiment subparser, minus -h/--help."""
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for action in subparsers.choices[name]._actions
+        for option in action.option_strings
+    }
+    return options - {"-h", "--help"}
+
 
 class TestParser:
     def test_list_command(self):
@@ -47,12 +80,11 @@ class TestParser:
         assert args.step == 600.0
         assert args.seed == 1
 
-    @pytest.mark.parametrize("flag", ["--chunk-size", "--runs"])
     @pytest.mark.parametrize("bad", ["0", "-1", "two"])
-    def test_positive_int_flags_rejected_at_parse_time(self, flag, bad, capsys):
-        """Bad --runs/--chunk-size values must exit 2, never traceback."""
+    def test_bad_runs_rejected_at_parse_time(self, bad, capsys):
+        """Bad --runs values must exit 2, never traceback."""
         with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["fig2", flag, bad])
+            build_parser().parse_args(["fig2", "--runs", bad])
         assert exc_info.value.code == 2
         assert "python -m repro list" in capsys.readouterr().err
 
@@ -88,7 +120,7 @@ class TestParser:
 
     def test_engine_flag_reaches_default_context(self, monkeypatch):
         """--engine intervals flips the context knob before the experiment
-        runs, mirroring --chunk-size (never entering ExperimentConfig)."""
+        runs (never entering ExperimentConfig)."""
         from repro import cli
         from repro.experiments import common
         from repro.experiments.common import ExperimentContext
@@ -102,36 +134,6 @@ class TestParser:
         )
         assert main(["fig2", "--engine", "intervals"]) == 0
         assert seen["engine"] == "intervals"
-
-    def test_live_telemetry_flags_parse(self):
-        args = build_parser().parse_args(
-            [
-                "fig2", "--live-status", "--metrics-format", "openmetrics",
-                "--timeline-cap", "4096",
-            ]
-        )
-        assert args.live_status is True
-        assert args.metrics_format == "openmetrics"
-        assert args.timeline_cap == 4096
-
-    def test_live_telemetry_flags_default_off(self):
-        args = build_parser().parse_args(["fig2"])
-        assert args.live_status is False
-        assert args.metrics_format == "json"
-        assert args.timeline_cap is None
-
-    def test_metrics_format_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(
-                ["fig2", "--metrics-format", "prometheus-protobuf"]
-            )
-        assert exc_info.value.code == 2
-
-    @pytest.mark.parametrize("bad", ["0", "-8", "many"])
-    def test_timeline_cap_rejects_non_positive(self, bad, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["fig2", "--timeline-cap", bad])
-        assert exc_info.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -199,15 +201,33 @@ class TestParser:
 
     @pytest.mark.parametrize("name", list(EXPERIMENTS) + ["all"])
     def test_every_experiment_help_lists_the_shared_flags(self, name, capsys):
-        """``list`` promises the common and observability flags on every
-        experiment; each subcommand's help must carry them all."""
+        """``list`` promises its flags on every experiment; each
+        subcommand's help must carry them all."""
+        listed = _listed_flags(capsys)
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args([name, "--help"])
         assert exc_info.value.code == 0
         out = capsys.readouterr().out
-        common = ["--runs", "--step", "--seed", "--duration", "--chunk-size", "--engine"]
-        for flag in common + [flag for flag, _ in OBSERVABILITY_FLAGS]:
+        for flag in listed:
             assert flag in out, flag
+
+    @pytest.mark.parametrize(
+        "duration_s, label, per",
+        [
+            (604_800.0, "1 week", "week"),
+            (1_209_600.0, "2 weeks", "2 weeks"),
+            (86_400.0, "1 day", "day"),
+            (172_800.0, "2 days", "2 days"),
+            (691_200.0, "8 days", "8 days"),
+            (129_600.0, "36 hours", "36 hours"),
+            (3_600.0, "1 hour", "hour"),
+            (5_400.0, "1.5 hours", "1.5 hours"),
+        ],
+    )
+    def test_horizon_labels(self, duration_s, label, per):
+        """The largest whole unit names the horizon; hours otherwise."""
+        assert _horizon(duration_s) == label
+        assert _horizon(duration_s, per=True) == per
 
     def test_version_flag(self, capsys):
         from repro import __version__
@@ -225,14 +245,25 @@ class TestMain:
         names = out.split("\n\n")[0].split()
         assert set(names) == set(EXPERIMENTS)
 
-    def test_list_mentions_observability_flags(self, capsys):
+    @pytest.mark.parametrize("name", list(EXPERIMENTS) + ["all"])
+    def test_every_listed_flag_is_parsed(self, name, capsys):
+        """A flag deleted from the parser cannot stay in the ``list`` text."""
+        assert _listed_flags(capsys) <= _parsed_flags(name)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS) + ["all"])
+    def test_every_parsed_flag_is_listed(self, name, capsys):
+        """A flag added to the parser must be announced by ``list``."""
+        assert _parsed_flags(name) <= _listed_flags(capsys)
+
+    def test_list_describes_every_observability_flag(self, capsys):
+        """One line per flag: the flag, at least two spaces, its text."""
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for flag in (
-            "--log-level", "--metrics-out", "--profile", "--duration",
-            "--chunk-size", "--engine",
-        ):
-            assert flag in out
+        lines = capsys.readouterr().out.splitlines()
+        for flag, description in OBSERVABILITY_FLAGS:
+            assert any(
+                re.fullmatch(rf"  {flag} {{2,}}{re.escape(description)}", line)
+                for line in lines
+            ), flag
 
     def test_list_names_utility_subcommands(self, capsys):
         assert main(["list"]) == 0
@@ -272,7 +303,7 @@ class TestMain:
         ) == 0
         captured = capsys.readouterr()
         titles = [line for line in captured.out.splitlines() if line.startswith("== ")]
-        assert titles == [f"== {EXPERIMENT_TITLES[name]} =="]
+        assert titles == [f"== {_one_day(EXPERIMENT_TITLES[name])} =="]
         assert "Traceback" not in captured.err
 
     def test_all_runs_every_experiment_in_order(self, capsys):
@@ -281,7 +312,7 @@ class TestMain:
         headers = [line for line in out.splitlines() if line.startswith("### ")]
         assert headers == [f"### {name} ###" for name in EXPERIMENTS]
         for title in EXPERIMENT_TITLES.values():
-            assert f"== {title} ==" in out
+            assert f"== {_one_day(title)} ==" in out
 
     def test_fig1a_reports_the_orbit_it_names(self, capsys):
         """A 546 km circular orbit has a ~95.6 min period and a 53 deg
@@ -334,6 +365,28 @@ class TestMain:
         ) == 0
         assert "best offset" in capsys.readouterr().out
 
+    def test_all_logs_each_scenario_to_completion(self, capsys):
+        """Every runner-driven figure ends on a 100% progress line, in
+        order; fig1a has no Monte-Carlo runner."""
+        assert main(
+            ["all", "--runs", "1", "--step", "3600", "--duration", "86400",
+             "--log-level", "INFO"]
+        ) == 0
+        err = capsys.readouterr().err
+        finished = re.findall(r"repro\.runner :: (\w+): (\d+)/\2 runs \(100%\)", err)
+        assert [name for name, _ in finished] == [
+            name for name in EXPERIMENTS if name != "fig1a"
+        ]
+
+    def test_run_report_timeline_has_the_fixed_capacity(self, capsys, tmp_path):
+        from repro.obs.timeline import DEFAULT_CAPACITY
+
+        path = tmp_path / "run.json"
+        assert main(
+            ["fig4c", "--runs", "1", "--step", "600", "--metrics-out", str(path)]
+        ) == 0
+        assert json.loads(path.read_text())["timeline"]["capacity"] == DEFAULT_CAPACITY
+
     def test_tables_stay_on_stdout_with_logging_enabled(self, capsys):
         assert main(
             ["fig4c", "--runs", "1", "--step", "600", "--log-level", "INFO"]
@@ -359,59 +412,55 @@ class TestMain:
         assert trace.exists()
         assert pstats.exists()
 
-    def test_openmetrics_exposition_parses(self, capsys, tmp_path):
-        """--metrics-format openmetrics writes a valid text exposition."""
-        from repro.obs.expose import parse_openmetrics
+    def test_metrics_out_report_is_schema_4_without_bus(self, capsys, tmp_path):
+        from repro.obs.report import validate_run_report
 
-        path = tmp_path / "metrics.om"
+        path = tmp_path / "run.json"
         assert main(
-            [
-                "fig4c", "--runs", "1", "--step", "600",
-                "--metrics-out", str(path), "--metrics-format", "openmetrics",
-            ]
+            ["fig4c", "--runs", "1", "--step", "600", "--metrics-out", str(path)]
         ) == 0
-        text = path.read_text()
-        families = parse_openmetrics(text)
-        assert text.endswith("# EOF\n")
-        assert any(name.startswith("sim_") for name in families)
-
-    def test_live_status_lands_in_run_report_bus_section(
-        self, capsys, tmp_path
-    ):
-        """--live-status keeps bus.live truthful in the report (sticky flag)."""
-        from repro.obs.bus import default_bus
-
-        path = tmp_path / "run.json"
-        try:
-            assert main(
-                [
-                    "fig4c", "--runs", "1", "--step", "600",
-                    "--live-status", "--metrics-out", str(path),
-                ]
-            ) == 0
-        finally:
-            default_bus().reset()
         report = json.loads(path.read_text())
-        assert report["schema"] == 3
-        assert report["bus"]["live"] is True
-        assert report["bus"]["frames_total"] > 0
+        assert report["schema"] == 4
+        assert "bus" not in report
+        validate_run_report(report)
 
-    def test_timeline_cap_flows_into_report(self, capsys, tmp_path):
-        from repro.obs import timeline as obs_timeline
+    def test_info_logging_shows_runner_progress_on_stderr(self, capsys):
+        """Progress is a log line per sweep point: stderr only, while stdout
+        holds nothing but the table."""
+        assert main(
+            ["fig4c", "--runs", "2", "--step", "600", "--log-level", "INFO"]
+        ) == 0
+        captured = capsys.readouterr()
+        progress = [
+            line for line in captured.err.splitlines() if "repro.runner ::" in line
+        ]
+        assert progress
+        assert re.search(r"fig4c: (\d+)/\1 runs \(100%\), eta 0\.0s$", progress[-1])
+        assert "runs (" not in captured.out
+        assert captured.out.lstrip().startswith("== Fig. 4c")
 
-        original = obs_timeline.TIMELINE.capacity
-        path = tmp_path / "run.json"
-        try:
-            assert main(
-                [
-                    "fig4c", "--runs", "1", "--step", "600",
-                    "--timeline-cap", "4096", "--metrics-out", str(path),
-                ]
-            ) == 0
-            report = json.loads(path.read_text())
-            assert report["timeline"]["capacity"] == 4096
-        finally:
-            obs_timeline.resize(original)
+    @pytest.mark.parametrize(
+        "name, default_label, one_day_label",
+        [
+            ("fig2", "(1 week)", "(1 day)"),
+            ("fig3", "(1 week)", "(1 day)"),
+            ("fig5", "lost time (h/week)", "lost time (h/day)"),
+            ("fig6", "lost (h/week)", "lost (h/day)"),
+        ],
+    )
+    def test_tables_name_the_horizon_they_ran(
+        self, name, default_label, one_day_label, capsys
+    ):
+        """Titles and hours-per-horizon columns follow --duration; the
+        default one-week horizon keeps its labels."""
+        assert main([name, "--runs", "1", "--step", "3600"]) == 0
+        assert default_label in capsys.readouterr().out
+        assert main(
+            [name, "--runs", "1", "--step", "3600", "--duration", "86400"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert one_day_label in out
+        assert "week" not in out
 
     def test_obs_diff_cli_round_trip(self, capsys, tmp_path):
         path = tmp_path / "run.json"

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    Constellation,
     MultiPartyConstellation,
     Party,
     Satellite,
@@ -25,7 +24,7 @@ from repro.core.robustness import largest_party_withdrawal
 from repro.core.sharing import exchange_matrix, reciprocity_scores
 from repro.ground.cities import CITIES, TAIPEI
 from repro.ground.gsaas import GroundStationPool
-from repro.ground.sites import GroundStation, UserTerminal
+from repro.ground.sites import UserTerminal
 from repro.sim.engine import BentPipeSimulator
 
 

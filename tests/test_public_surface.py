@@ -48,7 +48,6 @@ ALLOWED = {
     "reciprocity_scores": "tests/test_integration.py asserts sharing reciprocity with it",
     # Hooks for callers outside the figure paths.
     "clear_caches": "drops the process-default context's caches between tests",
-    "BusRecorder": "the documented way to capture a bus transcript",
     "replay_trial": "named by every fuzz report's replay hint",
     "validate_validation_report": "schema check for 'validate --report' files",
 }

@@ -1,4 +1,5 @@
-"""Every import in ``src/repro`` binds a name its module reads.
+"""Every import in ``src/repro``, ``tests``, ``benchmarks`` and
+``examples`` binds a name its module reads.
 
 An unused import still loads (and on a cold start compiles) its module,
 and it misleads a reader about what the module depends on.  A binding is
@@ -22,6 +23,9 @@ import repro
 
 SOURCE = pathlib.Path(repro.__file__).parent
 REPO = SOURCE.parent.parent
+
+#: Every tree the guard scans.
+ROOTS = (SOURCE, REPO / "tests", REPO / "benchmarks", REPO / "examples")
 
 
 def _quoted_names(node):
@@ -91,13 +95,23 @@ def unused_imports(source_root=SOURCE):
         lines = text.splitlines()
         for lineno, bound in _bindings(tree, lines):
             if bound not in read:
-                found.append(f"{path.relative_to(source_root.parent.parent)}:{lineno}: {bound}")
+                found.append(f"{path.relative_to(source_root.parent)}:{lineno}: {bound}")
     return found
 
 
-def test_every_import_is_read():
-    unused = unused_imports()
+ROOT_IDS = [root.relative_to(REPO).as_posix() for root in ROOTS]
+
+
+@pytest.mark.parametrize("root", ROOTS, ids=ROOT_IDS)
+def test_every_import_is_read(root):
+    unused = unused_imports(root)
     assert unused == [], "unused imports (delete them):\n" + "\n".join(unused)
+
+
+@pytest.mark.parametrize("root", ROOTS, ids=ROOT_IDS)
+def test_every_root_holds_modules(root):
+    """A moved or renamed tree must not leave the guard scanning nothing."""
+    assert len(list(root.rglob("*.py"))) > 1
 
 
 @pytest.mark.parametrize(
