@@ -49,16 +49,6 @@ from repro.obs.trace import profile, span, track_memory
 
 _LOG = get_logger(__name__)
 
-#: Observability flags shared by every subcommand, shown by ``list``.
-OBSERVABILITY_FLAGS = (
-    ("--log-level", "diagnostic verbosity (DEBUG..CRITICAL; also REPRO_LOG env)"),
-    ("--metrics-out", "write a JSON run report (spans, counters, config, seed)"),
-    ("--profile", "dump cProfile stats for the run to a .pstats file"),
-    ("--trace-out", "write a Chrome trace-event JSON (open in Perfetto)"),
-    ("--track-memory", "sample tracemalloc peaks per span (adds overhead)"),
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The experiment config the flags describe.
 
@@ -440,14 +430,12 @@ def _run_list() -> int:
     for name in EXPERIMENTS:
         print(name)
     print()
-    print(
-        "common flags (every experiment): "
-        "--runs --step --seed --duration --engine"
-    )
-    print("observability flags:")
-    width = max(len(flag) for flag, _ in OBSERVABILITY_FLAGS) + 2
-    for flag, description in OBSERVABILITY_FLAGS:
-        print(f"  {flag:{width}s}{description}")
+    print("flags (every experiment):")
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_common_arguments(flags)
+    width = max(len(action.option_strings[0]) for action in flags._actions) + 2
+    for action in flags._actions:
+        print(f"  {action.option_strings[0]:{width}s}{action.help}")
     print()
     print(
         "utility subcommands: obs diff A.json B.json (compare two run "

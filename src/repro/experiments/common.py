@@ -14,10 +14,10 @@ module-level helpers (:func:`starlink_pool`, :func:`pool_visibility`,
 :func:`clear_caches`) delegate to one process-default context so existing
 call sites keep working.
 
-Cache traffic and build time are accounted through :mod:`repro.obs`
-(counters ``experiments.visibility_cache.*``, ``experiments.interval_cache.*``
-and ``experiments.pool_cache.*``; spans ``visibility.build`` and
-``intervals.build``).
+Cache traffic is counted through :mod:`repro.obs` (counters
+``experiments.visibility_cache.*``, ``experiments.interval_cache.*`` and
+``experiments.pool_cache.*``); each store build is timed once, by its span
+(``visibility.build`` or ``intervals.build``), and logged at INFO.
 """
 
 from __future__ import annotations
@@ -55,33 +55,22 @@ _POOL_EVICTIONS = metrics.counter("experiments.pool_cache.evictions")
 _VIS_HITS = metrics.counter("experiments.visibility_cache.hits")
 _VIS_MISSES = metrics.counter("experiments.visibility_cache.misses")
 _VIS_EVICTIONS = metrics.counter("experiments.visibility_cache.evictions")
-_VIS_BUILD_SECONDS = metrics.histogram("experiments.visibility_cache.build_seconds")
-_VIS_LAST_BUILD = metrics.gauge("experiments.visibility_cache.last_build_s")
 _GEO_HITS = metrics.counter("experiments.geometry_cache.hits")
 _GEO_MISSES = metrics.counter("experiments.geometry_cache.misses")
 _GEO_EVICTIONS = metrics.counter("experiments.geometry_cache.evictions")
 _INT_HITS = metrics.counter("experiments.interval_cache.hits")
 _INT_MISSES = metrics.counter("experiments.interval_cache.misses")
 _INT_EVICTIONS = metrics.counter("experiments.interval_cache.evictions")
-_INT_BUILD_SECONDS = metrics.histogram("experiments.interval_cache.build_seconds")
-_INT_LAST_BUILD = metrics.gauge("experiments.interval_cache.last_build_s")
 
 #: Contact-evaluation engines a context can run experiments on.
 ENGINE_GRID = "grid"
 ENGINE_INTERVALS = "intervals"
 ENGINES = (ENGINE_GRID, ENGINE_INTERVALS)
 
-#: Per engine: the store cache's hit and miss counters, build-time metrics
-#: and build span.
+#: Per engine: the store cache's hit and miss counters and build span.
 _STORE_METRICS = {
-    ENGINE_GRID: (
-        _VIS_HITS, _VIS_MISSES, _VIS_BUILD_SECONDS, _VIS_LAST_BUILD,
-        "visibility.build",
-    ),
-    ENGINE_INTERVALS: (
-        _INT_HITS, _INT_MISSES, _INT_BUILD_SECONDS, _INT_LAST_BUILD,
-        "intervals.build",
-    ),
+    ENGINE_GRID: (_VIS_HITS, _VIS_MISSES, "visibility.build"),
+    ENGINE_INTERVALS: (_INT_HITS, _INT_MISSES, "intervals.build"),
 }
 
 
@@ -272,7 +261,7 @@ class ExperimentContext:
     def _cached_store(self, engine: str, config: ExperimentConfig, pool_seed: int):
         key = visibility_cache_key(config, pool_seed)
         cache = self._stores[engine]
-        hits, misses, build_seconds, last_build, span_name = _STORE_METRICS[engine]
+        hits, misses, span_name = _STORE_METRICS[engine]
         if key in cache:
             hits.inc()
             return cache[key]
@@ -293,10 +282,9 @@ class ExperimentContext:
         )
         with span(span_name):
             cache[key] = build(propagator, sites, grid, geometry=geometry)
-        elapsed = time.perf_counter() - start
-        build_seconds.observe(elapsed)
-        last_build.set(elapsed)
-        _LOG.info("%s store built in %.2f s", engine, elapsed)
+        _LOG.info(
+            "%s store built in %.2f s", engine, time.perf_counter() - start
+        )
         return cache[key]
 
     def satellite_activity(

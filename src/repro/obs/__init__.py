@@ -4,11 +4,11 @@ Seven stdlib-only pieces, threaded through every package of the simulator:
 
 * :mod:`repro.obs.log` — run-scoped structured logging under the
   ``repro.*`` hierarchy (``--log-level`` / ``REPRO_LOG``).
-* :mod:`repro.obs.metrics` — a process-local registry of counters, gauges,
-  and fixed-bucket histograms (with percentile interpolation).
-* :mod:`repro.obs.trace` — nestable span timers (``with span("x"):``), a
-  ``@timed`` decorator, tracemalloc memory sampling (``--track-memory``),
-  and a cProfile hook (``--profile``).
+* :mod:`repro.obs.metrics` — a process-local registry of counters and
+  gauges.
+* :mod:`repro.obs.trace` — nestable span timers (``with span("x"):``) with
+  one aggregate per span name, tracemalloc memory sampling
+  (``--track-memory``), and a cProfile hook (``--profile``).
 * :mod:`repro.obs.timeline` — the ring-buffered *simulation* event
   timeline: contacts, handovers, allocation grants/denies, saturation,
   coverage gaps, party membership, market settlements.
@@ -22,14 +22,7 @@ Seven stdlib-only pieces, threaded through every package of the simulator:
 """
 
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-    percentile_from_counts,
-)
+from repro.obs.metrics import REGISTRY, MetricsRegistry, counter, gauge
 from repro.obs.report import (
     REPORT_SCHEMA_VERSION,
     collect_run_report,
@@ -38,7 +31,7 @@ from repro.obs.report import (
     write_run_report,
 )
 from repro.obs.timeline import TIMELINE, Timeline, TimelineEvent
-from repro.obs.trace import TRACER, Tracer, profile, span, timed, track_memory
+from repro.obs.trace import TRACER, Tracer, profile, span, track_memory
 
 __all__ = [
     "configure_logging",
@@ -47,12 +40,9 @@ __all__ = [
     "REGISTRY",
     "counter",
     "gauge",
-    "histogram",
-    "percentile_from_counts",
     "Tracer",
     "TRACER",
     "span",
-    "timed",
     "profile",
     "track_memory",
     "Timeline",

@@ -111,8 +111,8 @@ def _hit_rate(counters: Dict[str, float], prefix: str) -> Optional[float]:
 
 def derived_ratios(report: Dict[str, Any]) -> Dict[str, Optional[float]]:
     """The efficiency ratios a report implies: cull fraction, the share of
-    pair-samples the float32 screen left to an exact decision, cache hit
-    rates."""
+    pair-samples visible above the mask, the share the float32 screen left
+    to an exact decision, cache hit rates."""
     counters = report.get("metrics", {}).get("counters", {})
     culled = counters.get("sim.visibility.culled_pairs")
     evaluated = counters.get("sim.kernels.pairs_evaluated")
@@ -123,8 +123,11 @@ def derived_ratios(report: Dict[str, Any]) -> Dict[str, Optional[float]]:
     rechecks = counters.get("sim.kernels.exact_rechecks")
     samples = counters.get("sim.visibility.pair_samples")
     recheck_ratio = rechecks / samples if rechecks is not None and samples else None
+    visible = counters.get("sim.visibility.pair_samples_visible")
+    pass_rate = visible / samples if visible is not None and samples else None
     return {
         "cull_ratio": cull_ratio,
+        "mask_pass_rate": pass_rate,
         "exact_recheck_ratio": recheck_ratio,
         "visibility_cache_hit_rate": _hit_rate(
             counters, "experiments.visibility_cache"
@@ -143,8 +146,8 @@ def diff_reports(
     report_a: Dict[str, Any], report_b: Dict[str, Any]
 ) -> Dict[str, Any]:
     """Structured comparison of two (upgraded) run reports."""
-    report_a = upgrade_report(dict(report_a))
-    report_b = upgrade_report(dict(report_b))
+    report_a = upgrade_report(report_a)
+    report_b = upgrade_report(report_b)
     counters_a = report_a.get("metrics", {}).get("counters", {})
     counters_b = report_b.get("metrics", {}).get("counters", {})
     timeline_a = report_a.get("timeline", {})

@@ -3,7 +3,7 @@
 The CLI's ``--metrics-out run.json`` lands here: after an experiment runs,
 :func:`write_run_report` serializes everything the observability layer
 collected — span records and per-phase aggregates from
-:mod:`repro.obs.trace`, every counter/gauge/histogram from
+:mod:`repro.obs.trace`, every counter and gauge from
 :mod:`repro.obs.metrics`, the simulation event timeline from
 :mod:`repro.obs.timeline`, tracemalloc memory peaks (when sampling was on),
 and the exact experiment configuration + seed — so a perf claim ("the cache
@@ -20,11 +20,14 @@ pin the current top-level key set.  Schema history:
   were added later, as additive keys; older schema-3 reports lack them.
 * **4** — drops ``bus``: the bus is gone, and run progress is a log line
   (see :mod:`repro.runner.monte_carlo`).
+* **5** — drops ``metrics.histograms``: a span's durations live in
+  ``span_stats`` and its records, a store build's in its span, so
+  ``metrics`` holds ``counters`` and ``gauges`` only.
 
 :func:`load_run_report` reads any supported version, upgrading older files
-to the schema-4 shape in memory (empty timeline/memory sections for
-schema 1, any ``bus`` section dropped, original version preserved under
-``schema_original``).
+to the schema-5 shape in memory (empty timeline/memory sections for
+schema 1, any ``bus`` or ``metrics.histograms`` section dropped, original
+version preserved under ``schema_original``).
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 
 #: Bumped when the report layout changes incompatibly.
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 
 #: Schema versions :func:`upgrade_report` knows how to read.
-SUPPORTED_SCHEMAS = (1, 2, 3, REPORT_SCHEMA_VERSION)
+SUPPORTED_SCHEMAS = (1, 2, 3, 4, REPORT_SCHEMA_VERSION)
 
 #: Top-level keys every (current-schema) report carries.
 REPORT_KEYS = frozenset(
@@ -151,8 +154,9 @@ def collect_run_report(
     if dropped_spans or dropped_events:
         _LOG.warning(
             "trace truncated: %d span records and %d timeline events were "
-            "dropped at their ring caps — raise Tracer.max_records / "
-            "Timeline.capacity for a complete record (aggregates are exact)",
+            "dropped at their ring caps — raise repro.obs.trace.MAX_RECORDS / "
+            "repro.obs.timeline.DEFAULT_CAPACITY for a complete record "
+            "(aggregates are exact)",
             dropped_spans, dropped_events,
         )
     report: Dict[str, Any] = {
@@ -194,11 +198,12 @@ def write_run_report(
 
 
 def upgrade_report(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalize a loaded report to the schema-4 shape (back-compat reader).
+    """Normalize a loaded report to the schema-5 shape (back-compat reader).
 
     Schema-1 reports gain an empty ``timeline`` and an unsampled ``memory``
-    section; a schema-3 report's ``bus`` section is dropped.  The original
-    version is preserved under ``schema_original``.
+    section; a schema-3 report's ``bus`` section and an older report's
+    ``metrics.histograms`` are dropped.  The original version is preserved
+    under ``schema_original``.  ``report`` itself is left unchanged.
 
     Raises:
         ValueError: On an unrecognized schema version.
@@ -236,6 +241,12 @@ def upgrade_report(report: Dict[str, Any]) -> Dict[str, Any]:
             },
         )
     upgraded.pop("bus", None)
+    if "histograms" in upgraded.get("metrics", {}):
+        upgraded["metrics"] = {
+            key: value
+            for key, value in upgraded["metrics"].items()
+            if key != "histograms"
+        }
     return upgraded
 
 
@@ -265,7 +276,8 @@ def validate_run_report(report: Dict[str, Any]) -> None:
     for key in ("events", "dropped", "capacity"):
         if key not in timeline:
             raise ValueError(f"'timeline' missing {key!r}")
-    metrics = report["metrics"]
-    for key in ("counters", "gauges", "histograms"):
-        if key not in metrics:
-            raise ValueError(f"'metrics' missing {key!r}")
+    if sorted(report["metrics"]) != ["counters", "gauges"]:
+        raise ValueError(
+            "'metrics' must hold 'counters' and 'gauges' only, got "
+            f"{sorted(report['metrics'])}"
+        )

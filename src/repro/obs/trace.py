@@ -8,21 +8,15 @@ A *span* is a named wall-clock interval::
         ...
 
 Spans nest (the active stack is thread-local), every finished span is
-recorded with its duration and parent, and per-name aggregate stats
-(count/total/min/max) accumulate unboundedly even when the raw record list
-is capped.  :func:`timed` wraps a function in a span; :func:`profile` dumps
-a cProfile ``.pstats`` file around any block (the CLI's ``--profile``).
+recorded with its duration and parent, and one aggregate per span name
+(count/total/min/max) accumulates unboundedly even when the raw record
+list is capped at :data:`MAX_RECORDS`.  :func:`profile` dumps a cProfile
+``.pstats`` file around any block (the CLI's ``--profile``).
 
-Two optional extras on top of the timers:
-
-* **Memory sampling** — when :mod:`tracemalloc` is tracing (the CLI's
-  ``--track-memory``), every span records its *peak traced allocation* in
-  KiB (``SpanRecord.mem_peak_kb``).  Peaks propagate correctly through
-  nesting: an inner span's peak also counts toward its enclosing spans.
-* **Duration histograms** — the process-global :data:`TRACER` additionally
-  feeds each span's duration into a ``trace.span_seconds.<name>`` histogram
-  on the default metrics registry, so run reports carry full duration
-  *distributions* (p50/p95/p99), not just min/max.
+When :mod:`tracemalloc` is tracing (the CLI's ``--track-memory``), every
+span also records its *peak traced allocation* in KiB
+(``SpanRecord.mem_peak_kb``).  Peaks propagate correctly through nesting:
+an inner span's peak also counts toward its enclosing spans.
 
 Everything is stdlib-only and cheap enough for per-chunk instrumentation:
 one ``perf_counter`` pair plus a couple of dict operations per span.
@@ -36,16 +30,10 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import wraps
-from typing import Callable, Dict, Iterator, List, Optional
-
-from repro.obs import metrics as _metrics
+from typing import Dict, Iterator, List, Optional
 
 #: Raw span records kept per tracer; aggregates keep counting past the cap.
 MAX_RECORDS = 2000
-
-#: Metrics-registry prefix for per-span-name duration histograms.
-SPAN_SECONDS_PREFIX = "trace.span_seconds."
 
 
 @dataclass(frozen=True)
@@ -75,35 +63,21 @@ class Tracer:
 
     Args:
         max_records: Cap on raw :class:`SpanRecord` retention.
-        observe_durations: When True, every finished span's duration is also
-            observed into a ``trace.span_seconds.<name>`` histogram on the
-            default metrics registry (enabled on the global :data:`TRACER`).
     """
 
-    def __init__(
-        self, max_records: int = MAX_RECORDS, observe_durations: bool = False
-    ) -> None:
+    def __init__(self, max_records: int = MAX_RECORDS) -> None:
         self.max_records = max_records
-        self.observe_durations = observe_durations
         self._lock = threading.Lock()
         self._local = threading.local()
         self._epoch = time.perf_counter()
         self.records: List[SpanRecord] = []
         self.dropped_records = 0
         self._stats: Dict[str, Dict[str, float]] = {}
-        self._duration_histograms: Dict[str, "_metrics.Histogram"] = {}
 
     def _stack(self) -> List[_Frame]:
         if not hasattr(self._local, "stack"):
             self._local.stack = []
         return self._local.stack
-
-    def _duration_histogram(self, name: str) -> "_metrics.Histogram":
-        histogram = self._duration_histograms.get(name)
-        if histogram is None:
-            histogram = _metrics.histogram(SPAN_SECONDS_PREFIX + name)
-            self._duration_histograms[name] = histogram
-        return histogram
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -165,23 +139,6 @@ class Tracer:
                     stats["total_s"] += duration
                     stats["min_s"] = min(stats["min_s"], duration)
                     stats["max_s"] = max(stats["max_s"], duration)
-                if self.observe_durations:
-                    self._duration_histogram(name).observe(duration)
-
-    def timed(self, name: Optional[str] = None) -> Callable:
-        """Decorator: run the function inside a span (default: its qualname)."""
-
-        def decorate(function: Callable) -> Callable:
-            span_name = name or function.__qualname__
-
-            @wraps(function)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name):
-                    return function(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Aggregate timings by span name (count, total_s, min_s, max_s)."""
@@ -236,17 +193,12 @@ class Tracer:
 
 
 #: The process-global tracer every instrumented module shares.
-TRACER = Tracer(observe_durations=True)
+TRACER = Tracer()
 
 
 def span(name: str):
     """Time a named block on the default tracer (context manager)."""
     return TRACER.span(name)
-
-
-def timed(name: Optional[str] = None) -> Callable:
-    """Decorator timing a function on the default tracer."""
-    return TRACER.timed(name)
 
 
 def stats() -> Dict[str, Dict[str, float]]:

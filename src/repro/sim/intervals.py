@@ -59,8 +59,10 @@ return their evaluation tallies, which the calling thread counts
 (``orbits.propagator.state_evaluations``) with the ``sim.intervals.*``
 counters.  A pool thread's malloc arena keeps its peak after the refine,
 and every figure that follows carries it, so the batch code drops its
-per-edge arrays early (:func:`_estimate_edges`) and the runner hands the
-freed pages back to the OS after the join.  The scan stays serial.
+per-edge arrays early (:func:`_estimate_edges`), the runner hands the
+freed pages back to the OS after the join, and
+:func:`find_contact_intervals` does so again once :func:`_refine_windows`
+has returned and dropped its edge arrays.  The scan stays serial.
 """
 
 from __future__ import annotations
@@ -1291,6 +1293,9 @@ def find_contact_intervals(
                 step,
                 tolerance_s,
             )
+            # The refine's edge arrays are freed only now, after the
+            # runner's own trim: hand their pages back too.
+            kernels._trim_heap()
         _EDGES_REFINED.inc(edges)
         _REFINE_FALLBACKS.inc(bisected)
 

@@ -181,15 +181,13 @@ SCREEN_BLOCK_BYTES = 3 * 2**20
 
 _PAIRS_CULLED = metrics.counter("sim.visibility.culled_pairs")
 _SATS_CULLED = metrics.counter("sim.visibility.culled_satellites")
-_CULL_FRACTION = metrics.gauge("sim.visibility.cull_fraction")
 
-# Kernel introspection (ISSUE 6): stream traffic and cull efficiency.
+# Kernel introspection: stream traffic and cull efficiency.
 # Counters only ever read slab metadata (shape/nbytes) and plan scalars —
 # never array contents — so they cannot perturb the bit-identity contract.
 _SLABS_STREAMED = metrics.counter("sim.kernels.slabs_streamed")
 _SLAB_BYTES = metrics.counter("sim.kernels.slab_bytes")
 _PAIRS_EVALUATED = metrics.counter("sim.kernels.pairs_evaluated")
-_CULL_RATIO = metrics.gauge("sim.kernels.cull_ratio")
 _THRESH_HITS = metrics.counter("sim.kernels.threshold_cache.hits")
 _THRESH_MISSES = metrics.counter("sim.kernels.threshold_cache.misses")
 _THRESH_EVICTIONS = metrics.counter("sim.kernels.threshold_cache.evictions")
@@ -204,20 +202,17 @@ _STATE_EVALS = metrics.counter("orbits.propagator.state_evaluations")
 _PAIRS = metrics.counter("sim.visibility.pairs")
 _SAMPLES_TOTAL = metrics.counter("sim.visibility.pair_samples")
 _SAMPLES_VISIBLE = metrics.counter("sim.visibility.pair_samples_visible")
-_PASS_RATE = metrics.gauge("sim.visibility.mask_pass_rate")
 
 
 def record_visibility_metrics(
     n_sites: int, n_sats: int, n_times: int, visible_samples: int
 ) -> None:
-    """Account one visibility computation: pair counts and mask pass rate."""
+    """Account one visibility computation: pair and pair-sample counts."""
     pairs = n_sites * n_sats
     samples = pairs * n_times
     _PAIRS.inc(pairs)
     _SAMPLES_TOTAL.inc(samples)
     _SAMPLES_VISIBLE.inc(visible_samples)
-    if samples:
-        _PASS_RATE.set(visible_samples / samples)
     _LOG.debug(
         "visibility: %d sites x %d sats x %d steps, mask pass rate %.4f",
         n_sites, n_sats, n_times, visible_samples / samples if samples else 0.0,
@@ -536,8 +531,6 @@ def plan_stream(
     _SATS_CULLED.inc(culled_satellites)
     pairs = geometry.n_sites * propagator.count
     _PAIRS_EVALUATED.inc(pairs - culled_pairs)
-    _CULL_FRACTION.set(culled_pairs / pairs if pairs else 0.0)
-    _CULL_RATIO.set(culled_pairs / pairs if pairs else 0.0)
     if culled_satellites:
         _LOG.debug(
             "pair cull: %d/%d pairs infeasible, %d/%d satellites skip propagation",

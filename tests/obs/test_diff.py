@@ -18,7 +18,7 @@ from repro.obs.diff import (
 
 
 def make_report(
-    schema=4,
+    schema=5,
     command="fig2",
     seed=7,
     span_totals=None,
@@ -37,13 +37,15 @@ def make_report(
             for name, total in (span_totals or {}).items()
         },
         "dropped_spans": 0,
-        "metrics": {
-            "counters": dict(counters or {}),
-            "gauges": {},
-            "histograms": {},
-        },
+        "metrics": {"counters": dict(counters or {}), "gauges": {}},
         "meta": {},
     }
+    if schema <= 4:
+        report["metrics"]["histograms"] = {
+            "trace.span_seconds.analysis.fig2": {
+                "buckets": [1.0], "counts": [0, 1], "sum": 2.0, "count": 1,
+            },
+        }
     if schema >= 2:
         report["timeline"] = {
             "events": [], "capacity": 65536, "dropped": 0,
@@ -144,6 +146,29 @@ class TestDerivedRatios:
         assert ratios["cull_ratio"] is None
         assert ratios["geometry_cache_hit_rate"] is None
         assert ratios["exact_recheck_ratio"] is None
+        assert ratios["mask_pass_rate"] is None
+
+    def test_mask_pass_rate(self):
+        report = make_report(counters={
+            "sim.visibility.pair_samples": 400.0,
+            "sim.visibility.pair_samples_visible": 30.0,
+        })
+        assert derived_ratios(report)["mask_pass_rate"] == pytest.approx(0.075)
+
+    @pytest.mark.parametrize(
+        "counters",
+        [
+            {},
+            {"sim.visibility.pair_samples": 0.0,
+             "sim.visibility.pair_samples_visible": 0.0},
+            {"sim.visibility.pair_samples": 10.0},
+        ],
+        ids=["absent", "no-samples", "no-visible-counter"],
+    )
+    def test_mask_pass_rate_is_none_without_samples(self, counters):
+        assert derived_ratios(make_report(counters=counters))[
+            "mask_pass_rate"
+        ] is None
 
     def test_exact_recheck_ratio(self):
         report = make_report(counters={
@@ -192,8 +217,8 @@ class TestDiffReports:
         [runs] = diff["counters"]
         assert (runs.a, runs.b) == (None, 8.0)
 
-    @pytest.mark.parametrize("schema_b", [1, 2, 3, 4])
-    @pytest.mark.parametrize("schema_a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("schema_b", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("schema_a", [1, 2, 3, 4, 5])
     def test_every_pair_of_supported_schemas_diffs(self, schema_a, schema_b):
         a = make_report(schema=schema_a, counters={"runner.runs": 4.0})
         b = make_report(schema=schema_b, counters={"runner.runs": 8.0})
@@ -204,7 +229,7 @@ class TestDiffReports:
         assert "bus" not in render_diff(diff)
 
     def test_upgrades_older_schemas_first(self):
-        """A schema-1 baseline diffs cleanly against a schema-4 run."""
+        """A schema-1 baseline diffs cleanly against a schema-5 run."""
         a = make_report(schema=1)
         b = make_report(timeline={"total_emitted": 3})
         diff = diff_reports(a, b)
@@ -505,7 +530,7 @@ class TestLoadDocument:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(make_report(schema=1)))
         document = load_document(str(path))
-        assert document["schema"] == 4
+        assert document["schema"] == 5
         assert document["schema_original"] == 1
         assert "bus" not in document
         assert document["timeline"]["dropped"] == 0

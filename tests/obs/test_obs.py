@@ -10,7 +10,7 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as obs_timeline
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricsRegistry, percentile_from_counts
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     REPORT_SCHEMA_VERSION,
     collect_run_report,
@@ -19,7 +19,7 @@ from repro.obs.report import (
     validate_run_report,
     write_run_report,
 )
-from repro.obs.trace import SPAN_SECONDS_PREFIX, Tracer, profile, track_memory
+from repro.obs.trace import Tracer, profile, track_memory
 
 
 class TestCounters:
@@ -39,6 +39,13 @@ class TestCounters:
         with pytest.raises(ValueError, match="cannot decrease"):
             registry.counter("x").inc(-1)
 
+    def test_counter_takes_zero_and_fractional_amounts(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("x")
+        counter.inc(0)
+        counter.inc(0.25)
+        assert counter.value == 0.25
+
     def test_name_kind_conflict_rejected(self):
         registry = MetricsRegistry()
         registry.counter("x")
@@ -54,69 +61,21 @@ class TestGauges:
         gauge.add(-1.0)
         assert gauge.value == 1.5
 
+    def test_set_stores_a_float(self):
+        gauge = MetricsRegistry().gauge("g")
+        gauge.set(3)
+        assert gauge.value == 3.0
+        assert isinstance(gauge.value, float)
 
-class TestHistograms:
-    def test_bucket_placement(self):
+    def test_gauge_get_or_create(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0, 10.0))
-        histogram.observe(0.5)   # bucket 0 (<= 1)
-        histogram.observe(5.0)   # bucket 1 (<= 10)
-        histogram.observe(100.0)  # overflow (+inf)
-        assert histogram.counts == [1, 1, 1]
-        assert histogram.count == 3
-        assert histogram.sum == pytest.approx(105.5)
-        assert histogram.mean == pytest.approx(105.5 / 3)
+        assert registry.gauge("g") is registry.gauge("g")
 
-    def test_bucket_mismatch_rejected(self):
+    def test_gauge_name_blocks_a_counter(self):
         registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="different buckets"):
-            registry.histogram("h", buckets=(1.0, 3.0))
-
-    def test_non_increasing_buckets_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="strictly increase"):
-            registry.histogram("h", buckets=(2.0, 1.0))
-
-
-class TestPercentiles:
-    def test_interpolates_within_bucket(self):
-        # 10 observations all land in the (1, 2] bucket: the median sits
-        # halfway through it by linear interpolation.
-        assert percentile_from_counts(
-            (1.0, 2.0, 4.0), (0, 10, 0, 0), 50.0
-        ) == pytest.approx(1.5)
-
-    def test_first_bucket_interpolates_from_zero(self):
-        assert percentile_from_counts((4.0,), (8, 0), 50.0) == pytest.approx(2.0)
-
-    def test_spans_buckets(self):
-        # 4 in (0,1], 4 in (1,2]: p25 is mid-first-bucket, p75 mid-second.
-        buckets, counts = (1.0, 2.0), (4, 4, 0)
-        assert percentile_from_counts(buckets, counts, 25.0) == pytest.approx(0.5)
-        assert percentile_from_counts(buckets, counts, 75.0) == pytest.approx(1.5)
-
-    def test_overflow_clamps_to_last_bound(self):
-        assert percentile_from_counts((1.0, 2.0), (0, 0, 5), 99.0) == 2.0
-
-    def test_empty_returns_zero(self):
-        assert percentile_from_counts((1.0,), (0, 0), 95.0) == 0.0
-
-    def test_rejects_bad_p(self):
-        with pytest.raises(ValueError, match="\\[0, 100\\]"):
-            percentile_from_counts((1.0,), (0, 0), 101.0)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="counts"):
-            percentile_from_counts((1.0, 2.0), (1, 1), 50.0)
-
-    def test_histogram_method_delegates(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0, 2.0, 4.0))
-        for _ in range(10):
-            histogram.observe(1.5)
-        assert histogram.percentile(50.0) == pytest.approx(1.5)
-        assert histogram.percentile(0.0) == pytest.approx(1.0)
+        registry.gauge("g")
+        with pytest.raises(ValueError, match="already registered as a gauge"):
+            registry.counter("g")
 
 
 class TestRegistry:
@@ -124,11 +83,8 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(7.0)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"c": 3}
-        assert snapshot["gauges"] == {"g": 7.0}
-        assert snapshot["histograms"]["h"]["counts"] == [1, 0]
+        assert snapshot == {"counters": {"c": 3}, "gauges": {"g": 7.0}}
         json.dumps(snapshot)  # Must be JSON-serializable as-is.
 
     def test_reset_zeroes_in_place(self):
@@ -140,6 +96,55 @@ class TestRegistry:
         assert counter.value == 0
         counter.inc()
         assert registry.snapshot()["counters"]["c"] == 1
+
+    def test_reset_zeroes_gauges_in_place(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("g")
+        gauge.set(4.0)
+        registry.reset()
+        assert gauge.value == 0.0
+        gauge.set(2.0)
+        assert registry.snapshot()["gauges"] == {"g": 2.0}
+
+    def test_snapshot_is_sorted_by_name(self):
+        registry = MetricsRegistry()
+        for name in ("b", "c", "a"):
+            registry.counter(name)
+            registry.gauge(f"g.{name}")
+        snapshot = registry.snapshot()
+        assert list(snapshot["counters"]) == ["a", "b", "c"]
+        assert list(snapshot["gauges"]) == ["g.a", "g.b", "g.c"]
+
+    def test_concurrent_get_or_create_yields_one_instrument(self):
+        import threading
+
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def grab():
+            barrier.wait()
+            seen.append(registry.counter("shared"))
+
+        threads = [threading.Thread(target=grab) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(seen) == 4
+        assert all(instrument is seen[0] for instrument in seen)
+
+    def test_module_helpers_use_the_default_registry(self):
+        # Names the simulator already registers, so the shared registry
+        # gains no instrument a real run would not have.
+        counter_name = "sim.engine.sessions"
+        gauge_name = "sim.engine.capacity_saturation_peak"
+        assert obs_metrics.counter(counter_name) is (
+            obs_metrics.REGISTRY.counter(counter_name)
+        )
+        assert obs_metrics.gauge(gauge_name) is (
+            obs_metrics.REGISTRY.gauge(gauge_name)
+        )
 
 
 class TestSpans:
@@ -174,39 +179,6 @@ class TestSpans:
         assert tracer.dropped_records == 3
         assert tracer.stats()["phase"]["count"] == 5
 
-    def test_timed_decorator(self):
-        tracer = Tracer()
-
-        @tracer.timed("named")
-        def work():
-            return 42
-
-        assert work() == 42
-        assert tracer.stats()["named"]["count"] == 1
-
-    def test_timed_decorator_defaults_to_qualname(self):
-        tracer = Tracer()
-
-        @tracer.timed()
-        def work(value):
-            return value + 1
-
-        assert work(1) == 2
-        assert work.__name__ == "work"
-        name = "TestSpans.test_timed_decorator_defaults_to_qualname.<locals>.work"
-        assert tracer.stats()[name]["count"] == 1
-
-    def test_module_timed_uses_the_default_tracer(self):
-        obs_trace.reset()
-
-        @obs_trace.timed("module.level")
-        def work():
-            return "done"
-
-        assert work() == "done"
-        assert obs_trace.stats()["module.level"]["count"] == 1
-        obs_trace.reset()
-
     def test_span_survives_exceptions(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
@@ -222,6 +194,62 @@ class TestSpans:
         tracer.reset()
         assert tracer.records == []
         assert tracer.stats() == {}
+
+    def test_span_open_across_a_reset_still_records(self):
+        """reset() forgets finished spans; an active one keeps running."""
+        tracer = Tracer()
+        with tracer.span("phase"):
+            tracer.reset()
+        assert [record.name for record in tracer.records] == ["phase"]
+        assert tracer.stats()["phase"]["count"] == 1
+
+    def test_default_record_cap_is_the_module_constant(self):
+        assert Tracer().max_records == obs_trace.MAX_RECORDS
+
+    def test_stats_returns_copies(self):
+        tracer = Tracer()
+        with tracer.span("phase"):
+            pass
+        tracer.stats()["phase"]["count"] = 99
+        tracer.snapshot()["stats"]["phase"]["count"] = 99
+        assert tracer.stats()["phase"]["count"] == 1
+
+    def test_snapshot_carries_records_drops_and_stats(self):
+        tracer = Tracer(max_records=1)
+        for name in ("a", "b"):
+            with tracer.span(name):
+                pass
+        snapshot = tracer.snapshot()
+        assert [record["name"] for record in snapshot["records"]] == ["a"]
+        assert snapshot["dropped_records"] == 1
+        assert snapshot["stats"] == tracer.stats()
+        json.dumps(snapshot)
+
+    def test_snapshot_omits_mem_peak_without_sampling(self):
+        tracer = Tracer()
+        with tracer.span("plain"):
+            pass
+        [record] = tracer.snapshot()["records"]
+        assert "mem_peak_kb" not in record
+
+    def test_threads_keep_their_own_span_stacks(self):
+        """A span opened on another thread never nests under this one's."""
+        import threading
+
+        tracer = Tracer()
+
+        def work():
+            with tracer.span("worker"):
+                pass
+
+        with tracer.span("main"):
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=10)
+        by_name = {record.name: record for record in tracer.records}
+        assert by_name["worker"].parent is None
+        assert by_name["worker"].depth == 0
+        assert tracer.stats()["worker"]["count"] == 1
 
     def test_profile_writes_pstats(self, tmp_path):
         out = tmp_path / "run.pstats"
@@ -280,23 +308,6 @@ class TestMemorySampling:
         summary = tracer.memory_summary()
         assert summary["sampled_spans"] == 2.0
         assert summary["peak_kb"] >= 256.0
-
-
-class TestDurationHistograms:
-    def test_global_tracer_feeds_span_histograms(self):
-        obs_trace.TRACER.reset()
-        name = "unit.test.duration_histogram"
-        with obs_trace.span(name):
-            pass
-        snapshot = obs_metrics.snapshot()["histograms"]
-        assert snapshot[SPAN_SECONDS_PREFIX + name]["count"] >= 1
-
-    def test_plain_tracer_does_not_observe(self):
-        tracer = Tracer()
-        with tracer.span("unit.test.unobserved"):
-            pass
-        histograms = obs_metrics.snapshot()["histograms"]
-        assert SPAN_SECONDS_PREFIX + "unit.test.unobserved" not in histograms
 
 
 class TestLogging:
@@ -405,7 +416,29 @@ class TestRunReport:
             obs_timeline.TIMELINE = original
             repro_logger.propagate = original_propagate
         assert report["timeline"]["dropped"] == 3
-        assert any("dropped" in message for message in caplog.messages)
+        [warning] = [m for m in caplog.messages if "dropped" in m]
+        # The caps are module constants; the warning names them.
+        assert "repro.obs.trace.MAX_RECORDS" in warning
+        assert "repro.obs.timeline.DEFAULT_CAPACITY" in warning
+
+    @pytest.mark.parametrize(
+        "engine, build_span",
+        [("grid", "visibility.build"), ("intervals", "intervals.build")],
+    )
+    def test_gauges_restate_no_span_or_counter(self, engine, build_span):
+        """A store build is timed by its span alone, and the cull and mask
+        pass ratios are derived from counters (``obs diff``): the one gauge
+        left is a running maximum nothing else records."""
+        from repro.experiments.common import ExperimentContext
+
+        ExperimentContext(engine=engine).store(
+            ExperimentConfig(runs=1, step_s=3600.0, duration_s=86_400.0)
+        )
+        report = collect_run_report()
+        assert build_span in report["span_stats"]
+        assert list(report["metrics"]["gauges"]) == [
+            "sim.engine.capacity_saturation_peak"
+        ]
 
     def test_validate_current_schema(self):
         validate_run_report(collect_run_report())

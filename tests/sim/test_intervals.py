@@ -878,7 +878,9 @@ class TestThreadedRefine:
     def test_refines_inline_without_work_for_a_pool(
         self, monkeypatch, sub_pool, sites, small_walker, cpus, case
     ):
-        """One CPU, or fewer edges than one worker batch, starts no pool."""
+        """One CPU, or fewer edges than one worker batch, starts no pool,
+        so the runner trims nothing: the one trim is the build's own, once
+        the refine has returned."""
 
         def no_pool(*args, **kwargs):
             raise AssertionError("the refine started a thread pool")
@@ -889,7 +891,29 @@ class TestThreadedRefine:
         inputs = self._inputs(case, sub_pool, sites, small_walker)
         contacts, _ = self._build(monkeypatch, cpus, case, inputs)
         assert contacts.n_contacts > 0
-        assert not trims  # No pool threads, so no arenas to trim.
+        assert trims == [1]
+
+    def test_heap_is_trimmed_after_the_refine_returns(
+        self, monkeypatch, sub_pool
+    ):
+        """The refine drops its edge arrays only as it returns, after the
+        runner's trim, so the build hands their pages back once more."""
+        calls = []
+        refine = intervals_module._refine_windows
+
+        def recorded_refine(*args):
+            result = refine(*args)
+            calls.append("refine")
+            return result
+
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(kernels, "_trim_heap", lambda: calls.append("trim"))
+        monkeypatch.setattr(intervals_module, "_refine_windows", recorded_refine)
+        propagator, sites = sub_pool
+        grid = TimeGrid(duration_s=86_400.0, step_s=300.0)
+        find_contact_intervals(propagator, sites, grid)
+        assert calls.count("refine") == 1
+        assert calls[-2:] == ["refine", "trim"]
 
     def test_pool_work_stays_off_traced_callables(self, monkeypatch, sub_pool):
         """Benchmark tracers wrap the public evaluator and ``iter_slabs``
@@ -932,7 +956,9 @@ class TestThreadedRefine:
         assert all(name != "unit_positions_at" for name, _ in calls)
         evaluators = {ident for name, ident in calls if name == "_unit_positions_at"}
         assert len(evaluators) == 2
-        assert trims == [1]  # The pool's freed pages go back after the join.
+        # The pool's freed pages go back after the join, the refine's edge
+        # arrays once it has returned.
+        assert trims == [1, 1]
 
 
 class TestContactIntervalsReductions:

@@ -311,11 +311,18 @@ class TestCulling:
     def test_cull_metrics_accounted(self, mixed_pool):
         pairs = metrics.counter("sim.visibility.culled_pairs")
         sats = metrics.counter("sim.visibility.culled_satellites")
+        evaluated = metrics.counter("sim.kernels.pairs_evaluated")
         before_pairs, before_sats = pairs.value, sats.value
+        before_evaluated = evaluated.value
         plan = _plan(mixed_pool, CULL_SITES, 13)
         assert pairs.value - before_pairs == plan.culled_pairs > 0
         assert sats.value - before_sats == plan.culled_satellites == 24
-        assert metrics.gauge("sim.visibility.cull_fraction").value > 0.0
+        # The counters ``obs diff`` derives the cull ratio from cover
+        # every pair of the plan.
+        assert (
+            pairs.value - before_pairs + evaluated.value - before_evaluated
+            == plan.geometry.n_sites * plan.propagator.count
+        )
 
     def test_eccentric_pool_streams_unculled_but_identical(self):
         """Eccentric orbits: the cull counts pairs but must not subset the

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.cli import EXPERIMENTS, OBSERVABILITY_FLAGS, _horizon, build_parser, main
+from repro.cli import EXPERIMENTS, _horizon, build_parser, main
 from repro.obs.export import SIM_PID, SPAN_PID, validate_chrome_trace
 
 
@@ -256,12 +256,23 @@ class TestMain:
         assert _parsed_flags(name) <= _listed_flags(capsys)
 
     def test_list_describes_every_observability_flag(self, capsys):
-        """One line per flag: the flag, at least two spaces, its text."""
+        """One line per flag: the flag, at least two spaces, and the help
+        text the parser gives it."""
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        for flag, description in OBSERVABILITY_FLAGS:
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        actions = [
+            action for action in subparsers.choices["fig2"]._actions
+            if action.option_strings[0] != "-h"
+        ]
+        assert "--track-memory" in {action.option_strings[0] for action in actions}
+        for action in actions:
+            flag = action.option_strings[0]
             assert any(
-                re.fullmatch(rf"  {flag} {{2,}}{re.escape(description)}", line)
+                re.fullmatch(rf"  {flag} {{2,}}{re.escape(action.help)}", line)
                 for line in lines
             ), flag
 
@@ -412,7 +423,7 @@ class TestMain:
         assert trace.exists()
         assert pstats.exists()
 
-    def test_metrics_out_report_is_schema_4_without_bus(self, capsys, tmp_path):
+    def test_metrics_out_report_is_schema_5(self, capsys, tmp_path):
         from repro.obs.report import validate_run_report
 
         path = tmp_path / "run.json"
@@ -420,8 +431,9 @@ class TestMain:
             ["fig4c", "--runs", "1", "--step", "600", "--metrics-out", str(path)]
         ) == 0
         report = json.loads(path.read_text())
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert "bus" not in report
+        assert "histograms" not in report["metrics"]
         validate_run_report(report)
 
     def test_info_logging_shows_runner_progress_on_stderr(self, capsys):
