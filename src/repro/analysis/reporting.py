@@ -83,11 +83,3 @@ class Series:
 
     def print(self) -> None:
         print("\n" + self.render())
-
-    @property
-    def ys(self) -> List[float]:
-        return [float(y) for _, y in self.points]
-
-    @property
-    def xs(self) -> List[float]:
-        return [float(x) for x, _ in self.points]

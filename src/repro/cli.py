@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import Series, Table
 from repro.constants import DAY_S, WEEK_S
@@ -399,6 +399,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _prepare_outputs(
+    parser: argparse.ArgumentParser, outputs: Sequence[Tuple[str, Optional[str]]]
+) -> None:
+    """Create the missing parent directories of each ``(flag, path)``
+    output file, before anything runs.
+
+    A path naming a directory (or ending in a separator), or whose parent
+    cannot be created (say, it runs through a regular file), is a usage
+    error: exit 2, not a traceback after the run.
+    """
+    for flag, path in outputs:
+        if not path:
+            continue
+        if path.endswith(os.sep) or os.path.isdir(path):
+            parser.error(f"{flag} {path}: is a directory, not a file")
+        parent = os.path.dirname(os.path.abspath(path))
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except OSError as error:
+            parser.error(
+                f"{flag} {path}: cannot create directory {parent}: "
+                f"{error.strerror}"
+            )
+
+
 def _run_validate(args: argparse.Namespace) -> int:
     from repro.validate import DEFAULT_SEED, render_validation_report, run_validation
     from repro.validate.goldens import GOLDEN_CONFIG
@@ -410,9 +435,6 @@ def _run_validate(args: argparse.Namespace) -> int:
         )
     render_validation_report(report)
     if args.report:
-        parent = os.path.dirname(os.path.abspath(args.report))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         document = write_run_report(
             args.report,
             command="validate",
@@ -482,6 +504,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
 
     if args.command == "validate":
         configure_logging(args.log_level)
+        _prepare_outputs(parser, [("--report", args.report)])
         return _run_validate(args)
 
     configure_logging(args.log_level)
@@ -489,6 +512,14 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         config = _config_from_args(args)
     except ValueError as error:
         parser.error(str(error))
+    _prepare_outputs(
+        parser,
+        [
+            ("--metrics-out", args.metrics_out),
+            ("--profile", args.profile),
+            ("--trace-out", args.trace_out),
+        ],
+    )
     if args.engine != "grid":
         # An execution knob, not part of ExperimentConfig: the engine
         # switch changes how contacts are computed, never which samples
@@ -497,10 +528,6 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         from repro.experiments.common import default_context
 
         default_context().engine = args.engine
-    for path in (args.metrics_out, args.profile, args.trace_out):
-        parent = os.path.dirname(os.path.abspath(path)) if path else None
-        if parent:
-            os.makedirs(parent, exist_ok=True)
     _LOG.info("running %s with %s", args.command, config)
 
     with track_memory(args.track_memory):

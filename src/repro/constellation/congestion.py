@@ -38,12 +38,6 @@ class CongestionReport:
     min_separation_m: float
     median_nearest_neighbor_m: float
 
-    @property
-    def conjunctions_per_satellite_per_day(self) -> float:
-        if self.satellite_count == 0:
-            return 0.0
-        return self.conjunction_rate_per_day / self.satellite_count
-
 
 #: Row-block size of the blocked nearest-neighbor sweep.  Bounds the
 #: transient (block, N) squared-distance slab to ~18 MB at 4400 satellites

@@ -68,8 +68,8 @@ def _column_satellite(sat_id: str, elements: OrbitalElements) -> Satellite:
 class Constellation:
     """An immutable ordered collection of satellites.
 
-    Provides set-like composition operators used heavily by the MP-LEO
-    experiments (union for adding contributions, difference for withdrawal).
+    Provides the sub-constellation views the MP-LEO experiments use
+    (:meth:`without_party` for withdrawal, :meth:`take` for sampling).
 
     A constellation holds either its :class:`Satellite` objects or, when
     built by :meth:`from_columns`, only element columns and ids.  A
@@ -185,41 +185,12 @@ class Constellation:
             name=name or self.name,
         )
 
-    def by_party(self, party: str) -> "Constellation":
-        """Return the sub-constellation owned by one party."""
-        return self.filter(lambda satellite: satellite.party == party, name=party)
-
     def without_party(self, party: str) -> "Constellation":
         """Return the constellation after one party withdraws its satellites."""
         return self.filter(
             lambda satellite: satellite.party != party,
             name=f"{self.name}-minus-{party}" if self.name else f"minus-{party}",
         )
-
-    def party_counts(self) -> Dict[str, int]:
-        """Map party name -> number of contributed satellites."""
-        counts: Dict[str, int] = {}
-        for satellite in self.satellites:
-            counts[satellite.party] = counts.get(satellite.party, 0) + 1
-        return counts
-
-    def union(self, other: "Constellation", name: str = "") -> "Constellation":
-        """Combine two constellations (ids must not collide)."""
-        return Constellation(
-            self.satellites + other.satellites, name=name or self.name
-        )
-
-    def add(self, satellite: Satellite) -> "Constellation":
-        """Return a new constellation with one extra satellite."""
-        return Constellation(self.satellites + (satellite,), name=self.name)
-
-    def remove_ids(self, sat_ids: Iterable[str]) -> "Constellation":
-        """Return a new constellation with the given satellite ids removed."""
-        removal = set(sat_ids)
-        missing = removal - set(self._index_by_id)
-        if missing:
-            raise KeyError(f"unknown satellite ids: {sorted(missing)}")
-        return self.filter(lambda satellite: satellite.sat_id not in removal)
 
     def take(self, indices: Sequence[int], name: str = "") -> "Constellation":
         """Return the sub-constellation at the given positional indices."""
@@ -234,22 +205,6 @@ class Constellation:
         return Constellation(
             [self._satellites[int(index)] for index in indices],
             name=name or self.name,
-        )
-
-    def assign_parties(
-        self, party_of: Callable[[int, Satellite], str]
-    ) -> "Constellation":
-        """Return a copy with party ownership computed per satellite.
-
-        Args:
-            party_of: Callback ``(index, satellite) -> party name``.
-        """
-        return Constellation(
-            (
-                satellite.owned_by(party_of(index, satellite))
-                for index, satellite in enumerate(self.satellites)
-            ),
-            name=self.name,
         )
 
 

@@ -89,10 +89,10 @@ def shell_columns(
     Returns:
         ``spec.total_satellites`` rows.  The jitter is drawn satellite by
         satellite, RAAN before phase (one ``(n, 2)`` draw, or ``n`` draws
-        when only one is non-zero), and applied as
-        :meth:`OrbitalElements.with_raan_deg` and
-        :meth:`~OrbitalElements.with_phase_shift` would apply it, so a
-        seed gives the same elements whatever builds them.
+        when only one is non-zero), and added in degrees to the RAAN and
+        mean anomaly, each wrapped to ``[0, 2*pi)`` as
+        :meth:`~OrbitalElements.with_phase_shift` wraps it, so a seed gives
+        the same elements whatever builds them.
     """
     columns = walker_columns(
         spec.total_satellites,

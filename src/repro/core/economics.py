@@ -88,10 +88,6 @@ class DeploymentComparison:
     mp_leo_cost: float
 
     @property
-    def savings(self) -> float:
-        return self.go_it_alone_cost - self.mp_leo_cost
-
-    @property
     def cost_ratio(self) -> float:
         if self.mp_leo_cost == 0.0:
             return float("inf")

@@ -133,16 +133,3 @@ class GovernanceBoard:
         if proposal is None:
             raise GovernanceError(f"unknown proposal {proposal_id}")
         return self.approval_stake(proposal_id) >= self.thresholds[proposal.kind]
-
-    def max_unilateral_damage(self, coalition: Set[str]) -> Dict[CommandKind, bool]:
-        """Which command kinds a coalition could force with only its own stake.
-
-        The paper's trust claim in executable form: for any coalition, region
-        denial requires its combined stake to reach the supermajority
-        threshold.
-        """
-        coalition_stake = sum(self.stakes.get(party, 0.0) for party in coalition)
-        return {
-            kind: coalition_stake >= threshold
-            for kind, threshold in self.thresholds.items()
-        }

@@ -19,7 +19,6 @@ from typing import Dict, List
 class EntryKind(enum.Enum):
     MINT = "mint"
     TRANSFER = "transfer"
-    BURN = "burn"
 
 
 class LedgerError(RuntimeError):
@@ -34,7 +33,7 @@ class LedgerEntry:
     kind: EntryKind
     amount: float
     debit: str  # Account debited ("" for mints).
-    credit: str  # Account credited ("" for burns).
+    credit: str  # Account credited.
     memo: str = ""
 
 
@@ -102,29 +101,6 @@ class TokenLedger:
         self._entries.append(entry)
         return entry
 
-    def burn(self, account: str, amount: float, memo: str = "") -> LedgerEntry:
-        """Destroy tokens (fees, slashing misbehaving parties).
-
-        Raises:
-            LedgerError: On overdraft.
-        """
-        self._check_amount(amount)
-        if self.balance(account) < amount:
-            raise LedgerError(
-                f"overdraft: {account!r} has {self.balance(account)}, needs {amount}"
-            )
-        self._balances[account] -= amount
-        entry = LedgerEntry(
-            sequence=len(self._entries),
-            kind=EntryKind.BURN,
-            amount=amount,
-            debit=account,
-            credit="",
-            memo=memo,
-        )
-        self._entries.append(entry)
-        return entry
-
     def balance(self, account: str) -> float:
         return self._balances.get(account, 0.0)
 
@@ -135,14 +111,6 @@ class TokenLedger:
             for account, balance in sorted(self._balances.items())
             if balance != 0.0
         }
-
-    @property
-    def total_supply(self) -> float:
-        return sum(self._balances.values())
-
-    @property
-    def entries(self) -> List[LedgerEntry]:
-        return list(self._entries)
 
     def verify(self) -> bool:
         """Replay all entries and confirm they reproduce current balances.
@@ -157,8 +125,6 @@ class TokenLedger:
             elif entry.kind is EntryKind.TRANSFER:
                 replay[entry.debit] = replay.get(entry.debit, 0.0) - entry.amount
                 replay[entry.credit] = replay.get(entry.credit, 0.0) + entry.amount
-            else:
-                replay[entry.debit] = replay.get(entry.debit, 0.0) - entry.amount
         for account in set(replay) | set(self._balances):
             if abs(replay.get(account, 0.0) - self._balances.get(account, 0.0)) > 1e-9:
                 return False

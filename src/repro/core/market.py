@@ -187,17 +187,3 @@ class DataMarket:
             len(invoices), len(transfers),
         )
         return transfers
-
-    def revenue_by_party(self, invoices: Sequence[Invoice]) -> Dict[str, float]:
-        """Gross provider revenue per party (before netting)."""
-        revenue: Dict[str, float] = {}
-        for invoice in invoices:
-            revenue[invoice.provider] = revenue.get(invoice.provider, 0.0) + invoice.tokens
-        return revenue
-
-    def spend_by_party(self, invoices: Sequence[Invoice]) -> Dict[str, float]:
-        """Gross consumer spend per party (before netting)."""
-        spend: Dict[str, float] = {}
-        for invoice in invoices:
-            spend[invoice.consumer] = spend.get(invoice.consumer, 0.0) + invoice.tokens
-        return spend

@@ -3,16 +3,15 @@
 The registry is MP-LEO's book of record: which party contributed which
 satellites, with what stake.  It enforces the paper's structural rules:
 
-* Contributions are attributed — every satellite has exactly one owner.
-* Withdrawal removes exactly the withdrawing party's satellites; nobody can
-  remove another party's contribution (no single party can shut the network
-  down).
+* Contributions are attributed — every satellite has exactly one owner, so
+  a party's withdrawal takes exactly its own satellites
+  (:func:`repro.core.robustness.largest_party_withdrawal`).
 * Stake is derived from contributions, never set directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.constellation.satellite import Constellation, Satellite
 from repro.core.party import Party, stake_shares
@@ -57,39 +56,6 @@ class MultiPartyConstellation:
             objective=party.objective.value,
         )
 
-    def leave(self, party_name: str) -> Constellation:
-        """Withdraw a party and all its satellites.
-
-        Returns:
-            The withdrawn satellites (the party keeps physical control of
-            its own hardware — the core of the decentralization argument).
-
-        Raises:
-            RegistryError: If the party is unknown.
-        """
-        if party_name not in self._parties:
-            raise RegistryError(f"unknown party {party_name!r}")
-        withdrawn = [
-            satellite
-            for satellite in self._satellites.values()
-            if satellite.party == party_name
-        ]
-        for satellite in withdrawn:
-            del self._satellites[satellite.sat_id]
-        del self._parties[party_name]
-        obs_timeline.emit(
-            obs_timeline.PARTY_WITHDRAW,
-            0.0,
-            party_name,
-            party=party_name,
-            satellites=len(withdrawn),
-        )
-        return Constellation(withdrawn, name=f"withdrawn-{party_name}")
-
-    @property
-    def party_names(self) -> List[str]:
-        return sorted(self._parties)
-
     def party(self, name: str) -> Party:
         if name not in self._parties:
             raise RegistryError(f"unknown party {name!r}")
@@ -118,25 +84,6 @@ class MultiPartyConstellation:
                 )
         for satellite in incoming:
             self._satellites[satellite.sat_id] = satellite
-
-    def decommission(self, party_name: str, sat_ids: Iterable[str]) -> None:
-        """Remove specific satellites — only the owner may do so.
-
-        Raises:
-            RegistryError: If a satellite is unknown or owned by another party.
-        """
-        ids = list(sat_ids)
-        for sat_id in ids:
-            satellite = self._satellites.get(sat_id)
-            if satellite is None:
-                raise RegistryError(f"unknown satellite {sat_id!r}")
-            if satellite.party != party_name:
-                raise RegistryError(
-                    f"{party_name!r} cannot decommission {sat_id!r} "
-                    f"owned by {satellite.party!r}"
-                )
-        for sat_id in ids:
-            del self._satellites[sat_id]
 
     # -- views -----------------------------------------------------------
 

@@ -33,7 +33,6 @@ class WithdrawalImpact:
 
     base_fraction: float
     reduced_fraction: float
-    horizon_s: float
 
     @property
     def reduction_fraction(self) -> float:
@@ -43,12 +42,6 @@ class WithdrawalImpact:
     @property
     def reduction_percent(self) -> float:
         return 100.0 * self.reduction_fraction
-
-    @property
-    def lost_time_s(self) -> float:
-        """Coverage lost expressed as absolute time (the paper quotes
-        '1 day and 16 hours' for L=200)."""
-        return self.reduction_fraction * self.horizon_s
 
 
 def coverage_fraction_of(
@@ -77,4 +70,4 @@ def largest_party_withdrawal(
     reduced = (
         coverage_fraction_of(remaining, grid, cities) if len(remaining) else 0.0
     )
-    return WithdrawalImpact(base, reduced, grid.duration_s)
+    return WithdrawalImpact(base, reduced)

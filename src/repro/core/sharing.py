@@ -38,13 +38,6 @@ class SharingUpside:
     equivalent_alone_satellites: int
 
     @property
-    def coverage_multiplier(self) -> float:
-        """Shared / alone coverage (guarding alone == 0)."""
-        if self.alone_coverage_fraction == 0.0:
-            return float("inf") if self.shared_coverage_fraction > 0.0 else 1.0
-        return self.shared_coverage_fraction / self.alone_coverage_fraction
-
-    @property
     def satellite_multiplier(self) -> float:
         """Equivalent satellites / contributed satellites (the 50-vs-1000 claim)."""
         if self.contributed_satellites == 0:

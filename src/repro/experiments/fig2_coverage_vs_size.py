@@ -51,9 +51,6 @@ class Fig2Result:
     points: List[Fig2Point]
     config: ExperimentConfig
 
-    def uncovered_percent_series(self) -> List[Tuple[int, float]]:
-        return [(p.satellites, p.mean_uncovered_percent) for p in self.points]
-
 
 @dataclass
 class Fig2Scenario(Scenario):

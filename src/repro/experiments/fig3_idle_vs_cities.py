@@ -11,7 +11,7 @@ time; idle time decreases as cities are added.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class Fig3Point:
 class Fig3Result:
     points: List[Fig3Point]
     config: ExperimentConfig
-
-    def idle_percent_series(self) -> List[Tuple[int, float]]:
-        return [(p.cities, p.mean_idle_percent) for p in self.points]
 
 
 @dataclass

@@ -12,7 +12,7 @@ returns), but remain visible at 100 and 500 satellites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class Fig4aPoint:
 class Fig4aResult:
     points: List[Fig4aPoint]
     config: ExperimentConfig
-
-    def mean_gain_series(self) -> List[Tuple[int, float]]:
-        return [(p.base_satellites, p.mean_gain_hours) for p in self.points]
 
 
 @dataclass

@@ -13,7 +13,7 @@ improvement — the farthest point from existing satellites wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.constellation.design import (
     fig4b_base_constellation,
@@ -38,9 +38,6 @@ class Fig4bResult:
 
     def best_offset_deg(self) -> float:
         return max(self.points, key=lambda p: p.gain_hours).phase_offset_deg
-
-    def gain_series(self) -> List[Tuple[float, float]]:
-        return [(p.phase_offset_deg, p.gain_hours) for p in self.points]
 
 
 @dataclass

@@ -11,7 +11,7 @@ L=2000 loses only 0.37% — robustness grows with constellation size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class Fig5Point:
 class Fig5Result:
     points: List[Fig5Point]
     config: ExperimentConfig
-
-    def reduction_series(self) -> List[Tuple[int, float]]:
-        return [(p.satellites, p.mean_reduction_percent) for p in self.points]
 
 
 @dataclass

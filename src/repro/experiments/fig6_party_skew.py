@@ -13,7 +13,7 @@ week (10 hours of no coverage) — pronounced but still service-able.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class Fig6Point:
 class Fig6Result:
     points: List[Fig6Point]
     config: ExperimentConfig
-
-    def reduction_series(self) -> List[Tuple[int, float]]:
-        return [(p.skew, p.mean_reduction_percent) for p in self.points]
 
 
 @dataclass

@@ -3,9 +3,9 @@
 The paper's §3.1 design assumes parties can rent downlink capacity from
 cloud ground-station networks (AWS Ground Station, Azure Orbital) instead of
 building their own gateways.  A :class:`GroundStationPool` models one such
-provider: a set of station sites, per-minute pricing, and a rental operation
-that produces :class:`~repro.ground.sites.GroundStation` records bound to a
-renting party.
+provider: a set of station sites with a few antennas each, and a rental
+operation that produces :class:`~repro.ground.sites.GroundStation` records
+bound to a renting party.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ class GroundStationPool:
         provider: Provider name (for billing records).
         sites: (name, lat, lon) tuples of available station locations.
         antennas_per_site: How many simultaneous rentals each site supports.
-        price_per_minute: Rental price, in the market's currency units.
     """
 
     provider: str = "aws-like"
     sites: Sequence[Tuple[str, float, float]] = AWS_LIKE_SITES
     antennas_per_site: int = 2
-    price_per_minute: float = 10.0
     _rentals: Dict[str, List[str]] = field(default_factory=dict)
 
     def available_antennas(self, site_name: str) -> int:
@@ -130,17 +128,3 @@ class GroundStationPool:
             raise PoolExhaustedError(f"provider {self.provider!r} fully rented")
         best = min(candidates, key=distance)
         return self.rent(party, best[0], min_elevation_deg=min_elevation_deg)
-
-    def rental_cost(self, minutes: float) -> float:
-        """Cost of renting one antenna for ``minutes``."""
-        if minutes < 0.0:
-            raise ValueError(f"minutes must be non-negative, got {minutes}")
-        return minutes * self.price_per_minute
-
-    def rentals_by_party(self) -> Dict[str, int]:
-        """Map party -> number of antennas currently rented."""
-        counts: Dict[str, int] = {}
-        for parties in self._rentals.values():
-            for party in parties:
-                counts[party] = counts.get(party, 0) + 1
-        return counts

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.links.budget import LinkBudget
-from repro.links.channel import achievable_rate_bps, shannon_capacity_bps
+from repro.links.channel import achievable_rate_bps
 
 
 class RelayMode(enum.Enum):
@@ -84,15 +84,6 @@ class BentPipeLink:
         if snr <= 0.0:
             return -math.inf
         return 10.0 * math.log10(snr)
-
-    def shannon_rate_bps(
-        self, uplink_range_m: float, downlink_range_m: float
-    ) -> float:
-        """Shannon-bound end-to-end rate over the narrower hop bandwidth."""
-        bandwidth = min(self.uplink.bandwidth_hz, self.downlink.bandwidth_hz)
-        return shannon_capacity_bps(
-            bandwidth, self.end_to_end_snr_linear(uplink_range_m, downlink_range_m)
-        )
 
     def achievable_rate_bps(
         self, uplink_range_m: float, downlink_range_m: float

@@ -3,8 +3,8 @@
 The transparent bent-pipe design leaves waveform choice to terminals and
 ground stations (§3.1), so the library models capacity two ways:
 
-* :func:`shannon_capacity_bps` — the information-theoretic ceiling, used for
-  idealized capacity accounting.
+* :func:`shannon_capacity_bps` — the information-theoretic ceiling, the
+  bound every MODCOD's spectral efficiency stays under.
 * :func:`select_modcod` — a realistic adaptive-coding-and-modulation ladder
   patterned on DVB-S2(X) operating points, used by the event simulator to
   turn SNR into an achievable data rate.

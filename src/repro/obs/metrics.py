@@ -55,9 +55,6 @@ class Gauge:
     def set(self, value: Number) -> None:
         self.value = float(value)
 
-    def add(self, amount: Number) -> None:
-        self.value += amount
-
     def _reset(self) -> None:
         self.value = 0.0
 

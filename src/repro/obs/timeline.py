@@ -49,7 +49,6 @@ CAPACITY_SATURATED = "capacity.saturated"  #: A satellite ran at full capacity.
 GAP_OPEN = "gap.open"  #: A coverage gap opens at a site.
 GAP_CLOSE = "gap.close"  #: The gap closes.
 PARTY_JOIN = "party.join"  #: A participant joins the constellation.
-PARTY_WITHDRAW = "party.withdraw"  #: A participant withdraws.
 MARKET_SETTLEMENT = "market.settlement"  #: A netted inter-party transfer.
 SHARING_TRADE = "sharing.trade"  #: Cross-party traded volume (run summary).
 
@@ -66,7 +65,6 @@ KNOWN_KINDS = frozenset(
         GAP_OPEN,
         GAP_CLOSE,
         PARTY_JOIN,
-        PARTY_WITHDRAW,
         MARKET_SETTLEMENT,
         SHARING_TRADE,
     }
@@ -123,9 +121,9 @@ class Timeline:
 
     Thread-safe.  When the ring is full, each new event overwrites the
     oldest one and ``dropped`` increments; per-kind emission counts keep
-    counting past the cap (``counts_by_kind``), so aggregate statistics
-    survive truncation the same way span aggregates do in
-    :class:`repro.obs.trace.Tracer`.
+    counting past the cap (the snapshot's ``counts_by_kind``), so
+    aggregate statistics survive truncation the same way span aggregates
+    do in :class:`repro.obs.trace.Tracer`.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -215,11 +213,6 @@ class Timeline:
             and (subject is None or event.subject == subject)
             and (party is None or event.party == party)
         ]
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Total emissions per kind (keeps counting past the ring cap)."""
-        with self._lock:
-            return dict(sorted(self._counts.items()))
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready view: live events + drop accounting."""

@@ -134,16 +134,6 @@ class OrbitalElements:
     def semi_latus_rectum_m(self) -> float:
         return self.semi_major_axis_m * (1.0 - self.eccentricity**2)
 
-    @property
-    def perigee_altitude_km(self) -> float:
-        radius = self.semi_major_axis_m * (1.0 - self.eccentricity)
-        return (radius - EARTH_RADIUS_M) / 1000.0
-
-    @property
-    def apogee_altitude_km(self) -> float:
-        radius = self.semi_major_axis_m * (1.0 + self.eccentricity)
-        return (radius - EARTH_RADIUS_M) / 1000.0
-
     def with_phase_shift(self, delta_mean_anomaly_deg: float) -> "OrbitalElements":
         """Return a copy shifted in phase (mean anomaly) within the same plane."""
         return replace(
@@ -160,10 +150,6 @@ class OrbitalElements:
     def with_inclination_deg(self, inclination_deg: float) -> "OrbitalElements":
         """Return a copy with a different inclination."""
         return replace(self, inclination_rad=math.radians(inclination_deg))
-
-    def with_raan_deg(self, raan_deg: float) -> "OrbitalElements":
-        """Return a copy in a plane rotated to a different RAAN."""
-        return replace(self, raan_rad=wrap_angle(math.radians(raan_deg)))
 
 
 @dataclass(frozen=True, eq=False)

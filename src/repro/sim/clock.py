@@ -74,7 +74,3 @@ class TimeGrid:
         times = self.times_s
         for begin in range(0, times.size, chunk_size):
             yield times[begin : begin + chunk_size]
-
-    def seconds_from_samples(self, sample_count: float) -> float:
-        """Convert a number of covered samples into seconds."""
-        return sample_count * self.step_s

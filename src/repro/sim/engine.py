@@ -85,25 +85,8 @@ class SimulationResult:
     sat_ids: List[str]
 
     @property
-    def served_fraction(self) -> np.ndarray:
-        """Per-terminal fraction of demanded volume actually served."""
-        demanded = self.demand_mbps.sum(axis=1)
-        served = self.served_mbps.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fraction = np.where(demanded > 0.0, served / demanded, 1.0)
-        return fraction
-
-    @property
     def total_served_megabits(self) -> float:
         return float(self.served_mbps.sum()) * self.grid.step_s
-
-    def sessions_by_party_pair(self) -> Dict[Tuple[str, str], float]:
-        """Total served megabits keyed by (consumer party, provider party)."""
-        volumes: Dict[Tuple[str, str], float] = {}
-        for session in self.sessions:
-            key = (session.terminal_party, session.sat_party)
-            volumes[key] = volumes.get(key, 0.0) + session.volume_megabits
-        return volumes
 
     def spare_capacity_megabits(self) -> float:
         """Volume served across party boundaries (the MP-LEO trade)."""

@@ -180,15 +180,6 @@ class IntervalSet:
         interval_set.stops = stops
         return interval_set
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: Sequence[Tuple[float, float]], start_s: float, end_s: float
-    ) -> "IntervalSet":
-        if not len(pairs):
-            return cls.empty(start_s, end_s)
-        arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
-        return cls(arr[:, 0], arr[:, 1], start_s, end_s)
-
     # -- basic properties -------------------------------------------------
 
     @property
@@ -511,12 +502,6 @@ class ContactIntervals:
         sl = self._pair_slice(site_index, sat_index)
         return sl.stop - sl.start
 
-    def pair_truncation(
-        self, site_index: int, sat_index: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        sl = self._pair_slice(site_index, sat_index)
-        return self.truncated_start[sl], self.truncated_end[sl]
-
     def pair_windows(
         self, site_index: int, sat_index: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -535,15 +520,6 @@ class ContactIntervals:
         )
 
     # -- grid-parity reductions -------------------------------------------
-
-    def contact_count(self, site_indices=None, sat_indices=None) -> int:
-        sites = self._site_array(site_indices)
-        sats = self._sat_array(sat_indices)
-        if sites.size == 0 or sats.size == 0:
-            return 0
-        pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
-        counts = self.pair_offsets[pair_ids + 1] - self.pair_offsets[pair_ids]
-        return int(counts.sum())
 
     def site_union(self, site_index: int, sat_indices=None) -> IntervalSet:
         """Coverage of one site by a satellite subset (grid ``site_mask``)."""

@@ -368,10 +368,6 @@ class SiteGeometry:
             self._track32 = _time_major_f32(self._track)
         return self._track
 
-    @property
-    def track_primed(self) -> bool:
-        return self._track is not None
-
     def units_chunk(self, offset: int, times_s: np.ndarray) -> np.ndarray:
         """Float64 unit track for one chunk: (S, Tc, 3).
 
@@ -1044,4 +1040,3 @@ def _finish(plan: StreamPlan, visible_samples: int) -> None:
     record_visibility_metrics(
         plan.n_sites, plan.n_satellites, plan.grid.count, visible_samples
     )
-

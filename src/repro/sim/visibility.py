@@ -102,12 +102,6 @@ class VisibilityEngine:
         #: which sizes the slab per population at plan time.
         self.chunk_size = chunk_size
 
-    def _site_units_eci(
-        self, sites: Sequence[GroundSite], times_s: np.ndarray
-    ) -> np.ndarray:
-        """Geocentric unit directions of sites in ECI at each time: (S, T, 3)."""
-        return SiteGeometry(sites, self.grid).units_eci(times_s)
-
     def _plan(
         self,
         constellation: ConstellationLike,

@@ -32,24 +32,27 @@ class TestIntervalGapsAgainstMask:
     def test_intervals_match_mask_on_sample_edges(self, bits):
         """Coverage whose edges sit on samples yields the grid's gaps."""
         mask = np.array([bit == "1" for bit in bits])
-        coverage = IntervalSet.from_pairs(
-            [(i * 60.0, (i + 1) * 60.0) for i in np.flatnonzero(mask)],
-            0.0, mask.size * 60.0,
+        covered = np.flatnonzero(mask)
+        coverage = IntervalSet(
+            covered * 60.0, (covered + 1) * 60.0, 0.0, mask.size * 60.0
         )
         np.testing.assert_array_equal(
             coverage.gap_lengths_s(), gap_lengths_s(mask, 60.0)
         )
 
     def test_intervals_keep_exact_gap_lengths(self):
-        coverage = IntervalSet.from_pairs([(12.5, 40.0), (47.25, 90.0)], 0.0, 100.0)
+        coverage = IntervalSet([12.5, 47.25], [40.0, 90.0], 0.0, 100.0)
         np.testing.assert_allclose(coverage.gap_lengths_s(), [12.5, 7.25, 10.0])
 
 
 def _sampled_coverage(mask, step_s=60.0, start_s=0.0):
     """The IntervalSet whose edges sit exactly on ``mask``'s samples."""
-    return IntervalSet.from_pairs(
-        [(start_s + i * step_s, start_s + (i + 1) * step_s) for i in np.flatnonzero(mask)],
-        start_s, start_s + mask.size * step_s,
+    covered = np.flatnonzero(mask)
+    return IntervalSet(
+        start_s + covered * step_s,
+        start_s + (covered + 1) * step_s,
+        start_s,
+        start_s + mask.size * step_s,
     )
 
 
@@ -143,7 +146,7 @@ class TestGapTimelineEvents:
         assert _fields(_events(bits)) == expected
 
     def test_exact_edges_and_boundary_flags(self):
-        coverage = IntervalSet.from_pairs([(12.5, 40.0)], 0.0, 100.0)
+        coverage = IntervalSet([12.5], [40.0], 0.0, 100.0)
         events = gap_timeline_events(coverage, "taipei", emit=False)
         assert [(event.kind, event.t_s) for event in events] == [
             ("gap.open", 0.0), ("gap.close", 12.5),
@@ -154,13 +157,13 @@ class TestGapTimelineEvents:
         assert events[3].attrs == {"gap_s": 60.0, "at_run_end": True}
 
     def test_never_covered_is_one_flagged_gap(self):
-        coverage = IntervalSet.from_pairs([], 100.0, 400.0)
+        coverage = IntervalSet([], [], 100.0, 400.0)
         opened, closed = gap_timeline_events(coverage, "taipei", emit=False)
         assert (opened.t_s, closed.t_s) == (100.0, 400.0)
         assert opened.attrs["at_run_start"] and closed.attrs["at_run_end"]
 
     def test_times_are_plain_floats(self):
-        coverage = IntervalSet.from_pairs([(10.0, 20.0)], 0.0, 30.0)
+        coverage = IntervalSet([10.0], [20.0], 0.0, 30.0)
         events = gap_timeline_events(coverage, "x", emit=False)
         assert all(type(event.t_s) is float for event in events)
         assert all(type(event.attrs["gap_s"]) is float for event in events)
@@ -168,7 +171,7 @@ class TestGapTimelineEvents:
     def test_emit_records_on_global_timeline(self):
         obs_timeline.reset()
         try:
-            coverage = IntervalSet.from_pairs([(0.0, 10.0), (20.0, 30.0)], 0.0, 30.0)
+            coverage = IntervalSet([0.0, 20.0], [10.0, 30.0], 0.0, 30.0)
             gap_timeline_events(coverage, site="taipei")
             recorded = obs_timeline.events(kind=obs_timeline.GAP_CLOSE)
             assert [event.t_s for event in recorded] == [20.0]
@@ -179,7 +182,7 @@ class TestGapTimelineEvents:
     def test_emit_false_records_nothing(self):
         obs_timeline.reset()
         try:
-            coverage = IntervalSet.from_pairs([(5.0, 10.0)], 0.0, 30.0)
+            coverage = IntervalSet([5.0], [10.0], 0.0, 30.0)
             gap_timeline_events(coverage, site="taipei", emit=False)
             assert obs_timeline.events() == []
         finally:

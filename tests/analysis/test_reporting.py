@@ -92,12 +92,12 @@ class TestSeries:
         assert "satellites -> uncovered %" in rendered
         assert "100" in rendered
 
-    def test_accessors(self):
+    def test_points_render_in_insertion_order(self):
         series = Series("s", "x", "y")
-        series.add_point(1, 10.0)
         series.add_point(2, 20.0)
-        assert series.xs == [1.0, 2.0]
-        assert series.ys == [10.0, 20.0]
+        series.add_point(1, 10.0)
+        assert series.points == [(2, 20.0), (1, 10.0)]
+        assert series.render().splitlines()[2:] == ["  2 -> 20.000", "  1 -> 10.000"]
 
     def test_precision_applies_to_both_axes(self):
         series = Series("s", "x", "y", precision=1)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.constellation.congestion import (
-    CongestionReport,
     conjunction_analysis,
     independent_vs_shared_occupancy,
     shell_occupancy,
@@ -51,21 +50,13 @@ class TestConjunctions:
             report.conjunction_events / days
         )
 
-    def test_per_satellite_rate_divides_by_fleet_size(self, grid):
+    def test_report_counts_the_fleet(self, grid):
         element = OrbitalElements.from_degrees(altitude_km=550.0, inclination_deg=53.0)
         constellation = _constellation_from([element, element.with_phase_shift(0.05)])
         report = conjunction_analysis(constellation, grid)
+        assert report.satellite_count == 2
         assert report.conjunction_rate_per_day > 0.0
-        assert report.conjunctions_per_satellite_per_day == pytest.approx(
-            report.conjunction_rate_per_day / 2
-        )
-
-    def test_per_satellite_rate_of_empty_report_is_zero(self):
-        report = CongestionReport(
-            satellite_count=0, conjunction_events=0, conjunction_rate_per_day=0.0,
-            min_separation_m=0.0, median_nearest_neighbor_m=0.0,
-        )
-        assert report.conjunctions_per_satellite_per_day == 0.0
+        assert 0.0 < report.min_separation_m <= report.median_nearest_neighbor_m
 
     def test_denser_constellation_more_congested(self, grid):
         sparse = _constellation_from(

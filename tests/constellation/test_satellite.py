@@ -70,13 +70,6 @@ class TestConstellation:
     def test_empty_constellation_allowed(self):
         assert len(Constellation([])) == 0
 
-    def test_by_party(self):
-        constellation = Constellation(
-            [_sat("A", "x"), _sat("B", "y"), _sat("C", "x")]
-        )
-        assert len(constellation.by_party("x")) == 2
-        assert len(constellation.by_party("z")) == 0
-
     def test_without_party(self):
         constellation = Constellation(
             [_sat("A", "x"), _sat("B", "y"), _sat("C", "x")]
@@ -84,54 +77,27 @@ class TestConstellation:
         remaining = constellation.without_party("x")
         assert [satellite.sat_id for satellite in remaining] == ["B"]
 
-    def test_party_counts(self):
-        constellation = Constellation(
-            [_sat("A", "x"), _sat("B", "y"), _sat("C", "x")]
-        )
-        assert constellation.party_counts() == {"x": 2, "y": 1}
-
     def test_parties_sorted(self):
         constellation = Constellation([_sat("A", "z"), _sat("B", "a")])
         assert constellation.parties == ["a", "z"]
 
-    def test_union(self):
-        left = Constellation([_sat("A")])
-        right = Constellation([_sat("B")])
-        assert len(left.union(right)) == 2
-
-    def test_union_id_collision_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Constellation([_sat("A")]).union(Constellation([_sat("A")]))
-
-    def test_add(self):
-        grown = Constellation([_sat("A")]).add(_sat("B"))
-        assert len(grown) == 2
-
-    def test_remove_ids(self):
-        constellation = Constellation([_sat("A"), _sat("B"), _sat("C")])
-        remaining = constellation.remove_ids(["A", "C"])
-        assert [satellite.sat_id for satellite in remaining] == ["B"]
-
-    def test_remove_unknown_raises(self):
-        with pytest.raises(KeyError, match="unknown"):
-            Constellation([_sat("A")]).remove_ids(["B"])
+    def test_filter(self):
+        constellation = Constellation(
+            [_sat("A", "x"), _sat("B", "y"), _sat("C", "x")], name="pool"
+        )
+        kept = constellation.filter(lambda satellite: satellite.party == "x")
+        assert [satellite.sat_id for satellite in kept] == ["A", "C"]
+        assert kept.name == "pool"
+        assert constellation.filter(lambda _: False, name="none").name == "none"
 
     def test_take(self):
         constellation = Constellation([_sat("A"), _sat("B"), _sat("C")])
         taken = constellation.take([2, 0])
         assert [satellite.sat_id for satellite in taken] == ["C", "A"]
 
-    def test_assign_parties(self):
-        constellation = Constellation([_sat("A"), _sat("B")])
-        assigned = constellation.assign_parties(
-            lambda index, satellite: f"party-{index}"
-        )
-        assert assigned.get("A").party == "party-0"
-        assert assigned.get("B").party == "party-1"
-
     def test_immutability_of_source(self):
-        constellation = Constellation([_sat("A")])
-        constellation.add(_sat("B"))
+        constellation = Constellation([_sat("A", "x")])
+        constellation.without_party("x")
         assert len(constellation) == 1
 
     def test_elements_accessor(self):
@@ -204,6 +170,9 @@ class TestColumnBackedConstellation:
     def test_iteration_matches(self, oneweb_pair):
         _same(*oneweb_pair)
 
+    def test_kuiper_iteration_matches(self, kuiper_pair):
+        _same(*kuiper_pair)
+
     def test_indexing_matches(self, oneweb_pair):
         lazy, eager = oneweb_pair
         for index in (0, 1, 17, 587, -1, -588):
@@ -234,25 +203,6 @@ class TestColumnBackedConstellation:
             with pytest.raises(IndexError):
                 lazy.take(bad)
 
-    def test_union_matches(self, oneweb_pair, kuiper_pair):
-        lazy_a, eager_a = oneweb_pair
-        lazy_b, eager_b = kuiper_pair
-        expected = eager_a.union(eager_b, name="both")
-        _same(lazy_a.union(lazy_b, name="both"), expected)
-        _same(lazy_a.union(eager_b, name="both"), expected)
-        _same(eager_a.union(lazy_b, name="both"), expected)
-
-    def test_union_collision_message_matches(self, oneweb_pair):
-        lazy, eager = oneweb_pair
-        with pytest.raises(ValueError) as expected:
-            eager.union(eager)
-        with pytest.raises(ValueError) as actual:
-            lazy.union(lazy)
-        assert str(actual.value) == str(expected.value)
-        with pytest.raises(ValueError) as mixed:
-            lazy.union(eager)
-        assert str(mixed.value) == str(expected.value)
-
     def test_duplicate_id_message_matches(self, oneweb_pair):
         lazy, eager = oneweb_pair
         ids = list(lazy.sat_ids)
@@ -271,30 +221,19 @@ class TestColumnBackedConstellation:
         with pytest.raises(ValueError, match="ids for"):
             Constellation.from_columns(lazy.columns, lazy.sat_ids[:-1])
 
-    def test_assign_parties_matches(self, oneweb_pair):
+    def test_parties_match(self, oneweb_pair):
         lazy, eager = oneweb_pair
-
-        def party_of(index, satellite):
-            return f"party-{index % 3}-{satellite.sat_id[-1]}"
-
-        _same(lazy.assign_parties(party_of), eager.assign_parties(party_of))
-        assert lazy.assign_parties(party_of).party_counts() == (
-            eager.assign_parties(party_of).party_counts()
-        )
-
-    def test_remove_ids_and_parties_match(self, oneweb_pair):
-        lazy, eager = oneweb_pair
-        removal = [eager[index].sat_id for index in (0, 9, 300)]
-        _same(lazy.remove_ids(removal), eager.remove_ids(removal))
-        with pytest.raises(KeyError, match="unknown"):
-            lazy.remove_ids(["missing"])
         assert lazy.parties == eager.parties == [UNASSIGNED_PARTY]
-        assert lazy.party_counts() == eager.party_counts()
         _same(lazy.without_party(UNASSIGNED_PARTY), eager.without_party(UNASSIGNED_PARTY))
 
-    def test_add_matches(self, oneweb_pair):
+    def test_filter_matches(self, oneweb_pair):
         lazy, eager = oneweb_pair
-        _same(lazy.add(_sat("extra")), eager.add(_sat("extra")))
+
+        def every_fifth(satellite):
+            return int(satellite.sat_id[-4:]) % 5 == 0
+
+        _same(lazy.filter(every_fifth), eager.filter(every_fifth))
+        _same(lazy.filter(every_fifth, name="sub"), eager.filter(every_fifth, name="sub"))
 
     def test_columns_and_propagator_match(self, oneweb_pair):
         lazy, eager = oneweb_pair

@@ -55,7 +55,6 @@ class TestComparison:
     def test_mp_leo_cheaper(self):
         comparison = compare_deployments(0.995, 1000, 91)
         assert comparison.mp_leo_cost < comparison.go_it_alone_cost
-        assert comparison.savings > 0.0
         assert comparison.cost_ratio > 5.0
 
     def test_contribution_cannot_exceed_alone(self):

@@ -70,20 +70,27 @@ class TestVoting:
             board.vote(proposal.proposal_id, "ghost", approve=True)
 
 
+def _coalition_passes(board, coalition, kind):
+    """Whether ``coalition`` alone carries a ``kind`` proposal."""
+    proposer, *others = sorted(coalition)
+    proposal = board.propose(proposer, kind, "target")
+    for party in others:
+        board.vote(proposal.proposal_id, party, approve=True)
+    return board.is_approved(proposal.proposal_id)
+
+
 class TestCoalitionAnalysis:
     def test_small_coalition_cannot_deny_region(self, board):
-        damage = board.max_unilateral_damage({"m1", "m2"})
-        assert not damage[CommandKind.DENY_REGION]
+        assert not _coalition_passes(board, {"m1", "m2"}, CommandKind.DENY_REGION)
 
     def test_large_coalition_can(self, board):
-        damage = board.max_unilateral_damage({"big", "m1"})
-        assert damage[CommandKind.DENY_REGION]
+        assert _coalition_passes(board, {"big", "m1"}, CommandKind.DENY_REGION)
 
-    def test_any_party_can_safe_mode(self, board):
-        damage = board.max_unilateral_damage({"m3"})
-        assert not damage[CommandKind.DENY_REGION]
+    def test_smallest_party_alone_cannot_even_safe_mode(self, board):
+        assert not _coalition_passes(board, {"m3"}, CommandKind.DENY_REGION)
         # m3 holds 0.1 < 0.25, so not even safe mode alone.
-        assert not damage[CommandKind.POWER_SAFE_MODE]
+        assert not _coalition_passes(board, {"m3"}, CommandKind.POWER_SAFE_MODE)
+        assert _coalition_passes(board, {"big"}, CommandKind.POWER_SAFE_MODE)
 
     def test_custom_thresholds(self):
         board = GovernanceBoard(

@@ -91,12 +91,12 @@ class TestRewardDistribution:
         minted = epoch.distribute(ledger, reward_pool=100.0)
         assert minted["alpha"] == pytest.approx(80.0)  # Provider share.
         assert minted["v-eq"] == pytest.approx(20.0)
-        assert ledger.total_supply == pytest.approx(100.0)
+        assert sum(ledger.balances().values()) == pytest.approx(100.0)
 
     def test_no_proofs_no_rewards(self, epoch):
         ledger = TokenLedger()
         assert epoch.distribute(ledger, 100.0) == {}
-        assert ledger.total_supply == 0.0
+        assert ledger.balances() == {}
 
     def test_rewards_proportional_to_proofs(self, epoch):
         epoch.submit(CoverageProof("v-eq", "A", 0))

@@ -33,7 +33,7 @@ def registry():
 
 class TestMembership:
     def test_join_and_names(self, registry):
-        assert registry.party_names == ["korea", "taiwan"]
+        assert sorted(registry.contributions()) == ["korea", "taiwan"]
 
     def test_duplicate_join_rejected(self, registry):
         with pytest.raises(RegistryError, match="already joined"):
@@ -45,16 +45,6 @@ class TestMembership:
     def test_unknown_party_lookup(self, registry):
         with pytest.raises(RegistryError, match="unknown"):
             registry.party("narnia")
-
-    def test_leave_removes_satellites(self, registry):
-        withdrawn = registry.leave("taiwan")
-        assert len(withdrawn) == 3
-        assert len(registry) == 1
-        assert registry.party_names == ["korea"]
-
-    def test_leave_unknown_rejected(self, registry):
-        with pytest.raises(RegistryError, match="unknown"):
-            registry.leave("narnia")
 
 
 class TestContributions:
@@ -91,25 +81,6 @@ class TestContributions:
     def test_member_without_satellites_counts_zero(self, registry):
         registry.join(Party("observer"))
         assert registry.contributions()["observer"] == 0
-
-
-class TestDecommission:
-    def test_owner_can_decommission(self, registry):
-        registry.decommission("taiwan", ["TW-0"])
-        assert len(registry) == 3
-
-    def test_non_owner_cannot(self, registry):
-        with pytest.raises(RegistryError, match="cannot decommission"):
-            registry.decommission("korea", ["TW-0"])
-
-    def test_unknown_satellite(self, registry):
-        with pytest.raises(RegistryError, match="unknown satellite"):
-            registry.decommission("taiwan", ["ZZ-9"])
-
-    def test_atomic_on_error(self, registry):
-        with pytest.raises(RegistryError):
-            registry.decommission("taiwan", ["TW-0", "KR-0"])
-        assert len(registry) == 4  # Nothing removed.
 
 
 class TestStakes:

@@ -21,13 +21,12 @@ def cities():
 
 class TestWithdrawalImpact:
     def test_reduction_math(self):
-        impact = WithdrawalImpact(0.8, 0.6, horizon_s=1000.0)
+        impact = WithdrawalImpact(0.8, 0.6)
         assert impact.reduction_fraction == pytest.approx(0.2)
         assert impact.reduction_percent == pytest.approx(20.0)
-        assert impact.lost_time_s == pytest.approx(200.0)
 
     def test_no_loss(self):
-        impact = WithdrawalImpact(0.5, 0.5, horizon_s=100.0)
+        impact = WithdrawalImpact(0.5, 0.5)
         assert impact.reduction_fraction == 0.0
 
 

@@ -57,17 +57,14 @@ class TestSharingUpside:
         assert upside.equivalent_alone_satellites == 1000
         assert upside.satellite_multiplier == pytest.approx(20.0)
 
-    def test_coverage_multiplier(self):
-        upside = sharing_upside("p", 50, 0.25, 0.75, CURVE)
-        assert upside.coverage_multiplier == pytest.approx(3.0)
-
-    def test_zero_alone_coverage_infinite_multiplier(self):
-        upside = sharing_upside("p", 1, 0.0, 0.5, CURVE)
-        assert upside.coverage_multiplier == float("inf")
-
     def test_satellite_multiplier(self):
         upside = sharing_upside("p", 50, 0.24, 0.995, CURVE)
         assert upside.satellite_multiplier == pytest.approx(20.0)
+
+    def test_zero_alone_coverage_still_has_an_equivalent(self):
+        upside = sharing_upside("p", 1, 0.0, 0.5, CURVE)
+        assert upside.equivalent_alone_satellites == 500
+        assert upside.satellite_multiplier == pytest.approx(500.0)
 
     def test_zero_contribution_multiplier(self):
         assert sharing_upside("p", 0, 0.0, 0.5, CURVE).satellite_multiplier == 0.0

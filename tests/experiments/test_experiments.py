@@ -92,10 +92,9 @@ class TestFig2:
         result = run_fig2(COARSE, sizes=(1000,))
         assert result.points[0].mean_uncovered_percent < 5.0
 
-    def test_series_accessor(self):
+    def test_points_follow_requested_order(self):
         result = run_fig2(COARSE, sizes=(10, 100))
-        series = result.uncovered_percent_series()
-        assert [x for x, _ in series] == [10, 100]
+        assert [p.satellites for p in result.points] == [10, 100]
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError, match="exceeds pool"):
@@ -235,12 +234,9 @@ class TestFig3:
         with pytest.raises(ValueError, match="sample_size"):
             run_fig3(COARSE, sample_size=10_000)
 
-    def test_series_accessor(self):
+    def test_points_follow_requested_order(self):
         result = run_fig3(COARSE, city_counts=(1, 21), sample_size=200)
-        assert result.idle_percent_series() == [
-            (p.cities, p.mean_idle_percent) for p in result.points
-        ]
-        assert [x for x, _ in result.idle_percent_series()] == [1, 21]
+        assert [p.cities for p in result.points] == [1, 21]
 
 
 class TestFig4a:
@@ -258,12 +254,9 @@ class TestFig4a:
         point = result.points[0]
         assert point.max_gain_hours >= point.mean_gain_hours
 
-    def test_series_accessor(self):
+    def test_points_follow_requested_order(self):
         result = run_fig4a(COARSE, base_sizes=(1, 100))
-        assert result.mean_gain_series() == [
-            (p.base_satellites, p.mean_gain_hours) for p in result.points
-        ]
-        assert [x for x, _ in result.mean_gain_series()] == [1, 100]
+        assert [p.base_satellites for p in result.points] == [1, 100]
 
 
 class TestFig4b:
@@ -273,14 +266,14 @@ class TestFig4b:
 
     def test_symmetry(self):
         result = run_fig4b(ExperimentConfig(runs=1, step_s=300.0))
-        gains = result.gain_series()
+        gains = [p.gain_hours for p in result.points]
         # Gain at offset d ~ gain at offset 30 - d.
-        for (x1, g1), (x2, g2) in zip(gains, reversed(gains)):
+        for g1, g2 in zip(gains, reversed(gains)):
             assert g1 == pytest.approx(g2, abs=0.15)
 
     def test_all_gains_nonnegative(self):
         result = run_fig4b(ExperimentConfig(runs=1, step_s=300.0))
-        assert all(gain >= 0.0 for _, gain in result.gain_series())
+        assert all(p.gain_hours >= 0.0 for p in result.points)
 
 
 class TestFig4c:
@@ -312,12 +305,9 @@ class TestFig5:
         with pytest.raises(ValueError, match="fraction"):
             run_fig5(COARSE, withdraw_fraction=1.0)
 
-    def test_series_accessor(self):
+    def test_points_follow_requested_order(self):
         result = run_fig5(COARSE, sizes=(200, 2000))
-        assert result.reduction_series() == [
-            (p.satellites, p.mean_reduction_percent) for p in result.points
-        ]
-        assert [x for x, _ in result.reduction_series()] == [200, 2000]
+        assert [p.satellites for p in result.points] == [200, 2000]
 
 
 class TestFig6:
@@ -337,12 +327,9 @@ class TestFig6:
         result = run_fig6(COARSE, skews=(10,))
         assert result.points[0].mean_reduction_percent < 15.0
 
-    def test_series_accessor(self):
+    def test_points_follow_requested_order(self):
         result = run_fig6(COARSE, skews=(1, 10))
-        assert result.reduction_series() == [
-            (p.skew, p.mean_reduction_percent) for p in result.points
-        ]
-        assert [x for x, _ in result.reduction_series()] == [1, 10]
+        assert [p.skew for p in result.points] == [1, 10]
 
 
 class TestSharingUpside:

@@ -67,18 +67,19 @@ class TestRentNearest:
             pool.rent_nearest("b", 0.0, 0.0)
 
 
-class TestAccounting:
-    def test_rental_cost(self):
-        pool = GroundStationPool(price_per_minute=5.0)
-        assert pool.rental_cost(10.0) == 50.0
+class TestStationNames:
+    def test_slots_numbered_per_site(self):
+        pool = GroundStationPool(provider="gs", antennas_per_site=2)
+        names = [
+            pool.rent("a", "seoul").name,
+            pool.rent("b", "seoul").name,
+            pool.rent("a", "ohio").name,
+        ]
+        assert names == ["gs:seoul#1", "gs:seoul#2", "gs:ohio#1"]
 
-    def test_negative_minutes_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            GroundStationPool().rental_cost(-1.0)
-
-    def test_rentals_by_party(self):
-        pool = GroundStationPool()
+    def test_parties_share_a_site_s_antennas(self):
+        pool = GroundStationPool(antennas_per_site=2)
         pool.rent("a", "seoul")
-        pool.rent("a", "sydney")
-        pool.rent("b", "ohio")
-        assert pool.rentals_by_party() == {"a": 2, "b": 1}
+        pool.rent("b", "seoul")
+        assert pool.available_antennas("seoul") == 0
+        assert pool.available_antennas("ohio") == 2

@@ -6,6 +6,7 @@ import pytest
 
 from repro.links.bentpipe import BentPipeLink, RelayMode, TransparentTransponder
 from repro.links.budget import KU_BAND_GATEWAY_DOWNLINK, KU_BAND_USER_UPLINK
+from repro.links.channel import shannon_capacity_bps
 
 
 @pytest.fixture
@@ -68,11 +69,14 @@ class TestSnrComposition:
 
 
 class TestRates:
-    def test_shannon_rate_positive_at_leo_range(self, link):
-        assert link.shannon_rate_bps(600_000.0, 800_000.0) > 1e8
+    def test_rate_positive_at_leo_range(self, link):
+        assert link.achievable_rate_bps(600_000.0, 800_000.0) > 1e8
 
     def test_achievable_below_shannon(self, link):
-        shannon = link.shannon_rate_bps(600_000.0, 800_000.0)
+        bandwidth = min(link.uplink.bandwidth_hz, link.downlink.bandwidth_hz)
+        shannon = shannon_capacity_bps(
+            bandwidth, link.end_to_end_snr_linear(600_000.0, 800_000.0)
+        )
         achievable = link.achievable_rate_bps(600_000.0, 800_000.0)
         assert 0.0 < achievable < shannon
 
@@ -91,8 +95,8 @@ class TestRates:
         narrow = LinkBudget(40.0, 30.0, 12e9, 25e6)
         link = BentPipeLink(uplink=wide, downlink=narrow)
         symmetric = BentPipeLink(uplink=narrow, downlink=narrow)
-        assert link.shannon_rate_bps(6e5, 6e5) == pytest.approx(
-            symmetric.shannon_rate_bps(6e5, 6e5), rel=0.1
+        assert link.achievable_rate_bps(6e5, 6e5) == pytest.approx(
+            symmetric.achievable_rate_bps(6e5, 6e5), rel=0.1
         )
 
 

@@ -54,13 +54,6 @@ class TestCounters:
 
 
 class TestGauges:
-    def test_set_and_add(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(2.5)
-        gauge.add(-1.0)
-        assert gauge.value == 1.5
-
     def test_set_stores_a_float(self):
         gauge = MetricsRegistry().gauge("g")
         gauge.set(3)

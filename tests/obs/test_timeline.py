@@ -60,7 +60,10 @@ class TestRing:
         for index in range(4):
             timeline.emit(obs_timeline.HANDOVER, float(index), "t")
         timeline.emit(obs_timeline.GAP_OPEN, 9.0, "site")
-        assert timeline.counts_by_kind() == {"gap.open": 1, "handover": 4}
+        assert timeline.snapshot()["counts_by_kind"] == {
+            "gap.open": 1,
+            "handover": 4,
+        }
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -74,7 +77,7 @@ class TestRing:
         assert len(timeline) == 0
         assert timeline.dropped == 0
         assert timeline.events() == []
-        assert timeline.counts_by_kind() == {}
+        assert timeline.snapshot()["counts_by_kind"] == {}
 
 
 class TestQueries:
@@ -151,7 +154,7 @@ class TestCapacity:
         timeline.emit(obs_timeline.HANDOVER, 1.0, "t")
         timeline.emit(obs_timeline.HANDOVER, 2.0, "t")
         assert timeline.events(kind=obs_timeline.GAP_OPEN) == []
-        assert timeline.counts_by_kind()["gap.open"] == 1
+        assert timeline.snapshot()["counts_by_kind"]["gap.open"] == 1
 
 
 class TestGlobalHelpers:

@@ -120,22 +120,6 @@ class TestOrbitalElements:
         assert tilted.inclination_deg == pytest.approx(43.0)
         assert tilted.period_s == pytest.approx(base.period_s)
 
-    def test_with_raan(self):
-        base = OrbitalElements.from_degrees(altitude_km=550.0, inclination_deg=53.0)
-        assert base.with_raan_deg(370.0).raan_deg == pytest.approx(10.0)
-
-    def test_perigee_apogee_altitudes(self):
-        elements = OrbitalElements.from_degrees(
-            altitude_km=700.0, inclination_deg=63.4, eccentricity=0.05
-        )
-        assert elements.perigee_altitude_km < 700.0 < elements.apogee_altitude_km
-
-    def test_circular_perigee_equals_apogee(self):
-        elements = OrbitalElements.from_degrees(altitude_km=550.0, inclination_deg=53.0)
-        assert elements.perigee_altitude_km == pytest.approx(
-            elements.apogee_altitude_km
-        )
-
     def test_semi_latus_rectum_circular(self):
         elements = OrbitalElements.from_degrees(altitude_km=550.0, inclination_deg=53.0)
         assert elements.semi_latus_rectum_m == pytest.approx(

@@ -1,6 +1,7 @@
 """Tests for the J2 and batch propagators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestBatchPropagator:
     def test_matches_scalar_circular(self, leo_elements):
         variants = [
             leo_elements,
-            leo_elements.with_raan_deg(120.0),
+            replace(leo_elements, raan_rad=math.radians(120.0)),
             leo_elements.with_inclination_deg(97.6),
             leo_elements.with_altitude_km(600.0),
         ]
@@ -193,7 +194,9 @@ class TestBatchPropagator:
             BatchPropagator([])
 
     def test_subset(self, leo_elements):
-        elements = [leo_elements.with_raan_deg(float(raan)) for raan in range(10)]
+        elements = [
+            replace(leo_elements, raan_rad=math.radians(raan)) for raan in range(10)
+        ]
         batch = BatchPropagator(elements)
         subset = batch.subset(np.array([2, 5, 7]))
         assert subset.count == 3

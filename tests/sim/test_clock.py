@@ -42,6 +42,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="exceeds duration"):
             TimeGrid(duration_s=10.0, step_s=60.0)
 
+    @pytest.mark.parametrize(
+        "duration_s, step_s",
+        [(100.0, float("nan")), (float("inf"), 10.0)],
+        ids=["nan-step", "inf-duration"],
+    )
+    def test_rejects_non_finite(self, duration_s, step_s):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(duration_s=duration_s, step_s=step_s)
+
+    def test_count_drops_a_partial_step(self):
+        grid = TimeGrid(duration_s=95.0, step_s=10.0)
+        assert grid.count == 9
+        assert grid.times_s[-1] == 80.0
+
     def test_chunks_cover_all_times(self):
         grid = TimeGrid(duration_s=1000.0, step_s=10.0)
         chunks = list(grid.chunks(17))
@@ -57,10 +71,6 @@ class TestTimeGrid:
         grid = TimeGrid(duration_s=100.0, step_s=10.0)
         with pytest.raises(ValueError, match="chunk_size"):
             list(grid.chunks(0))
-
-    def test_seconds_from_samples(self):
-        grid = TimeGrid(duration_s=100.0, step_s=10.0)
-        assert grid.seconds_from_samples(3) == 30.0
 
     def test_frozen(self):
         grid = TimeGrid(duration_s=100.0, step_s=10.0)

@@ -92,14 +92,6 @@ class TestBasicOperation:
         result = BentPipeSimulator(constellation, [terminal], [station], grid).run(rng)
         assert np.all(result.served_mbps <= result.demand_mbps + 1e-9)
 
-    def test_served_fraction_bounds(self, equator_setup, rng):
-        terminal, station = equator_setup
-        constellation = Constellation([_overhead_sat("S1")])
-        grid = TimeGrid(duration_s=600.0, step_s=60.0)
-        result = BentPipeSimulator(constellation, [terminal], [station], grid).run(rng)
-        assert np.all(result.served_fraction >= 0.0)
-        assert np.all(result.served_fraction <= 1.0)
-
     def test_run_narrates_grants_onto_timeline(self, equator_setup, rng):
         from repro.obs import timeline as obs_timeline
 
@@ -217,14 +209,26 @@ class TestOwnerPriority:
 
 
 class TestSessionAccounting:
-    def test_sessions_by_party_pair(self, equator_setup, rng):
+    def test_sessions_carry_the_party_pair(self, equator_setup, rng):
         terminal, station = equator_setup
         constellation = Constellation([_overhead_sat("S1", party="p2")])
         grid = TimeGrid(duration_s=300.0, step_s=60.0)
         result = BentPipeSimulator(constellation, [terminal], [station], grid).run(rng)
-        volumes = result.sessions_by_party_pair()
-        assert ("p1", "p2") in volumes
-        assert volumes[("p1", "p2")] > 0.0
+        assert result.sessions
+        assert {(s.terminal_party, s.sat_party) for s in result.sessions} == {
+            ("p1", "p2")
+        }
+        assert result.spare_capacity_megabits() == pytest.approx(
+            result.total_served_megabits
+        )
+
+    def test_own_party_sessions_are_not_spare_capacity(self, equator_setup, rng):
+        terminal, station = equator_setup
+        constellation = Constellation([_overhead_sat("S1")])
+        grid = TimeGrid(duration_s=600.0, step_s=60.0)
+        result = BentPipeSimulator(constellation, [terminal], [station], grid).run(rng)
+        assert result.total_served_megabits > 0.0
+        assert result.spare_capacity_megabits() == 0.0
 
     def test_session_volume_matches_served(self, equator_setup, rng):
         terminal, station = equator_setup

@@ -273,11 +273,18 @@ def _indicator(pairs, start_s=0.0, end_s=10.0):
     return inside
 
 
+def _set_of(pairs, start_s=0.0, end_s=10.0):
+    """The IntervalSet built from ``[(start, stop), ...]``."""
+    return IntervalSet(
+        [lo for lo, _ in pairs], [hi for _, hi in pairs], start_s, end_s
+    )
+
+
 class TestIntervalSetAgainstIndicator:
     @pytest.mark.parametrize("case", sorted(INDICATOR_CASES))
     def test_normalized_set_matches_indicator(self, case):
         pairs = INDICATOR_CASES[case]
-        s = IntervalSet.from_pairs(pairs, 0.0, 10.0)
+        s = _set_of(pairs)
         assert np.all(s.starts < s.stops)
         assert np.all(s.stops[:-1] < s.starts[1:])  # Strictly interleaved.
         assert np.array_equal(s.sample(TIMES), _indicator(pairs))
@@ -285,8 +292,8 @@ class TestIntervalSetAgainstIndicator:
 
     @pytest.mark.parametrize("case", sorted(INDICATOR_CASES))
     def test_algebra_matches_indicator_logic(self, case):
-        a = IntervalSet.from_pairs(INDICATOR_CASES[case], 0.0, 10.0)
-        b = IntervalSet.from_pairs(PARTNER, 0.0, 10.0)
+        a = _set_of(INDICATOR_CASES[case])
+        b = _set_of(PARTNER)
         in_a = _indicator(INDICATOR_CASES[case])
         in_b = _indicator(PARTNER)
         horizon = _indicator([(0.0, 10.0)])
@@ -307,7 +314,7 @@ class TestIntervalSetContract:
 
     def test_equality_needs_same_horizon(self):
         a = IntervalSet([1.0], [2.0], 0.0, 10.0)
-        assert a == IntervalSet.from_pairs([(1.0, 2.0)], 0.0, 10.0)
+        assert a == IntervalSet(np.array([1.0]), np.array([2.0]), 0.0, 10.0)
         assert a != IntervalSet([1.0], [2.0], 0.0, 20.0)
         assert a != [(1.0, 2.0)]
 
@@ -317,7 +324,7 @@ class TestIntervalSetContract:
         assert s.coverage_fraction == 0.0
 
     def test_from_empty_pairs_is_empty(self):
-        assert IntervalSet.from_pairs([], 0.0, 10.0) == IntervalSet.empty(0.0, 10.0)
+        assert IntervalSet([], [], 0.0, 10.0) == IntervalSet.empty(0.0, 10.0)
 
 
 class TestGroupedSweeps:
@@ -335,7 +342,7 @@ class TestGroupedSweeps:
         np.testing.assert_array_equal(fractions, _reference_coverage(contacts, None))
         for g in range(n_groups):
             pairs = [w for (site, _), ws in windows.items() if site == g for w in ws]
-            expect = IntervalSet.from_pairs(pairs, 0.0, 1200.0).coverage_fraction
+            expect = _set_of(pairs, 0.0, 1200.0).coverage_fraction
             assert fractions[g] == pytest.approx(expect)
 
     def test_empty_groups_are_zero(self):
@@ -984,7 +991,6 @@ class TestContactIntervalsReductions:
         assert contacts.coverage_fractions([]).tolist() == [0.0] * contacts.n_sites
         assert contacts.satellite_active_fractions([], None).size == 0
         assert contacts.satellite_active_fractions([1, 2], []).tolist() == [0.0, 0.0]
-        assert contacts.contact_count(sat_indices=[]) == 0
         assert contacts.site_union(0, []).count == 0
 
     def test_contact_count_totals(self, contacts):
@@ -993,7 +999,7 @@ class TestContactIntervalsReductions:
             for s in range(contacts.n_sites)
             for n in range(contacts.n_satellites)
         )
-        assert contacts.contact_count() == per_pair == contacts.n_contacts
+        assert per_pair == contacts.n_contacts
 
     def test_k_coverage_monotone_in_k(self, contacts):
         fractions = [
@@ -1198,8 +1204,6 @@ BAD_INDEX_CALLS = {
     "site_union.site": lambda c, bad: c.site_union(bad),
     "satellite_union.sat": lambda c, bad: c.satellite_union(bad),
     "satellite_union.site": lambda c, bad: c.satellite_union(0, [bad]),
-    "contact_count.sat": lambda c, bad: c.contact_count(sat_indices=[bad]),
-    "contact_count.site": lambda c, bad: c.contact_count(site_indices=[bad]),
     "coverage_fractions.sat": lambda c, bad: c.coverage_fractions([bad]),
     "satellite_active_fractions.sat": lambda c, bad: c.satellite_active_fractions([bad]),
     "satellite_active_fractions.site": lambda c, bad: c.satellite_active_fractions(None, [bad]),
@@ -1245,10 +1249,10 @@ class TestStoreAccessors:
 
     def test_pair_truncation_flags_horizon_clipped_edges(self):
         store = _store(self.WINDOWS, n_sites=2, n_sats=2)
-        starts, ends = store.pair_truncation(0, 0)
+        _, _, starts, ends = store.pair_windows(0, 0)
         assert list(starts) == [True, False]
         assert list(ends) == [False, False]
-        starts, ends = store.pair_truncation(1, 1)
+        _, _, starts, ends = store.pair_windows(1, 1)
         assert list(starts) == [False] and list(ends) == [True]
-        starts, ends = store.pair_truncation(0, 1)
+        _, _, starts, ends = store.pair_windows(0, 1)
         assert starts.size == ends.size == 0

@@ -123,8 +123,8 @@ class TestStreamingEqualsMaterialized:
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_primed_track_is_bit_neutral(self, mixed_pool, reference, chunk):
         geometry = kernels.SiteGeometry(SITES, GRID)
-        geometry.prime_track()
-        assert geometry.track_primed
+        track = geometry.prime_track()
+        assert geometry.prime_track() is track  # Cached, not rebuilt.
         propagator = BatchPropagator(mixed_pool)
         plan = kernels.plan_stream(propagator, geometry, GRID, chunk_size=chunk)
         assert np.array_equal(

@@ -423,6 +423,72 @@ class TestMain:
         assert trace.exists()
         assert pstats.exists()
 
+    @pytest.mark.parametrize(
+        "target", ["directory", "under-a-file", "trailing-separator"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4c", "--metrics-out"],
+            ["fig4c", "--trace-out"],
+            ["fig4c", "--profile"],
+            ["validate", "--quick", "--report"],
+        ],
+        ids=["metrics-out", "trace-out", "profile", "validate-report"],
+    )
+    def test_unwritable_output_path_is_a_usage_error(
+        self, argv, target, monkeypatch, capsys, tmp_path
+    ):
+        """A directory, a path through a regular file, or a path that ends
+        in a separator exits 2 before any experiment or check runs, not
+        with a traceback after it."""
+        import repro.validate
+        from repro import cli
+
+        ran = []
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "fig4c", lambda config: ran.append("fig4c")
+        )
+        monkeypatch.setattr(
+            repro.validate, "run_validation",
+            lambda **kwargs: ran.append("validate"),
+        )
+        (tmp_path / "file").write_text("")
+        path = {
+            "directory": str(tmp_path),
+            "under-a-file": str(tmp_path / "file" / "out.json"),
+            "trailing-separator": str(tmp_path / "new") + os.sep,
+        }[target]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + [path])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-1]} {path}:" in err
+        assert "Traceback" not in err
+        assert ran == []
+
+    @pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out", "--profile"])
+    def test_existing_output_file_is_overwritten(
+        self, flag, monkeypatch, capsys, tmp_path
+    ):
+        """The path probe accepts a regular file that is already there."""
+        from repro import cli
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig4c", lambda config: None)
+        path = tmp_path / "out"
+        path.write_text("stale")
+        assert main(["fig4c", flag, str(path)]) == 0
+        assert path.read_bytes() != b"stale"
+
+    def test_bare_output_filename_lands_in_cwd(self, monkeypatch, capsys, tmp_path):
+        """A path with no directory part needs no parent created."""
+        from repro import cli
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig4c", lambda config: None)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig4c", "--metrics-out", "run.json"]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["command"] == "fig4c"
+
     def test_metrics_out_report_is_schema_5(self, capsys, tmp_path):
         from repro.obs.report import validate_run_report
 
