@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""A full MP-LEO lifecycle: contribute, serve, verify, bill, govern.
+"""An MP-LEO lifecycle: contribute, serve, bill, survive a withdrawal.
 
 Three parties (Taiwan, Korea, and a commercial ISP) pool satellites into a
-shared constellation.  The example then runs one day of the bent-pipe
-engine, settles the spare-capacity trades on a token ledger, distributes
-proof-of-coverage rewards, and shows why no single party can deny service
-to a region.
+shared constellation and rent ground stations as a service.  The example
+then runs one day of the bent-pipe engine, prints who carried whose
+traffic, bills the spare-capacity trades, and shows that the network
+degrades but survives when its largest party withdraws.
 
 Run:
     python examples/mpleo_marketplace.py
@@ -15,9 +15,6 @@ import numpy as np
 
 from repro import MultiPartyConstellation, Party, Satellite, TimeGrid
 from repro.constellation.walker import walker_delta
-from repro.core.governance import CommandKind, GovernanceBoard
-from repro.core.incentives import ProofOfCoverageEpoch
-from repro.core.ledger import TokenLedger
 from repro.core.market import DataMarket, FlatPricing
 from repro.core.robustness import largest_party_withdrawal
 from repro.core.sharing import exchange_matrix
@@ -33,7 +30,7 @@ PARTIES = (
 )
 
 
-def build_registry(rng: np.random.Generator) -> MultiPartyConstellation:
+def build_registry() -> MultiPartyConstellation:
     """Each party contributes 16 satellites, interleaved across one shell."""
     elements = walker_delta(48, 8, 1, inclination_deg=53.0, altitude_km=550.0)
     registry = MultiPartyConstellation()
@@ -49,7 +46,7 @@ def build_registry(rng: np.random.Generator) -> MultiPartyConstellation:
 
 def main() -> None:
     rng = np.random.default_rng(7)
-    registry = build_registry(rng)
+    registry = build_registry()
     constellation = registry.constellation()
     print(f"Shared constellation: {len(constellation)} satellites, "
           f"stakes {registry.stakes()}")
@@ -85,39 +82,21 @@ def main() -> None:
         cells = "  ".join(f"{matrix[i, j] / 8e3:8.2f}" for j in range(len(names)))
         print(f"  {name:>8s}{cells}")
 
-    # -- Billing: settle spare-capacity trades on the ledger. -------------
-    ledger = TokenLedger()
-    for name in names:
-        ledger.mint(name, 10_000.0, memo="bootstrap stake")
+    # -- Billing: price the spare-capacity trades. ------------------------
     market = DataMarket(pricing=FlatPricing(0.001))
     invoices = market.bill(result.sessions)
-    transfers = market.settle(invoices, ledger)
-    print(f"\nMarket: {len(invoices)} invoices, net transfers: "
-          f"{ {pair: round(amount, 2) for pair, amount in transfers.items()} }")
-
-    # -- Proof-of-coverage rewards. ----------------------------------------
-    verifiers = [city.terminal(min_elevation_deg=10.0) for city in CITIES[:6]]
-    epoch = ProofOfCoverageEpoch(
-        constellation=constellation, verifiers=verifiers, grid=grid
-    )
-    epoch.generate_proofs(rng, pings_per_verifier=300)
-    minted = epoch.distribute(ledger, reward_pool=1_000.0)
-    provider_rewards = {k: round(v, 1) for k, v in minted.items() if k in names}
-    print(f"Proof-of-coverage rewards to providers: {provider_rewards}")
-    print(f"Ledger verifies: {ledger.verify()}, balances: "
-          f"{ {k: round(v, 1) for k, v in ledger.balances().items() if k in names} }")
-
-    # -- Governance: nobody can unilaterally deny a region. ---------------
-    board = GovernanceBoard(registry.stakes())
-    proposal = board.propose("isp", CommandKind.DENY_REGION, "Taipei")
-    print(f"\nGovernance: 'isp' proposes denying service over Taipei -> "
-          f"approved={board.is_approved(proposal.proposal_id)} "
-          f"(needs 2/3 stake, has {board.approval_stake(proposal.proposal_id):.2f})")
+    owed = {}
+    for invoice in invoices:
+        pair = (invoice.consumer, invoice.provider)
+        owed[pair] = owed.get(pair, 0.0) + float(invoice.tokens)
+    print(f"\nMarket: {len(invoices)} invoices; tokens owed, consumer -> provider:")
+    for (consumer, provider), tokens in sorted(owed.items()):
+        print(f"  {consumer:>8s} -> {provider:<8s}{tokens:8.1f}")
 
     # -- Robustness: what if the largest party walks? ----------------------
     impact = largest_party_withdrawal(registry, TimeGrid.hours(24.0, step_s=300.0),
                                       CITIES[:6])
-    print(f"Largest-party exit: coverage {100 * impact.base_fraction:.1f}% -> "
+    print(f"\nLargest-party exit: coverage {100 * impact.base_fraction:.1f}% -> "
           f"{100 * impact.reduced_fraction:.1f}% "
           f"({impact.reduction_percent:.1f} points lost; degraded, not dead)")
 

@@ -29,7 +29,7 @@ Packages:
 * :mod:`repro.sim` — time grids, vectorized visibility, coverage statistics,
   the bent-pipe session engine.
 * :mod:`repro.core` — MP-LEO itself: parties, registry, placement,
-  incentives, market, ledger, sharing, robustness, governance.
+  market pricing, sharing, robustness, objectives, economics.
 * :mod:`repro.experiments` — one module per paper figure.
 * :mod:`repro.analysis` — gap/idle analytics and report rendering.
 """

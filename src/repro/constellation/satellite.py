@@ -170,14 +170,6 @@ class Constellation:
         """Sorted distinct party names present in the constellation."""
         return sorted({satellite.party for satellite in self.satellites})
 
-    def get(self, sat_id: str) -> Satellite:
-        """Look a satellite up by id.
-
-        Raises:
-            KeyError: If the id is not present.
-        """
-        return self[self._index_by_id[sat_id]]
-
     def filter(self, predicate: Callable[[Satellite], bool], name: str = "") -> "Constellation":
         """Return the sub-constellation of satellites matching ``predicate``."""
         return Constellation(

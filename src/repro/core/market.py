@@ -9,29 +9,24 @@ Pieces:
 * Pricing policies — :class:`FlatPricing` (predetermined) and
   :class:`CongestionPricing` (dynamic: price rises with satellite load,
   a simple open-market stand-in).
-* :class:`DataMarket` — bills the session events the simulator produces and
-  settles them on a :class:`~repro.core.ledger.TokenLedger`.  Intra-party
-  sessions (a party's terminals on its own satellites) are free; only
-  spare-capacity trades settle, matching the paper's model where the same
-  participant "can both be a consumer ... and a provider".
+* :class:`DataMarket` — bills the session events the simulator produces.
+  Intra-party sessions (a party's terminals on its own satellites) are
+  free; only spare-capacity trades are billed, matching the paper's model
+  where the same participant "can both be a consumer ... and a provider".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence
 
-from repro.core.ledger import TokenLedger
 from repro.obs import get_logger, metrics
-from repro.obs import timeline as obs_timeline
 from repro.sim.events import SessionEvent
 
 _LOG = get_logger(__name__)
 
 _INVOICES = metrics.counter("core.market.invoices")
 _BILLED_TOKENS = metrics.counter("core.market.billed_tokens")
-_SETTLEMENTS = metrics.counter("core.market.settlements")
-_SETTLED_TOKENS = metrics.counter("core.market.settled_tokens")
 
 
 class PricingPolicy(Protocol):
@@ -100,7 +95,7 @@ class Invoice:
 
 @dataclass
 class DataMarket:
-    """Bills sessions and settles spare-capacity trades on a ledger."""
+    """Bills the spare-capacity trades among a run's sessions."""
 
     pricing: PricingPolicy = field(default_factory=FlatPricing)
 
@@ -132,58 +127,3 @@ class DataMarket:
             len(invoices), len(sessions),
         )
         return invoices
-
-    def settle(
-        self, invoices: Sequence[Invoice], ledger: TokenLedger
-    ) -> Dict[Tuple[str, str], float]:
-        """Net and transfer invoice amounts between parties on the ledger.
-
-        Amounts are netted pairwise first (A owes B 10, B owes A 4 -> one
-        6-token transfer), reducing ledger churn and matching how clearing
-        houses settle.
-
-        Returns:
-            Map (debtor, creditor) -> transferred amount.
-
-        Raises:
-            LedgerError: If a debtor lacks balance (callers should bootstrap
-                accounts or mint against collateral first).
-        """
-        net: Dict[Tuple[str, str], float] = {}
-        for invoice in invoices:
-            pair = (invoice.consumer, invoice.provider)
-            net[pair] = net.get(pair, 0.0) + invoice.tokens
-
-        transfers: Dict[Tuple[str, str], float] = {}
-        seen = set()
-        for (debtor, creditor), amount in sorted(net.items()):
-            if (debtor, creditor) in seen:
-                continue
-            reverse = net.get((creditor, debtor), 0.0)
-            seen.add((debtor, creditor))
-            seen.add((creditor, debtor))
-            balance = amount - reverse
-            if balance > 0.0:
-                ledger.transfer(debtor, creditor, balance, memo="market settlement")
-                transfers[(debtor, creditor)] = balance
-            elif balance < 0.0:
-                ledger.transfer(creditor, debtor, -balance, memo="market settlement")
-                transfers[(creditor, debtor)] = -balance
-        # Settlement is a run-level act with no simulation timestamp of its
-        # own; events land at t=0 and carry the counterparty + amount.
-        for (payer, payee), amount in sorted(transfers.items()):
-            obs_timeline.emit(
-                obs_timeline.MARKET_SETTLEMENT,
-                0.0,
-                payer,
-                party=payer,
-                payee=payee,
-                tokens=amount,
-            )
-        _SETTLEMENTS.inc(len(transfers))
-        _SETTLED_TOKENS.inc(sum(transfers.values()))
-        _LOG.debug(
-            "settled %d invoices into %d netted transfers",
-            len(invoices), len(transfers),
-        )
-        return transfers

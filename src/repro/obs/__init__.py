@@ -11,7 +11,7 @@ Seven stdlib-only pieces, threaded through every package of the simulator:
   (``--track-memory``), and a cProfile hook (``--profile``).
 * :mod:`repro.obs.timeline` — the ring-buffered *simulation* event
   timeline: contacts, handovers, allocation grants/denies, saturation,
-  coverage gaps, party membership, market settlements.
+  coverage gaps, party joins, spare-capacity trades.
 * :mod:`repro.obs.export` — Chrome trace-event JSON export
   (``--trace-out``): spans + timeline as Perfetto-loadable tracks.
 * :mod:`repro.obs.report` — the JSON run-report writer (``--metrics-out``)

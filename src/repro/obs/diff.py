@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.report import upgrade_report
+from repro.obs.report import _is_number, upgrade_report, validate_run_report
 
 #: Span rows and counter rows below this relative change are elided from
 #: the rendered tables (the structured diff always carries everything).
@@ -245,7 +245,8 @@ def load_document(path: str) -> Dict[str, Any]:
 
     Raises:
         DiffInputError: Naming ``path``, when it cannot be read, is not a
-            JSON object, or has an unsupported schema.
+            JSON object, has an unsupported schema, or a section the diff
+            reads has the wrong type.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -258,15 +259,54 @@ def load_document(path: str) -> Dict[str, Any]:
         if not isinstance(document, dict):
             raise ValueError("not a JSON object")
         if "workloads" not in document:
-            return upgrade_report(document)
+            report = upgrade_report(document)
+            validate_run_report(report)
+            return report
         if document.get("schema") != RESULT_SCHEMA:
             raise ValueError(
                 f"unsupported result schema {document.get('schema')!r} "
                 f"(supported: {RESULT_SCHEMA})"
             )
+        _validate_result(document)
         return document
     except ValueError as error:
         raise DiffInputError(f"{path}: {error}") from error
+
+
+def _validate_result(document: Dict[str, Any]) -> None:
+    """Raise ValueError unless the sections :func:`diff_results` reads
+    have the types a ``result.json`` record gives them."""
+    meta = document.get("meta", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("git_head") or "", str):
+        raise ValueError("'meta' must be an object, its 'git_head' a string")
+    workloads = document["workloads"]
+    if not isinstance(workloads, dict):
+        raise ValueError("'workloads' must be an object")
+    for name, workload in workloads.items():
+        if not isinstance(workload, dict):
+            raise ValueError(f"workload {name!r} must be an object")
+        ops = workload.get("ops")
+        if not isinstance(ops, dict) or not all(
+            _is_number(ops.get(key)) for key in ("failed", "attempted")
+        ):
+            raise ValueError(
+                f"workload {name!r}: 'ops' must hold numeric 'failed' and 'attempted'"
+            )
+        for section, required, optional in (
+            ("metrics", "median", ("q1", "q3", "n")),
+            ("layers", "value", ()),
+        ):
+            entries = workload.get(section, {})
+            if not isinstance(entries, dict) or not all(
+                isinstance(entry, dict)
+                and _is_number(entry.get(required))
+                and all(_is_number(entry.get(key, 0)) for key in optional)
+                for entry in entries.values()
+            ):
+                raise ValueError(
+                    f"workload {name!r}: {section!r} must map names to "
+                    f"objects with a numeric {required!r}"
+                )
 
 
 def _union(*groups: Iterable[str]) -> List[str]:

@@ -3,11 +3,12 @@
 The CLI's ``--metrics-out run.json`` lands here: after an experiment runs,
 :func:`write_run_report` serializes everything the observability layer
 collected — span records and per-phase aggregates from
-:mod:`repro.obs.trace`, every counter and gauge from
-:mod:`repro.obs.metrics`, the simulation event timeline from
-:mod:`repro.obs.timeline`, tracemalloc memory peaks (when sampling was on),
-and the exact experiment configuration + seed — so a perf claim ("the cache
-made fig2 3x faster") is a diff of two files rather than a memory.
+:mod:`repro.obs.trace`, the counters and gauges of every module the
+process loaded (:mod:`repro.obs.metrics`), the simulation event
+timeline from :mod:`repro.obs.timeline`, tracemalloc memory peaks (when
+sampling was on), and the exact experiment configuration + seed — so a
+perf claim ("the cache made fig2 3x faster") is a diff of two files
+rather than a memory.
 
 Schema stability: ``schema`` is bumped on breaking layout changes; tests
 pin the current top-level key set.  Schema history:
@@ -72,21 +73,6 @@ REPORT_KEYS = frozenset(
 _LOG = get_logger(__name__)
 
 
-def _ensure_default_instruments() -> None:
-    """Import the instrumented modules so their counters exist in every report.
-
-    Counters are registered at module import; a run that never touched the
-    session engine or the market would otherwise silently omit them, and a
-    reader could not tell "zero sessions" from "not measured".  Imports are
-    lazy here to keep :mod:`repro.obs` free of package-level cycles.
-    """
-    import repro.core.market  # noqa: F401
-    import repro.core.sharing  # noqa: F401
-    import repro.experiments.common  # noqa: F401
-    import repro.sim.engine  # noqa: F401
-    import repro.sim.visibility  # noqa: F401
-
-
 def _config_dict(config: Any) -> Optional[Dict[str, Any]]:
     if config is None:
         return None
@@ -142,7 +128,6 @@ def collect_run_report(
             ``seed`` field, when present, is surfaced at the top level.
         extra: Caller-provided additions (merged under ``"extra"``).
     """
-    _ensure_default_instruments()
     config_dict = _config_dict(config)
     seed = None
     if config_dict and "seed" in config_dict:
@@ -241,11 +226,10 @@ def upgrade_report(report: Dict[str, Any]) -> Dict[str, Any]:
             },
         )
     upgraded.pop("bus", None)
-    if "histograms" in upgraded.get("metrics", {}):
+    metrics = upgraded.get("metrics")
+    if isinstance(metrics, dict) and "histograms" in metrics:
         upgraded["metrics"] = {
-            key: value
-            for key, value in upgraded["metrics"].items()
-            if key != "histograms"
+            key: value for key, value in metrics.items() if key != "histograms"
         }
     return upgraded
 
@@ -259,9 +243,10 @@ def load_run_report(path: str) -> Dict[str, Any]:
 def validate_run_report(report: Dict[str, Any]) -> None:
     """Raise ValueError unless ``report`` has the current schema layout.
 
-    Used by tests and the CI ``bench-smoke`` job to validate ``--metrics-out``
-    files.  Run the dict through :func:`upgrade_report` first to accept
-    older schemas.
+    Used by tests, the CI ``bench-smoke`` job and ``obs diff`` to validate
+    ``--metrics-out`` files: besides the key set, the sections a diff reads
+    must have their types.  Run the dict through :func:`upgrade_report`
+    first to accept older schemas.
     """
     missing = REPORT_KEYS - set(report)
     if missing:
@@ -272,12 +257,33 @@ def validate_run_report(report: Dict[str, Any]) -> None:
         )
     if not isinstance(report["spans"], list):
         raise ValueError("'spans' must be a list")
+    span_stats = report["span_stats"]
+    if not isinstance(span_stats, dict) or not all(
+        isinstance(stats, dict) and _is_number(stats.get("total_s", 0.0))
+        for stats in span_stats.values()
+    ):
+        raise ValueError("'span_stats' must map span names to objects")
     timeline = report["timeline"]
+    if not isinstance(timeline, dict):
+        raise ValueError("'timeline' must be an object")
     for key in ("events", "dropped", "capacity"):
         if key not in timeline:
             raise ValueError(f"'timeline' missing {key!r}")
-    if sorted(report["metrics"]) != ["counters", "gauges"]:
-        raise ValueError(
-            "'metrics' must hold 'counters' and 'gauges' only, got "
-            f"{sorted(report['metrics'])}"
-        )
+    if not all(
+        _is_number(timeline.get(key) or 0)
+        for key in ("dropped", "capacity", "total_emitted")
+    ):
+        raise ValueError("'timeline' counts must be numbers")
+    metrics = report["metrics"]
+    if not isinstance(metrics, dict) or sorted(metrics) != ["counters", "gauges"]:
+        raise ValueError("'metrics' must hold 'counters' and 'gauges' only")
+    for kind in ("counters", "gauges"):
+        values = metrics[kind]
+        if not isinstance(values, dict) or not all(
+            _is_number(value) for value in values.values()
+        ):
+            raise ValueError(f"'metrics.{kind}' must map names to numbers")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float))

@@ -4,11 +4,11 @@ Where :mod:`repro.obs.trace` answers "where did the wall-clock go",
 this module answers "what happened *inside the simulated world*": which
 satellite rose over which city when, which terminal was denied capacity,
 when a handover occurred, when coverage gaps opened and closed, and which
-parties joined, withdrew, or traded.
+parties joined or traded.
 
-Events are emitted from the simulation/market layers
+Events are emitted from the simulation and MP-LEO layers
 (:mod:`repro.sim.engine`, :mod:`repro.sim.contacts`,
-:mod:`repro.sim.scheduling`, :mod:`repro.core.market`,
+:mod:`repro.sim.scheduling`, :mod:`repro.analysis.gaps`,
 :mod:`repro.core.sharing`, :mod:`repro.core.registry`) into a process-global
 :class:`Timeline`.  The buffer is a fixed-capacity ring: when full, the
 *oldest* events are overwritten and the overwrite count is surfaced as
@@ -17,7 +17,7 @@ is never silently truncated).
 
 Timestamps are **simulation seconds** (the experiment's :class:`TimeGrid`
 axis), not wall-clock; run-level events with no natural simulation time
-(party join, market settlement) use ``t_s=0.0``.
+(party join, sharing trade) use ``t_s=0.0``.
 
 Usage::
 
@@ -49,7 +49,6 @@ CAPACITY_SATURATED = "capacity.saturated"  #: A satellite ran at full capacity.
 GAP_OPEN = "gap.open"  #: A coverage gap opens at a site.
 GAP_CLOSE = "gap.close"  #: The gap closes.
 PARTY_JOIN = "party.join"  #: A participant joins the constellation.
-MARKET_SETTLEMENT = "market.settlement"  #: A netted inter-party transfer.
 SHARING_TRADE = "sharing.trade"  #: Cross-party traded volume (run summary).
 
 #: Every kind the timeline accepts; :meth:`Timeline.emit` rejects others so
@@ -65,7 +64,6 @@ KNOWN_KINDS = frozenset(
         GAP_OPEN,
         GAP_CLOSE,
         PARTY_JOIN,
-        MARKET_SETTLEMENT,
         SHARING_TRADE,
     }
 )

@@ -54,18 +54,16 @@ class TestConstellation:
         with pytest.raises(ValueError, match="duplicate"):
             Constellation([_sat("A"), _sat("A")])
 
-    def test_get(self):
-        constellation = Constellation([_sat("A"), _sat("B")])
-        assert constellation.get("B").sat_id == "B"
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(KeyError):
-            Constellation([_sat("A")]).get("Z")
-
     def test_contains(self):
         constellation = Constellation([_sat("A")])
         assert "A" in constellation
         assert "B" not in constellation
+
+    def test_without_party_drops_its_ids(self):
+        constellation = Constellation([_sat("A", "x"), _sat("B", "y")])
+        remaining = constellation.without_party("x")
+        assert "A" not in remaining
+        assert "B" in remaining
 
     def test_empty_constellation_allowed(self):
         assert len(Constellation([])) == 0
@@ -182,14 +180,18 @@ class TestColumnBackedConstellation:
             with pytest.raises(IndexError):
                 lazy[index]
 
-    def test_get_and_contains_match(self, oneweb_pair):
+    def test_contains_matches(self, oneweb_pair):
         lazy, eager = oneweb_pair
         sat_id = eager[42].sat_id
         assert sat_id in lazy
-        assert lazy.get(sat_id) == eager.get(sat_id)
         assert "missing" not in lazy
-        with pytest.raises(KeyError):
-            lazy.get("missing")
+
+    def test_take_contains_only_taken_ids(self, oneweb_pair):
+        lazy, eager = oneweb_pair
+        for constellation in (lazy, eager):
+            taken = constellation.take([3, 500])
+            assert eager[3].sat_id in taken and eager[500].sat_id in taken
+            assert eager[4].sat_id not in taken
 
     def test_take_matches(self, oneweb_pair):
         lazy, eager = oneweb_pair
@@ -259,10 +261,10 @@ class TestColumnBackedConstellation:
         pool = kuiper_like_constellation(np.random.default_rng(0))
         subset = pool.take(np.arange(0, 3236, 10))
         assert len(pool) == 3236 and len(subset) == 324
-        assert pool.get(pool.sat_ids[5]).sat_id == pool.sat_ids[5]
+        assert pool[5].sat_id == pool.sat_ids[5]
         assert BatchPropagator.from_columns(subset.columns).count == 324
         assert created == [pool.sat_ids[5]]
-        assert pool[5] is pool[5] is pool.get(pool.sat_ids[5])
+        assert pool[5] is pool[5]
         assert len(created) == 1
         assert list(pool)[5] is pool[5]
         assert len(created) == 3236

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.ledger import LedgerError, TokenLedger
 from repro.core.market import (
     CongestionPricing,
     DataMarket,
     FlatPricing,
 )
+from repro.obs import metrics
 from repro.sim.events import SessionEvent
 
 
@@ -85,47 +85,68 @@ class TestBilling:
         assert all(i.tokens == pytest.approx(6.0) for i in invoices)
 
 
-class TestSettlement:
-    def test_simple_settlement(self):
-        ledger = TokenLedger()
-        ledger.mint("a", 100.0)
-        market = DataMarket(pricing=FlatPricing(0.001))
-        invoices = market.bill([_session("a", "b")])  # 6 tokens.
-        transfers = market.settle(invoices, ledger)
-        assert transfers[("a", "b")] == pytest.approx(6.0)
-        assert ledger.balance("b") == pytest.approx(6.0)
+class TestPricingBounds:
+    def test_negative_slope_rejected(self):
+        with pytest.raises(ValueError, match="slope"):
+            CongestionPricing(slope=-1.0)
 
-    def test_pairwise_netting(self):
-        ledger = TokenLedger()
-        ledger.mint("a", 100.0)
-        ledger.mint("b", 100.0)
-        market = DataMarket(pricing=FlatPricing(0.001))
-        invoices = market.bill(
-            [
-                _session("a", "b", rate=100.0),  # a owes b 6.
-                _session("b", "a", rate=50.0),  # b owes a 3.
-            ]
-        )
-        transfers = market.settle(invoices, ledger)
-        assert transfers == {("a", "b"): pytest.approx(3.0)}
-        assert ledger.balance("b") == pytest.approx(103.0)
-        assert ledger.balance("a") == pytest.approx(97.0)
+    @pytest.mark.parametrize("utilization", [0.0, 1.0])
+    def test_congestion_accepts_utilization_bounds(self, utilization):
+        pricing = CongestionPricing(base_tokens_per_megabit=0.01, slope=4.0)
+        price = pricing.price(_session("a", "b"), utilization)
+        assert price == pytest.approx(60.0 * (1.0 + 4.0 * utilization))
 
-    def test_balanced_trade_transfers_nothing(self):
-        ledger = TokenLedger()
-        ledger.mint("a", 10.0)
-        ledger.mint("b", 10.0)
-        market = DataMarket(pricing=FlatPricing(0.001))
-        invoices = market.bill(
-            [_session("a", "b", rate=100.0), _session("b", "a", rate=100.0)]
-        )
-        transfers = market.settle(invoices, ledger)
-        assert transfers == {}
-        assert ledger.balance("a") == 10.0
+    @pytest.mark.parametrize("utilization", [-0.01, 1.01])
+    def test_congestion_rejects_utilization_outside_unit_interval(self, utilization):
+        with pytest.raises(ValueError, match="utilization"):
+            CongestionPricing().price(_session("a", "b"), utilization)
 
-    def test_insolvent_consumer_raises(self):
-        ledger = TokenLedger()  # "a" has no balance.
-        market = DataMarket(pricing=FlatPricing(0.001))
-        invoices = market.bill([_session("a", "b")])
-        with pytest.raises(LedgerError, match="overdraft"):
-            market.settle(invoices, ledger)
+    def test_zero_slope_is_flat_pricing(self):
+        session = _session("a", "b")
+        flat = FlatPricing(0.01)
+        congestion = CongestionPricing(base_tokens_per_megabit=0.01, slope=0.0)
+        for utilization in (0.0, 0.5, 1.0):
+            assert congestion.price(session, utilization) == pytest.approx(
+                flat.price(session, utilization)
+            )
+
+    def test_price_scales_with_volume(self):
+        pricing = FlatPricing(0.01)
+        short = pricing.price(_session("a", "b", duration=30.0), 0.0)
+        long = pricing.price(_session("a", "b", duration=90.0), 0.0)
+        assert long == pytest.approx(3.0 * short)
+
+
+class TestBillingEdges:
+    def test_no_sessions_no_invoices(self):
+        assert DataMarket().bill([]) == []
+
+    def test_default_pricing_is_flat(self):
+        invoices = DataMarket().bill([_session("a", "b")])  # 6000 Mb.
+        assert invoices[0].tokens == pytest.approx(6000.0 * 0.001)
+
+    def test_free_pricing_issues_no_invoices(self):
+        market = DataMarket(pricing=FlatPricing(0.0))
+        assert market.bill([_session("a", "b")]) == []
+
+    def test_unlisted_satellite_billed_at_idle_price(self):
+        market = DataMarket(pricing=CongestionPricing(0.01, slope=4.0))
+        session = _session("a", "b", sat_id="QUIET")
+        listed = market.bill([session], utilization_by_sat={"QUIET": 0.0})
+        unlisted = market.bill([session], utilization_by_sat={"OTHER": 1.0})
+        assert unlisted[0].tokens == pytest.approx(listed[0].tokens)
+
+    def test_invoice_keeps_its_session(self):
+        session = _session("a", "b")
+        (invoice,) = DataMarket().bill([session])
+        assert invoice.session is session
+
+    def test_bill_counts_invoices_and_tokens(self):
+        invoices_before = metrics.counter("core.market.invoices").value
+        tokens_before = metrics.counter("core.market.billed_tokens").value
+        market = DataMarket(pricing=FlatPricing(0.01))
+        market.bill([_session("a", "a"), _session("a", "b"), _session("b", "c")])
+        assert metrics.counter("core.market.invoices").value - invoices_before == 2
+        assert metrics.counter(
+            "core.market.billed_tokens"
+        ).value - tokens_before == pytest.approx(120.0)

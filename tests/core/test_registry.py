@@ -49,16 +49,17 @@ class TestMembership:
 
 class TestContributions:
     def test_attribution(self, registry):
-        constellation = registry.constellation()
-        assert constellation.get("TW-0").party == "taiwan"
-        assert constellation.get("KR-0").party == "korea"
+        party_of = {sat.sat_id: sat.party for sat in registry.constellation()}
+        assert party_of["TW-0"] == "taiwan"
+        assert party_of["KR-0"] == "korea"
 
     def test_reattribution_overrides_incoming_party(self):
         reg = MultiPartyConstellation()
         reg.join(Party("a"))
         satellite = _sats("X", 1)[0].owned_by("someone-else")
         reg.contribute("a", [satellite])
-        assert reg.constellation().get("X-0").party == "a"
+        [contributed] = reg.constellation()
+        assert contributed.party == "a"
 
     def test_contribute_unknown_party_rejected(self, registry):
         with pytest.raises(RegistryError, match="unknown"):

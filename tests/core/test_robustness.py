@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core.party import Party
-from repro.core.registry import MultiPartyConstellation
-from repro.core.robustness import WithdrawalImpact, largest_party_withdrawal
+from repro.core.registry import MultiPartyConstellation, RegistryError
+from repro.core.robustness import (
+    WithdrawalImpact,
+    coverage_fraction_of,
+    largest_party_withdrawal,
+)
 from repro.ground.cities import CITIES
 from repro.sim.clock import TimeGrid
 
@@ -57,3 +61,45 @@ class TestLargestPartyWithdrawal:
             skewed_impact.reduction_fraction
             >= balanced_impact.reduction_fraction - 1e-9
         )
+
+    def test_sole_party_withdrawal_leaves_no_coverage(
+        self, small_walker, grid, cities
+    ):
+        registry = MultiPartyConstellation()
+        registry.join(Party("only"))
+        registry.contribute("only", list(small_walker))
+        impact = largest_party_withdrawal(registry, grid, cities)
+        assert impact.reduced_fraction == 0.0
+        assert impact.reduction_fraction == pytest.approx(impact.base_fraction)
+
+    def test_base_is_the_full_constellations_coverage(
+        self, small_walker, grid, cities
+    ):
+        registry = self._registry(small_walker, 30, 10)
+        impact = largest_party_withdrawal(registry, grid, cities)
+        assert impact.base_fraction == pytest.approx(
+            coverage_fraction_of(registry.constellation(), grid, cities)
+        )
+
+    def test_no_contributions_raises(self, grid, cities):
+        registry = MultiPartyConstellation()
+        registry.join(Party("idle"))
+        with pytest.raises(RegistryError, match="no contributions"):
+            largest_party_withdrawal(registry, grid, cities)
+
+
+class TestCoverageFractionOf:
+    def test_is_a_fraction(self, small_walker, grid, cities):
+        fraction = coverage_fraction_of(small_walker, grid, cities)
+        assert 0.0 < fraction <= 1.0
+
+    def test_subset_covers_no_more(self, small_walker, grid, cities):
+        half = small_walker.take(range(0, len(small_walker), 2))
+        assert coverage_fraction_of(half, grid, cities) <= coverage_fraction_of(
+            small_walker, grid, cities
+        )
+
+    def test_steeper_mask_covers_no_more(self, small_walker, grid, cities):
+        low = coverage_fraction_of(small_walker, grid, cities, min_elevation_deg=10.0)
+        high = coverage_fraction_of(small_walker, grid, cities, min_elevation_deg=40.0)
+        assert high <= low

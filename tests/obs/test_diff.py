@@ -507,18 +507,154 @@ class TestLoadDocument:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("[1, 2]", "not a JSON object"),
-            ('{"schema": 2, "workloads": {}}', "unsupported result schema 2"),
-            ("not json", "is not JSON"),
-            ('{"command": "fig2"}', "unsupported run-report schema None"),
+            pytest.param("[1, 2]", "not a JSON object", id="array"),
+            pytest.param(
+                '{"schema": 2, "workloads": {}}', "unsupported result schema 2",
+                id="result-schema",
+            ),
+            pytest.param("not json", "is not JSON", id="not-json"),
+            pytest.param(
+                '{"command": "fig2"}', "unsupported run-report schema None",
+                id="report-schema",
+            ),
+            pytest.param(
+                '{"schema": 5, "spans": "x", "span_stats": [1], "metrics": 3,'
+                ' "timeline": 4}',
+                "run report missing keys",
+                id="report-wrong-types",
+            ),
+            pytest.param(
+                '{"schema": 1, "span_stats": {"a": 3}}', "run report missing keys",
+                id="report-bad-span-stats",
+            ),
+            pytest.param(
+                '{"schema": 1, "workloads": {"a": 1}}',
+                "workload 'a' must be an object",
+                id="result-bad-workload",
+            ),
+            pytest.param(
+                json.dumps({**make_report(), "span_stats": {"a": 3}}),
+                "'span_stats' must map",
+                id="span-stat-number",
+            ),
+            pytest.param(
+                json.dumps({**make_report(), "timeline": 4}),
+                "'timeline' must be an object",
+                id="timeline-number",
+            ),
+            pytest.param(
+                json.dumps(
+                    {**make_report(), "timeline": {
+                        "events": [], "dropped": "x", "capacity": 0,
+                    }}
+                ),
+                "'timeline' counts must be numbers",
+                id="timeline-count-string",
+            ),
+            pytest.param(
+                json.dumps({**make_report(), "metrics": 3}),
+                "'metrics' must hold",
+                id="metrics-number",
+            ),
+            pytest.param(
+                json.dumps({**make_report(schema=4), "metrics": 3}),
+                "'metrics' must hold",
+                id="schema4-metrics-number",
+            ),
+            pytest.param(
+                json.dumps(make_report(counters={"a": "x"})),
+                "'metrics.counters' must map",
+                id="counter-string",
+            ),
+            pytest.param(
+                json.dumps({**make_result({}), "meta": []}),
+                "'meta' must be an object",
+                id="meta-list",
+            ),
+            pytest.param(
+                json.dumps({**make_result({}), "meta": {"git_head": 5}}),
+                "'git_head' a string",
+                id="git-head-number",
+            ),
+            pytest.param(
+                json.dumps(make_result([])), "'workloads' must be an object",
+                id="workloads-list",
+            ),
+            pytest.param(
+                json.dumps(make_result({"w": {**make_workload(1.0), "ops": {}}})),
+                "'ops' must hold",
+                id="ops-empty",
+            ),
+            pytest.param(
+                json.dumps(make_result({"w": {**make_workload(1.0), "metrics": []}})),
+                "'metrics' must map",
+                id="metrics-list",
+            ),
+            pytest.param(
+                json.dumps(
+                    make_result({"w": {**make_workload(1.0), "layers": {"x": {}}}})
+                ),
+                "'layers' must map",
+                id="layer-value-missing",
+            ),
         ],
-        ids=["array", "result-schema", "not-json", "report-schema"],
     )
     def test_unsupported_documents_raise(self, tmp_path, text, message):
         path = tmp_path / "x.json"
         path.write_text(text)
         with pytest.raises(DiffInputError, match=message):
             load_document(str(path))
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param(
+                {k: v for k, v in make_result({"w": make_workload(1.0)}).items()
+                 if k != "meta"},
+                id="result-no-meta",
+            ),
+            pytest.param(
+                {**make_result({"w": make_workload(1.0)}), "meta": {"git_head": None}},
+                id="result-null-git-head",
+            ),
+            pytest.param(make_result({}), id="result-no-workloads"),
+            pytest.param(
+                make_result({"w": {"ops": {"attempted": 4, "failed": 0}}}),
+                id="result-bare-workload",
+            ),
+            pytest.param(
+                make_result({"w": {**make_workload(1.0), "ops": {
+                    "attempted": 4.0, "failed": 1.0,
+                }}}),
+                id="result-float-ops",
+            ),
+            pytest.param(
+                make_result({"w": {**make_workload(1.0), "metrics": {
+                    "wall_s": {"median": 2.0},
+                }}}),
+                id="result-metric-without-quartiles",
+            ),
+            pytest.param(make_report(schema=2), id="report-schema2"),
+            pytest.param(make_report(schema=3), id="report-schema3"),
+            pytest.param(make_report(schema=4), id="report-schema4"),
+            pytest.param(
+                make_report(span_totals={"analysis.fig2": 2}, counters={"a": 3}),
+                id="report-integer-values",
+            ),
+            pytest.param(
+                make_report(timeline={"total_emitted": None}),
+                id="report-null-total-emitted",
+            ),
+        ],
+    )
+    def test_well_formed_documents_load_and_diff(self, tmp_path, document):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(document))
+        loaded = load_document(str(path))
+        if "workloads" in loaded:
+            render_result_diff(diff_results(loaded, loaded))
+        else:
+            render_diff(diff_reports(loaded, loaded))
 
     def test_missing_file_raises_naming_it(self, tmp_path):
         path = str(tmp_path / "nope.json")

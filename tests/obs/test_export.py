@@ -110,7 +110,7 @@ class TestTimelineEvents:
 
     def test_partyless_subjectless_event_lands_on_run_track(self):
         events = timeline_trace_events(
-            [TimelineEvent(t_s=0.0, kind="market.settlement", subject="")]
+            [TimelineEvent(t_s=0.0, kind="sharing.trade", subject="")]
         )
         labels = [
             event["args"]["name"]

@@ -1,10 +1,16 @@
 """Tests for the observability layer: metrics registry, spans, run reports."""
 
+import importlib
 import json
 import logging
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments.common import ExperimentConfig
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
@@ -20,6 +26,8 @@ from repro.obs.report import (
     write_run_report,
 )
 from repro.obs.trace import Tracer, profile, track_memory
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 class TestCounters:
@@ -347,21 +355,36 @@ class TestRunReport:
         assert loaded["config"]["step_s"] == 600.0
         assert loaded["config"]["duration_s"] == ExperimentConfig().duration_s
 
-    def test_standard_counters_always_present(self):
-        """Engine/cache/market counters appear even in runs that skip them,
-        so "zero" is distinguishable from "not measured"."""
-        report = collect_run_report()
-        counters = report["metrics"]["counters"]
-        for name in (
-            "sim.engine.sessions",
-            "sim.engine.allocations",
-            "sim.engine.handovers",
-            "experiments.visibility_cache.hits",
-            "experiments.visibility_cache.misses",
-            "core.market.invoices",
-            "sim.visibility.pairs",
-        ):
-            assert name in counters
+    @pytest.mark.parametrize(
+        "module, prefix, present",
+        [
+            ("repro.obs.report", "core.market.", False),
+            ("repro.obs.report", "sim.engine.", False),
+            ("repro.core.market", "core.market.", True),
+            ("repro.sim.engine", "sim.engine.", True),
+        ],
+    )
+    def test_report_lists_the_instruments_of_loaded_modules(
+        self, module, prefix, present
+    ):
+        """Run in a fresh interpreter, where no other test has loaded the
+        module that registers the instruments."""
+        script = (
+            f"import {module}\n"
+            "import json\n"
+            "from repro.obs.report import collect_run_report\n"
+            "print(json.dumps(collect_run_report()['metrics']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])
+        )}
+        output = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout
+        metrics = json.loads(output)
+        names = [*metrics["counters"], *metrics["gauges"]]
+        assert any(name.startswith(prefix) for name in names) is present
 
     def test_spans_land_in_report(self):
         obs_trace.TRACER.reset()
@@ -421,8 +444,15 @@ class TestRunReport:
     def test_gauges_restate_no_span_or_counter(self, engine, build_span):
         """A store build is timed by its span alone, and the cull and mask
         pass ratios are derived from counters (``obs diff``): the one gauge
-        left is a running maximum nothing else records."""
+        left is a running maximum nothing else records.
+
+        A report lists the instruments of the modules the process loaded,
+        so every module is loaded first: the assertion then holds whether
+        the test runs alone or after others."""
         from repro.experiments.common import ExperimentContext
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
 
         ExperimentContext(engine=engine).store(
             ExperimentConfig(runs=1, step_s=3600.0, duration_s=86_400.0)

@@ -154,6 +154,49 @@ class TestSchema5RoundTrip:
         with pytest.raises(ValueError, match="'counters' and 'gauges' only"):
             validate_run_report(report)
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            pytest.param("span_stats", [], "'span_stats' must map", id="span-stats-list"),
+            pytest.param(
+                "span_stats", {"a": {"total_s": "2"}}, "'span_stats' must map",
+                id="span-total-string",
+            ),
+            pytest.param(
+                "timeline", [], "'timeline' must be an object", id="timeline-list"
+            ),
+            pytest.param(
+                "metrics", {"counters": {}, "gauges": {"g": "x"}},
+                "'metrics.gauges' must map", id="gauge-string",
+            ),
+            pytest.param(
+                "metrics", {"counters": [], "gauges": {}},
+                "'metrics.counters' must map", id="counters-list",
+            ),
+        ],
+    )
+    def test_validate_rejects_a_section_of_the_wrong_type(
+        self, section, value, message
+    ):
+        report = collect_run_report()
+        report[section] = value
+        with pytest.raises(ValueError, match=message):
+            validate_run_report(report)
+
+    @pytest.mark.parametrize("key", ["dropped", "capacity", "total_emitted"])
+    def test_validate_rejects_a_timeline_count_that_is_not_a_number(self, key):
+        report = collect_run_report()
+        report["timeline"][key] = "many"
+        with pytest.raises(ValueError, match="'timeline' counts must be numbers"):
+            validate_run_report(report)
+
+    def test_validate_accepts_a_report_without_spans_or_instruments(self):
+        report = collect_run_report()
+        report["span_stats"] = {"a": {"count": 1}}
+        report["metrics"] = {"counters": {}, "gauges": {}}
+        del report["timeline"]["total_emitted"]
+        validate_run_report(report)
+
     def test_written_file_is_the_returned_report(self, tmp_path):
         path = tmp_path / "run.json"
         written = write_run_report(str(path), command="fig3")
@@ -245,6 +288,14 @@ class TestUpgrades:
         assert "histograms" not in upgraded["metrics"]
         assert fixture == snapshot
         assert "histograms" in fixture["metrics"]
+    def test_upgrade_leaves_a_malformed_metrics_section_to_validation(self):
+        fixture = schema4_fixture()
+        fixture["metrics"] = 3
+        upgraded = upgrade_report(fixture)
+        assert upgraded["metrics"] == 3
+        with pytest.raises(ValueError, match="'metrics' must hold"):
+            validate_run_report(upgraded)
+
     def test_current_schema_passes_through_untouched(self):
         report = collect_run_report()
         assert upgrade_report(report) is report

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS, _horizon, build_parser, main
 from repro.obs.export import SIM_PID, SPAN_PID, validate_chrome_trace
+from repro.obs.report import collect_run_report
 
 
 #: The table title each experiment subcommand prints.
@@ -359,7 +360,6 @@ class TestMain:
         assert report["config"]["step_s"] == 600.0
         assert report["seed"] == 2024
         assert "experiment.fig4c" in report["span_stats"]
-        assert "sim.engine.sessions" in report["metrics"]["counters"]
         assert "experiments.visibility_cache.hits" in report["metrics"]["counters"]
 
     def test_profile_writes_pstats(self, capsys, tmp_path):
@@ -590,7 +590,7 @@ class TestMain:
     ):
         """Each unreadable or mismatched input exits 2 naming the file."""
         report = tmp_path / "report.json"
-        report.write_text(json.dumps({"schema": 3, "command": "fig2"}))
+        report.write_text(json.dumps(collect_run_report(command="fig2")))
         path = tmp_path / f"{bad}.json"
         if bad == "not-json":
             path.write_text("not json")

@@ -59,8 +59,6 @@ ALLOWED = {
     "replay_trial": "named by every fuzz report's replay hint",
     "validate_validation_report": "schema check for 'validate --report' files",
     # Members that only tests reach, kept on purpose.
-    "GovernanceBoard.vote": "the board's only way to count a second party's vote; "
-    "keeping core.governance at all is an open ROADMAP question",
     "ExperimentContext.cached_visibility": "tests pin the grid cache's keying and release",
     "ExperimentContext.cached_intervals": "tests pin the interval cache's keying and release",
     "ExperimentContext.cached_pool_seeds": "tests pin the pool cache's keying and release",
